@@ -28,8 +28,10 @@ GA_UNORDERED = "ga-unordered"
 FCFS = "fcfs"
 RANDOM = "random"
 ALL_ALGORITHMS = (GA_ORDERED, GA_UNORDERED, FCFS, RANDOM)
-GA_ALGORITHMS = (GA_ORDERED, GA_UNORDERED)
+GA_VARIANTS = {GA_ORDERED: Variant.ORDERED, GA_UNORDERED: Variant.UNORDERED}
+GA_ALGORITHMS = tuple(GA_VARIANTS)
 CONSTRAINT_NAMES = ("overlap", "incompatibility", "travel_gap")
+STATS_HEADER = ("metric", "algo_a", "algo_b", "u", "p")
 
 
 @dataclass(frozen=True)
@@ -107,17 +109,9 @@ def run_algorithm(
 ) -> tuple[Schedule, tuple[GenerationStats, ...] | None]:
     """One solve; returns the schedule and, for evolutionary runs, the telemetry."""
     space = filter_search_space(world.slots, request)
-    if algorithm == GA_ORDERED:
-        result = evolve(
-            space, request, world.rules,
-            replace(ga, variant=Variant.ORDERED, seed=ga_seed),
-        )
-        return result.best, result.history
-    if algorithm == GA_UNORDERED:
-        result = evolve(
-            space, request, world.rules,
-            replace(ga, variant=Variant.UNORDERED, seed=ga_seed),
-        )
+    if algorithm in GA_VARIANTS:
+        config = replace(ga, variant=GA_VARIANTS[algorithm], seed=ga_seed)
+        result = evolve(space, request, world.rules, config)
         return result.best, result.history
     if algorithm == FCFS:
         return fcfs_schedule(space, request), None
@@ -243,21 +237,33 @@ def metric_samples(result: BenchResult, metric: str) -> dict[str, list[float]]:
     return samples
 
 
+def pairwise_stats(
+    metric: str, samples: dict[str, list[float]]
+) -> list[tuple[Any, ...]]:
+    """One ``STATS_HEADER`` row (U and p) per pair of groups, in key order.
+
+    A pair with an empty group gets blank U and p cells.
+    """
+    rows: list[tuple[Any, ...]] = []
+    names = list(samples)
+    for i, algo_a in enumerate(names):
+        for algo_b in names[i + 1 :]:
+            a, b = samples[algo_a], samples[algo_b]
+            if not a or not b:
+                rows.append((metric, algo_a, algo_b, "", ""))
+                continue
+            u, p = mann_whitney_u(a, b)
+            rows.append((metric, algo_a, algo_b, u, p))
+    return rows
+
+
 def stats_rows(result: BenchResult) -> list[tuple[Any, ...]]:
     """Pairwise rank-sum comparisons (U and p) for ITR and trips."""
-    rows: list[tuple[Any, ...]] = []
-    for metric in ("itr", "trips"):
-        samples = metric_samples(result, metric)
-        names = list(result.config.algorithms)
-        for i, algo_a in enumerate(names):
-            for algo_b in names[i + 1 :]:
-                a, b = samples[algo_a], samples[algo_b]
-                if not a or not b:
-                    rows.append((metric, algo_a, algo_b, "", ""))
-                    continue
-                u, p = mann_whitney_u(a, b)
-                rows.append((metric, algo_a, algo_b, u, p))
-    return rows
+    return [
+        row
+        for metric in ("itr", "trips")
+        for row in pairwise_stats(metric, metric_samples(result, metric))
+    ]
 
 
 def write_bench_csvs(result: BenchResult, output_dir: Path) -> list[Path]:
@@ -277,7 +283,7 @@ def write_bench_csvs(result: BenchResult, output_dir: Path) -> list[Path]:
         ),
         ("itr.csv", ("algorithm", "trial", "itr"), value_rows(result, "itr")),
         ("trips.csv", ("algorithm", "trial", "trips"), value_rows(result, "trips")),
-        ("stats.csv", ("metric", "algo_a", "algo_b", "u", "p"), stats_rows(result)),
+        ("stats.csv", STATS_HEADER, stats_rows(result)),
     ]
     paths = []
     for name, header, rows in tables:

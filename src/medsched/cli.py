@@ -19,7 +19,9 @@ from typing import Any, Sequence
 
 from .bench import (
     ALL_ALGORITHMS,
+    STATS_HEADER,
     BenchConfig,
+    pairwise_stats,
     run_algorithm,
     run_bench,
     write_bench_csvs,
@@ -27,7 +29,7 @@ from .bench import (
 from .datagen import WorldConfig, generate_request, generate_world
 from .fitness import compute_penalties, fitness
 from .ga import GAConfig, UnschedulableError, Variant, filter_search_space
-from .metrics import mann_whitney_u, solution_metrics
+from .metrics import solution_metrics
 from .worldio import (
     load_request,
     load_world,
@@ -271,26 +273,16 @@ def _read_value_csv(path: Path) -> tuple[str, dict[str, list[float]]]:
 def cmd_stats(args: argparse.Namespace) -> int:
     rows: list[tuple[Any, ...]] = []
     for name in args.files:
-        metric, samples = _read_value_csv(Path(name))
-        names = list(samples)
-        for i, algo_a in enumerate(names):
-            for algo_b in names[i + 1 :]:
-                a, b = samples[algo_a], samples[algo_b]
-                if not a or not b:
-                    rows.append((metric, algo_a, algo_b, "", ""))
-                    continue
-                u, p = mann_whitney_u(a, b)
-                rows.append((metric, algo_a, algo_b, u, p))
-    header = ("metric", "algo_a", "algo_b", "u", "p")
+        rows.extend(pairwise_stats(*_read_value_csv(Path(name))))
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "stats.csv"
-        write_csv(path, header, rows)
+        write_csv(path, STATS_HEADER, rows)
         print(f"wrote {path}")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(STATS_HEADER)
         writer.writerows(rows)
     return 0
 

@@ -17,9 +17,24 @@ from enum import Enum
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
-from .constraints import optimal_act_order
-from .fitness import compute_penalties, fitness
-from .model import IncompatibilityRule, Schedule, ScheduleRequest, TimeSlot
+from .constraints import TRAVEL_GAP_MINUTES, TRIP_GAP_MINUTES, optimal_act_order
+from .fitness import (
+    HARD_VIOLATION_PENALTY,
+    MISSING_SLOT_PENALTY,
+    PER_TRIP_PENALTY,
+    TRAVEL_GAP_PENALTY,
+    WAIT_MINUTES_PER_POINT,
+    compute_penalties,
+    fitness,
+)
+from .model import (
+    MINUTES_PER_DAY,
+    IncompatibilityRule,
+    RuleLogic,
+    Schedule,
+    ScheduleRequest,
+    TimeSlot,
+)
 
 
 # Size at which `evolve` empties its per-run fitness memo.  A default run
@@ -285,12 +300,125 @@ def make_evaluator(
     request: ScheduleRequest,
     rules: Iterable[IncompatibilityRule],
 ) -> Callable[[Individual], float]:
-    """Fitness of an individual: decode, score penalties, invert."""
+    """Fitness of an individual, equal (bit for bit) to
+    ``fitness(compute_penalties(decode(individual, space, request), request, rules))``.
+
+    The request is compiled once.  Each candidate becomes a tuple
+    ``(rank, start, end, facility)`` whose rank orders picked slots as
+    ``Schedule.sorted_by_start`` does (by start, then id, then act).  Each
+    rule becomes one check per ordered pair of acts whose exams it names.
+    A genome is then scored by one sort of its picks and one pass over
+    consecutive picks, counting breaches instead of listing them.  Like
+    ``decode``, it raises ``ValueError`` for a wrong gene count or a gene
+    outside its block.
+    """
     rules = tuple(rules)
+    blocks = space.per_act_slots
+    exams = [{slot.exam for slot in block} for block in blocks]
+    if any(len(block_exams) > 1 for block_exams in exams):
+        # Only hand-built spaces mix exams in a block; rules then depend on
+        # the pick, so score through the reference path.
+        def reference(individual: Individual) -> float:
+            schedule = decode(individual, space, request)
+            return fitness(compute_penalties(schedule, request, rules))
+
+        return reference
+
+    keyed = sorted(
+        (slot.start, slot.id, act, gene)
+        for act, block in enumerate(blocks)
+        for gene, slot in enumerate(block)
+    )
+    facilities: dict[str, int] = {}
+    tables: list[list[tuple[int, int, int, int] | None]] = [
+        [None] * len(block) for block in blocks
+    ]
+    for rank, (start, _, act, gene) in enumerate(keyed):
+        slot = blocks[act][gene]
+        facility = facilities.setdefault(slot.facility, len(facilities))
+        tables[act][gene] = (rank, start, slot.end, facility)
+
+    # (first act, second act, gap, symmetric): broken when the second starts
+    # under ``gap`` after the first ends and, for BOTH, also the reverse.
+    # With positive durations and gaps that equals the reference's
+    # earlier-slot rule; AFTER is BEFORE with the acts swapped.
+    act_exams = [next(iter(block_exams), None) for block_exams in exams]
+    checks: list[tuple[int, int, int, bool]] = []
+    for rule in rules:
+        for act_1, exam_1 in enumerate(act_exams):
+            for act_2, exam_2 in enumerate(act_exams):
+                if act_1 == act_2 or exam_1 != rule.first or exam_2 != rule.second:
+                    continue
+                if rule.logic is RuleLogic.AFTER:
+                    checks.append((act_2, act_1, rule.gap_minutes, False))
+                else:
+                    checks.append(
+                        (act_1, act_2, rule.gap_minutes, rule.logic is RuleLogic.BOTH)
+                    )
+
+    act_count = len(blocks)
+    requested = len(request.acts)
+    start_day = request.start_day
 
     def evaluate(individual: Individual) -> float:
-        schedule = decode(individual, space, request)
-        return fitness(compute_penalties(schedule, request, rules))
+        genes = individual.genes
+        if len(genes) != act_count:
+            raise ValueError(
+                f"individual has {len(genes)} genes for {act_count} acts"
+            )
+        by_act: list[tuple[int, int, int, int] | None] = []
+        for act, gene in enumerate(genes):
+            if gene is None:
+                by_act.append(None)
+                continue
+            table = tables[act]
+            if not 0 <= gene < len(table):
+                raise ValueError(f"gene {gene} out of range for act {act}")
+            by_act.append(table[gene])
+        picks = sorted(pick for pick in by_act if pick is not None)
+        missing = MISSING_SLOT_PENALTY if len(picks) != requested else 0
+        if not picks:
+            return 1.0 / (1.0 + missing)
+
+        breaches = 0
+        for i, (_, _, end, _) in enumerate(picks):
+            for later in picks[i + 1 :]:
+                if later[1] >= end:
+                    break
+                breaches += 1
+        for act_1, act_2, gap, symmetric in checks:
+            first, second = by_act[act_1], by_act[act_2]
+            if (
+                first is not None
+                and second is not None
+                and second[1] - first[2] < gap
+                and (not symmetric or first[1] - second[2] < gap)
+            ):
+                breaches += 1
+
+        trips, transfers, wait = 1, 0, 0
+        for prev, cur in zip(picks, picks[1:]):
+            gap = cur[1] - prev[2]
+            if cur[3] != prev[3]:
+                trips += 1
+                if gap < TRAVEL_GAP_MINUTES:
+                    transfers += 1
+            elif gap > TRIP_GAP_MINUTES:
+                trips += 1
+            if gap > 0:
+                wait += gap
+        lead = max(0, picks[0][1] // MINUTES_PER_DAY - start_day)
+
+        # Summed in PenaltyBreakdown.total()'s order, so the float matches.
+        total = (
+            missing
+            + HARD_VIOLATION_PENALTY * breaches
+            + PER_TRIP_PENALTY * trips
+            + TRAVEL_GAP_PENALTY * transfers
+            + wait / WAIT_MINUTES_PER_POINT
+            + lead
+        )
+        return 1.0 / (1.0 + total)
 
     return evaluate
 

@@ -1,0 +1,256 @@
+"""The compiled evaluator against the reference scorer, exactly."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from medsched import ga
+from medsched.datagen import WorldConfig, generate_request
+from medsched.fitness import compute_penalties, fitness
+from medsched.ga import (
+    GAConfig,
+    Individual,
+    SearchSpace,
+    Variant,
+    decode,
+    evolve,
+    filter_search_space,
+    make_evaluator,
+)
+from medsched.model import (
+    MINUTES_PER_DAY,
+    IncompatibilityRule,
+    RuleLogic,
+    ScheduleRequest,
+)
+
+from conftest import make_slot
+
+EXAMS = ("E01", "E02", "E03")
+
+
+def reference_evaluator(space, request, rules):
+    rules = tuple(rules)
+
+    def evaluate(individual):
+        schedule = decode(individual, space, request)
+        return fitness(compute_penalties(schedule, request, rules))
+
+    return evaluate
+
+
+def assert_exact(space, request, rules, genes):
+    individual = Individual(tuple(genes))
+    expected = reference_evaluator(space, request, rules)(individual)
+    assert make_evaluator(space, request, rules)(individual) == expected
+
+
+def rule(first, second, logic, gap):
+    return IncompatibilityRule(first=first, second=second, logic=logic, gap_minutes=gap)
+
+
+@st.composite
+def scoring_cases(draw):
+    # Half-hour grid, two facilities and few exams, so equal starts, shared
+    # slots, back-to-back slots and gaps of exactly 120 and 180 minutes occur.
+    request = ScheduleRequest(
+        acts=tuple(draw(st.lists(st.sampled_from(EXAMS), min_size=1, max_size=5))),
+        start_day=draw(st.integers(0, 2)),
+    )
+    raw_slots = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(request.acts),
+                st.integers(0, 3),
+                st.integers(16, 40),
+                st.sampled_from((30, 60, 90)),
+                st.sampled_from(("F1", "F2")),
+            ),
+            min_size=2,
+            max_size=14,
+        )
+    )
+    slots = [
+        make_slot(
+            id=f"S{i}",
+            exam=exam,
+            start=day * MINUTES_PER_DAY + 30 * half_hour,
+            duration=duration,
+            facility=facility,
+        )
+        for i, (exam, day, half_hour, duration, facility) in enumerate(raw_slots)
+    ]
+    pairs = [(a, b) for a in EXAMS for b in EXAMS if a != b]
+    rules = draw(
+        st.lists(
+            st.builds(
+                lambda pair, logic, gap: rule(*pair, logic, gap),
+                st.sampled_from(pairs),
+                st.sampled_from(list(RuleLogic)),
+                st.sampled_from((30, 60, 120, 180, 1440)),
+            ),
+            max_size=4,
+        )
+    )
+    if rules and draw(st.booleans()):
+        rules.append(rules[0])
+    space = filter_search_space(slots, request)
+    # -1 stands for an unassigned gene, so most genes pick a slot.
+    genes = [
+        draw(st.integers(-1, len(block) - 1)) if block else -1
+        for block in space.per_act_slots
+    ]
+    return space, request, tuple(rules), [None if g < 0 else g for g in genes]
+
+
+class TestMatchesReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(scoring_cases())
+    def test_property(self, case):
+        assert_exact(*case)
+
+    def test_random_genomes_on_default_world(self, default_world):
+        rng = random.Random(5)
+        for seed in range(5):
+            request = generate_request(
+                list(default_world.exams), default_world.config, 5, seed=seed
+            )
+            space = filter_search_space(default_world.slots, request)
+            compiled = make_evaluator(space, request, default_world.rules)
+            reference = reference_evaluator(space, request, default_world.rules)
+            for _ in range(300):
+                genes = tuple(
+                    rng.randrange(len(block)) if block else None
+                    for block in space.per_act_slots
+                )
+                individual = Individual(genes)
+                assert compiled(individual) == reference(individual)
+
+    def test_repeated_exam_acts_share_one_slot(self):
+        shared = (make_slot("A", exam="E01", start=540), make_slot("B", exam="E01", start=600))
+        space = SearchSpace(per_act_slots=(shared, shared))
+        request = ScheduleRequest(acts=("E01", "E01"))
+        for genes in ((0, 0), (1, 1), (0, 1), (1, 0)):
+            assert_exact(space, request, (), genes)
+
+    def test_empty_blocks_and_unassigned_genes(self):
+        space = SearchSpace(
+            per_act_slots=((make_slot("A", exam="E01"),), (), (make_slot("B", exam="E02"),))
+        )
+        request = ScheduleRequest(acts=("E01", "E02", "E02"))
+        for genes in ((0, None, 0), (None, None, 0), (None, None, None)):
+            assert_exact(space, request, (), genes)
+
+    def test_equal_starts_ordered_by_id(self):
+        # Sorted by id, act 1 ("A", F2) comes before act 0 ("B", F1): one
+        # transfer then a same-facility wait, rather than two transfers.
+        space = SearchSpace(
+            per_act_slots=(
+                (make_slot("B", exam="E01", facility="F1", start=540),),
+                (make_slot("A", exam="E02", facility="F2", start=540),),
+                (make_slot("C", exam="E03", facility="F1", start=600),),
+            )
+        )
+        request = ScheduleRequest(acts=("E01", "E02", "E03"))
+        assert_exact(space, request, (), (0, 0, 0))
+
+    @pytest.mark.parametrize("logic", list(RuleLogic))
+    @pytest.mark.parametrize(
+        "second_start", [420, 480, 510, 540, 570, 600, 630, 690, 720]
+    )
+    def test_rule_logic_and_gap(self, logic, second_start):
+        space = SearchSpace(
+            per_act_slots=(
+                (make_slot("A", exam="E01", start=600),),
+                (make_slot("B", exam="E02", start=second_start),),
+            )
+        )
+        request = ScheduleRequest(acts=("E01", "E02"))
+        rules = (rule("E01", "E02", logic, 60),)
+        assert_exact(space, request, rules, (0, 0))
+        assert_exact(space, request, rules + rules, (0, 0))
+
+    def test_both_rule_with_equal_start_and_end(self):
+        space = SearchSpace(
+            per_act_slots=(
+                (make_slot("A", exam="E01", facility="F1", start=600),),
+                (make_slot("B", exam="E02", facility="F2", start=600),),
+            )
+        )
+        request = ScheduleRequest(acts=("E01", "E02"))
+        for rules in (
+            (rule("E01", "E02", RuleLogic.BOTH, 30),),
+            (rule("E02", "E01", RuleLogic.BOTH, 30),) * 2,
+        ):
+            assert_exact(space, request, rules, (0, 0))
+
+    @pytest.mark.parametrize("gap", [119, 120, 121, 179, 180, 181])
+    @pytest.mark.parametrize("facility", ["F1", "F2"])
+    def test_trip_and_travel_thresholds(self, gap, facility):
+        space = SearchSpace(
+            per_act_slots=(
+                (make_slot("A", exam="E01", facility="F1", start=540),),
+                (make_slot("B", exam="E02", facility=facility, start=570 + gap),),
+            )
+        )
+        assert_exact(space, ScheduleRequest(acts=("E01", "E02")), (), (0, 0))
+
+    @pytest.mark.parametrize("start_day", [0, 1, 3])
+    def test_lead_from_start_day(self, start_day):
+        slots = [make_slot(f"S{day}", exam="E01", start=day * MINUTES_PER_DAY + 540) for day in range(5)]
+        request = ScheduleRequest(acts=("E01",), start_day=start_day)
+        space = filter_search_space(slots, request)
+        for gene in range(len(space.per_act_slots[0])):
+            assert_exact(space, request, (), (gene,))
+
+    def test_block_with_mixed_exams(self):
+        # Only hand-built spaces mix exams in a block; rules apply per pick.
+        space = SearchSpace(
+            per_act_slots=(
+                (make_slot("A", exam="E01", start=540), make_slot("B", exam="E03", start=540)),
+                (make_slot("C", exam="E02", start=570),),
+            )
+        )
+        request = ScheduleRequest(acts=("E01", "E02"))
+        rules = (rule("E01", "E02", RuleLogic.BEFORE, 60),)
+        for genes in ((0, 0), (1, 0)):
+            assert_exact(space, request, rules, genes)
+
+
+class TestInputGuard:
+    SPACE = SearchSpace(
+        per_act_slots=(
+            (make_slot("A", exam="E01", start=540), make_slot("B", exam="E01", start=600)),
+            (make_slot("C", exam="E02", start=700),),
+        )
+    )
+    REQUEST = ScheduleRequest(acts=("E01", "E02"))
+
+    @pytest.mark.parametrize("genes", [(0,), (0, 0, 0), ()])
+    def test_wrong_gene_count_rejected(self, genes):
+        evaluate = make_evaluator(self.SPACE, self.REQUEST, ())
+        with pytest.raises(ValueError, match="genes for 2 acts"):
+            evaluate(Individual(genes))
+
+    @pytest.mark.parametrize("genes", [(2, 0), (0, 1), (-1, 0), (0, -1)])
+    def test_out_of_range_gene_rejected(self, genes):
+        evaluate = make_evaluator(self.SPACE, self.REQUEST, ())
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(Individual(genes))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_evolve_unchanged_by_compiled_evaluator(default_world, monkeypatch, variant):
+    assert default_world.config == WorldConfig()
+    request = generate_request(
+        list(default_world.exams), default_world.config, 5, seed=7
+    )
+    space = filter_search_space(default_world.slots, request)
+    config = GAConfig(variant=variant, seed=11)
+    compiled = evolve(space, request, default_world.rules, config)
+    monkeypatch.setattr(ga, "make_evaluator", reference_evaluator)
+    reference = evolve(space, request, default_world.rules, config)
+    assert compiled.best == reference.best
+    assert compiled.history == reference.history
