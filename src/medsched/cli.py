@@ -1,7 +1,8 @@
 """Command-line harness: world generation, single solves, batch benchmarks.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
-failure (unschedulable request, unreadable or malformed files).  The
+failure (unschedulable request, a request naming exams the world lacks,
+unreadable or malformed files).  The
 ``MEDSCHED_SEED`` environment variable supplies the default seed wherever
 ``--seed`` is omitted.
 """
@@ -31,6 +32,8 @@ from .fitness import compute_penalties, fitness
 from .ga import GAConfig, UnschedulableError, Variant, filter_search_space
 from .metrics import solution_metrics
 from .worldio import (
+    RequestError,
+    WorldFormatError,
     load_request,
     load_world,
     save_request,
@@ -177,6 +180,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     world = _load_or_generate_world(args, seed)
     if args.request is not None:
         request = load_request(Path(args.request))
+        catalogue = {exam.id for exam in world.exams}
+        unknown = [act for act in dict.fromkeys(request.acts) if act not in catalogue]
+        if unknown:
+            raise RequestError(
+                f"request names exams outside the world's catalogue: {', '.join(unknown)}"
+            )
     else:
         request = generate_request(list(world.exams), world.config, args.acts, seed=seed)
     if args.start_day is not None:
@@ -300,6 +309,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return 2
+    except (WorldFormatError, RequestError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,39 +130,68 @@ def filter_search_space(
     return SearchSpace(per_act_slots=tuple(blocks))
 
 
+# Every uniform integer draw in this module is ``rng.randrange(width)``
+# written out.  On CPython that is ``_randbelow_with_getrandbits``: draw
+# ``width.bit_length()`` bits (one bit even when ``width`` is 1) and redraw
+# while the result is ``>= width``; ``randrange(1, n)`` is
+# ``1 + randrange(n - 1)``.  The loops consume the same Mersenne Twister
+# stream and give the same values, so runs stay bit-identical, at the cost of
+# the ``getrandbits`` calls alone.  ``tests/test_ga.py`` checks both claims.
+# A width of 0 would loop for ever, so each caller rules it out first.
+
+
 def uniform_genes(space: SearchSpace, rng: random.Random) -> tuple[int | None, ...]:
     """One independent uniform draw per act block; empty blocks stay unassigned.
 
     Shared by the unordered initializer and the random-choice baseline so
-    the two are the same distribution by construction.
+    the two are the same distribution by construction.  Each draw is
+    ``rng.randrange(len(block))`` written out, as the note above says.
     """
-    return tuple(
-        rng.randrange(len(block)) if block else None for block in space.per_act_slots
-    )
+    getrandbits = rng.getrandbits
+    genes: list[int | None] = []
+    for block in space.per_act_slots:
+        width = len(block)
+        if not width:
+            genes.append(None)
+            continue
+        bits = width.bit_length()
+        gene = getrandbits(bits)
+        while gene >= width:
+            gene = getrandbits(bits)
+        genes.append(gene)
+    return tuple(genes)
 
 
 def _ordered_genes(
-    space: SearchSpace,
     order: Sequence[int],
     block_starts: Sequence[Sequence[int]],
+    block_ends: Sequence[Sequence[int]],
     rng: random.Random,
 ) -> tuple[int | None, ...]:
     # Walk acts in precedence order; prefer candidates starting at or after the
-    # previously selected slot's end, falling back to the whole block.
-    genes: list[int | None] = [None] * space.act_count
+    # previously selected slot's end, falling back to the whole block.  The
+    # draw is ``lo + rng.randrange(size - lo)`` written out.
+    getrandbits = rng.getrandbits
+    genes: list[int | None] = [None] * len(block_ends)
     prev_end: int | None = None
     for act in order:
-        block = space.per_act_slots[act]
-        if not block:
+        ends = block_ends[act]
+        size = len(ends)
+        if not size:
             continue
         lo = 0
         if prev_end is not None:
             lo = bisect_left(block_starts[act], prev_end)
-            if lo >= len(block):
+            if lo >= size:
                 lo = 0
-        gene = lo + rng.randrange(len(block) - lo)
+        width = size - lo
+        bits = width.bit_length()
+        offset = getrandbits(bits)
+        while offset >= width:
+            offset = getrandbits(bits)
+        gene = lo + offset
         genes[act] = gene
-        prev_end = block[gene].end
+        prev_end = ends[gene]
     return tuple(genes)
 
 
@@ -176,7 +205,8 @@ def _initializer(
     if config.variant is Variant.UNORDERED:
         return lambda: uniform_genes(space, rng)
     block_starts = [[slot.start for slot in block] for block in space.per_act_slots]
-    return lambda: _ordered_genes(space, order, block_starts, rng)
+    block_ends = [[slot.end for slot in block] for block in space.per_act_slots]
+    return lambda: _ordered_genes(order, block_starts, block_ends, rng)
 
 
 def init_population(
@@ -229,13 +259,19 @@ def tournament_select(
     if not population:
         raise ValueError("cannot select from an empty population")
     n = len(population)
-    best_idx = rng.randrange(n)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    best_idx = getrandbits(bits)
+    while best_idx >= n:
+        best_idx = getrandbits(bits)
+    best = fitnesses[best_idx]
     for _ in range(config.tournament_k - 1):
-        idx = rng.randrange(n)
-        if fitnesses[idx] > fitnesses[best_idx] or (
-            fitnesses[idx] == fitnesses[best_idx] and idx < best_idx
-        ):
-            best_idx = idx
+        idx = getrandbits(bits)
+        while idx >= n:
+            idx = getrandbits(bits)
+        value = fitnesses[idx]
+        if value > best or (value == best and idx < best_idx):
+            best_idx, best = idx, value
     return population[best_idx]
 
 
@@ -250,7 +286,12 @@ def crossover(
     n = len(parent_a.genes)
     if n < 2:
         return parent_a, parent_b
-    cut = rng.randrange(1, n)
+    width = n - 1
+    bits = width.bit_length()
+    cut = rng.getrandbits(bits)
+    while cut >= width:
+        cut = rng.getrandbits(bits)
+    cut += 1
     child_a = Individual(parent_a.genes[:cut] + parent_b.genes[cut:])
     child_b = Individual(parent_b.genes[:cut] + parent_a.genes[cut:])
     return child_a, child_b
@@ -265,12 +306,22 @@ def mutate(
     """With probability ``mutation_rate``, redraw one uniformly chosen act's gene."""
     if rng.random() >= config.mutation_rate:
         return child
-    act = rng.randrange(len(child.genes))
-    block = space.per_act_slots[act]
-    if not block:
+    n = len(child.genes)
+    if not n:
+        raise ValueError("cannot mutate an individual without genes")
+    bits = n.bit_length()
+    act = rng.getrandbits(bits)
+    while act >= n:
+        act = rng.getrandbits(bits)
+    width = len(space.per_act_slots[act])
+    if not width:
         return child
+    bits = width.bit_length()
+    gene = rng.getrandbits(bits)
+    while gene >= width:
+        gene = rng.getrandbits(bits)
     genes = list(child.genes)
-    genes[act] = rng.randrange(len(block))
+    genes[act] = gene
     return Individual(tuple(genes))
 
 

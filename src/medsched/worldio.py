@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import length_hint
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .datagen import World, WorldConfig
 from .fitness import PenaltyBreakdown
@@ -28,6 +29,14 @@ from .model import (
     Specialty,
     TimeSlot,
 )
+
+
+class WorldFormatError(ValueError):
+    """A world document with an entry that does not describe a valid value."""
+
+
+class RequestError(ValueError):
+    """A request that names exams outside the world's catalogue."""
 
 
 def instant_label(minutes: int) -> str:
@@ -113,43 +122,71 @@ def world_to_dict(world: World) -> dict[str, Any]:
     }
 
 
+def _exam_from_dict(entry: dict[str, Any]) -> ExamType:
+    return ExamType(
+        id=entry["id"], name=entry["name"], specialty=Specialty(entry["specialty"])
+    )
+
+
+def _rule_from_dict(entry: dict[str, Any]) -> IncompatibilityRule:
+    return IncompatibilityRule(
+        first=entry["first"],
+        second=entry["second"],
+        logic=RuleLogic(entry["logic"]),
+        gap_minutes=entry["gap_minutes"],
+    )
+
+
+def _facility_from_dict(entry: dict[str, Any]) -> Facility:
+    return Facility(id=entry["id"], name=entry["name"], rooms=tuple(entry["rooms"]))
+
+
+_ENTRY_BUILDERS: dict[str, Callable[[Any], Any]] = {
+    "exams": _exam_from_dict,
+    "rules": _rule_from_dict,
+    "facilities": _facility_from_dict,
+    "slots": _slot_from_dict,
+}
+
+
 def world_from_dict(document: dict[str, Any]) -> World:
-    cfg = document["config"]
-    config = WorldConfig(
-        seed=cfg["seed"],
-        horizon_days=cfg["horizon_days"],
-        facilities=cfg["facilities"],
-        rooms_per_facility=cfg["rooms_per_facility"],
-        day_open=cfg["day_open"],
-        day_close=cfg["day_close"],
-        practitioner_pool=cfg["practitioner_pool"],
-        rule_count=cfg["rule_count"],
-        specialties=cfg["specialties"],
-        exams_per_specialty=cfg["exams_per_specialty"],
-        duration_choices=tuple(cfg["duration_choices"]),
-        gap_choices=tuple(cfg["gap_choices"]),
-    )
-    return World(
-        config=config,
-        exams=tuple(
-            ExamType(id=e["id"], name=e["name"], specialty=Specialty(e["specialty"]))
-            for e in document["exams"]
-        ),
-        rules=tuple(
-            IncompatibilityRule(
-                first=r["first"],
-                second=r["second"],
-                logic=RuleLogic(r["logic"]),
-                gap_minutes=r["gap_minutes"],
-            )
-            for r in document["rules"]
-        ),
-        facilities=tuple(
-            Facility(id=f["id"], name=f["name"], rooms=tuple(f["rooms"]))
-            for f in document["facilities"]
-        ),
-        slots=tuple(_slot_from_dict(s) for s in document["slots"]),
-    )
+    """Build a world, or raise ``WorldFormatError`` naming the first bad entry.
+
+    Any ``TypeError``, ``ValueError`` or ``KeyError`` raised while building
+    is re-raised as that one error, so a wrongly typed, missing or
+    out-of-range field never escapes as a bare Python exception.
+    """
+    # No per-entry bookkeeping: when an entry fails, the section's iterator
+    # has yielded it last, so the entries it has left give its index.
+    entry, cursor = "config", None
+    try:
+        cfg = document["config"]
+        config = WorldConfig(
+            seed=cfg["seed"],
+            horizon_days=cfg["horizon_days"],
+            facilities=cfg["facilities"],
+            rooms_per_facility=cfg["rooms_per_facility"],
+            day_open=cfg["day_open"],
+            day_close=cfg["day_close"],
+            practitioner_pool=cfg["practitioner_pool"],
+            rule_count=cfg["rule_count"],
+            specialties=cfg["specialties"],
+            exams_per_specialty=cfg["exams_per_specialty"],
+            duration_choices=tuple(cfg["duration_choices"]),
+            gap_choices=tuple(cfg["gap_choices"]),
+        )
+        sections = {}
+        for entry, build in _ENTRY_BUILDERS.items():
+            items = document[entry]
+            cursor = iter(items)
+            sections[entry] = tuple(build(item) for item in cursor)
+            cursor = None
+    except (TypeError, ValueError, KeyError) as exc:
+        if cursor is not None:
+            entry = f"{entry}[{len(items) - length_hint(cursor) - 1}]"
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise WorldFormatError(f"malformed world entry {entry}: {reason}") from exc
+    return World(config=config, **sections)
 
 
 def save_world(world: World, path: Path) -> None:

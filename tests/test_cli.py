@@ -178,6 +178,28 @@ class TestSolve:
         bad.write_text("{}")
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_request_naming_unknown_exam_exits_2(self, world_dir, tmp_path, capsys):
+        request_path = tmp_path / "request.json"
+        request_path.write_text(json.dumps({"acts": ["E01", "ZZZ"]}))
+        out = tmp_path / "out"
+        code = main(fast_solve_args(world_dir, out, "--request", str(request_path)))
+        assert code == 2
+        assert "ZZZ" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("start", "abc"), ("duration_minutes", -30)]
+    )
+    def test_malformed_slot_exits_2_naming_it(
+        self, world_dir, tmp_path, capsys, field, value
+    ):
+        document = json.loads((world_dir / "world.json").read_text())
+        document["slots"][3][field] = value
+        bad = tmp_path / "world.json"
+        bad.write_text(json.dumps(document))
+        assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
+        assert "slots[3]" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_benchmark_writes_all_tables(self, world_dir, tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Evolutionary engine: encoding, operators, generation loop."""
 
+import hashlib
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsched.constraints import optimal_act_order
+from medsched.datagen import generate_request
 from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
     EvolveResult,
@@ -543,3 +546,315 @@ class TestUniformGenes:
         genes = uniform_genes(space, random.Random(0))
         assert genes[0] in (0, 1)
         assert genes[1] is None
+
+
+# --- Draws written out against ``Random.randrange`` ---------------------------
+#
+# The GA's operators draw with ``getrandbits`` loops instead of
+# ``rng.randrange``.  The tests below hold them to the stream of the
+# ``randrange`` versions they replace: the same values and the same
+# ``getstate()`` afterwards, so every run stays bit-identical.
+
+
+def below(rng, width):
+    """The draw loop the GA writes out for ``rng.randrange(width)``."""
+    bits = width.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= width:
+        value = rng.getrandbits(bits)
+    return value
+
+
+DRAW_WIDTHS = sorted(
+    {1, 2} | {w for k in range(2, 21) for w in (2**k - 1, 2**k, 2**k + 1)}
+)
+
+
+def assert_draws_match_randrange(width, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert [below(ours, width) for _ in range(16)] == [
+        theirs.randrange(width) for _ in range(16)
+    ]
+    assert ours.getstate() == theirs.getstate()
+    assert [1 + below(ours, width) for _ in range(16)] == [
+        theirs.randrange(1, width + 1) for _ in range(16)
+    ]
+    assert ours.getstate() == theirs.getstate()
+
+
+class TestDrawMatchesRandrange:
+    @pytest.mark.parametrize("width", DRAW_WIDTHS)
+    def test_boundary_widths(self, width):
+        for seed in range(10):
+            assert_draws_match_randrange(width, seed)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=2**40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_drawn_widths(self, width, seed):
+        assert_draws_match_randrange(width, seed)
+
+
+# The operators as they were when they drew with ``rng.randrange``; they are
+# the oracle the current ones must replay draw for draw.
+
+
+def oracle_uniform_genes(space, rng):
+    return tuple(
+        rng.randrange(len(block)) if block else None for block in space.per_act_slots
+    )
+
+
+def oracle_ordered_genes(space, order, block_starts, rng):
+    genes = [None] * space.act_count
+    prev_end = None
+    for act in order:
+        block = space.per_act_slots[act]
+        if not block:
+            continue
+        lo = 0
+        if prev_end is not None:
+            lo = bisect_left(block_starts[act], prev_end)
+            if lo >= len(block):
+                lo = 0
+        gene = lo + rng.randrange(len(block) - lo)
+        genes[act] = gene
+        prev_end = block[gene].end
+    return tuple(genes)
+
+
+def oracle_init_population(space, config, order, rng):
+    if config.variant is Variant.UNORDERED:
+        return [Individual(oracle_uniform_genes(space, rng)) for _ in range(config.population)]
+    block_starts = [[slot.start for slot in block] for block in space.per_act_slots]
+    return [
+        Individual(oracle_ordered_genes(space, order, block_starts, rng))
+        for _ in range(config.population)
+    ]
+
+
+def oracle_tournament_select(population, fitnesses, config, rng):
+    if not population:
+        raise ValueError("cannot select from an empty population")
+    n = len(population)
+    best_idx = rng.randrange(n)
+    for _ in range(config.tournament_k - 1):
+        idx = rng.randrange(n)
+        if fitnesses[idx] > fitnesses[best_idx] or (
+            fitnesses[idx] == fitnesses[best_idx] and idx < best_idx
+        ):
+            best_idx = idx
+    return population[best_idx]
+
+
+def oracle_crossover(parent_a, parent_b, rng):
+    n = len(parent_a.genes)
+    if n < 2:
+        return parent_a, parent_b
+    cut = rng.randrange(1, n)
+    child_a = Individual(parent_a.genes[:cut] + parent_b.genes[cut:])
+    child_b = Individual(parent_b.genes[:cut] + parent_a.genes[cut:])
+    return child_a, child_b
+
+
+def oracle_mutate(child, space, config, rng):
+    if rng.random() >= config.mutation_rate:
+        return child
+    act = rng.randrange(len(child.genes))
+    block = space.per_act_slots[act]
+    if not block:
+        return child
+    genes = list(child.genes)
+    genes[act] = rng.randrange(len(block))
+    return Individual(tuple(genes))
+
+
+def oracle_next_generation(population, fitnesses, space, config, rng):
+    children = []
+    while len(children) < config.population - 1:
+        parent_a = oracle_tournament_select(population, fitnesses, config, rng)
+        parent_b = oracle_tournament_select(population, fitnesses, config, rng)
+        child_a, child_b = oracle_crossover(parent_a, parent_b, rng)
+        children.append(oracle_mutate(child_a, space, config, rng))
+        children.append(oracle_mutate(child_b, space, config, rng))
+    del children[config.population - 1 :]
+    elite = population[max(range(len(population)), key=fitnesses.__getitem__)]
+    children.append(elite)
+    return children
+
+
+@st.composite
+def spaces(draw, max_acts=5):
+    """Search spaces of 1..``max_acts`` acts; blocks of 0..9 sorted slots.
+
+    Sizes are drawn; starts (half-hours over four days, repeats allowed)
+    and durations are laid out from a drawn seed.
+    """
+    sizes = draw(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=max_acts)
+    )
+    layout = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    blocks = []
+    for act, size in enumerate(sizes):
+        day_minutes = sorted(
+            (layout.randrange(4), 480 + 30 * layout.randrange(18)) for _ in range(size)
+        )
+        duration = layout.choice([30, 60, 90])
+        blocks.append(block(f"E{act:02d}", day_minutes, duration=duration))
+    return SearchSpace(per_act_slots=tuple(blocks))
+
+
+def genomes(draw, space):
+    return Individual(
+        tuple(
+            draw(st.integers(min_value=0, max_value=len(b) - 1)) if b else None
+            for b in space.per_act_slots
+        )
+    )
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+TIED_FITNESSES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
+MUTATION_RATES = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+class TestBreedingReplaysRandrange:
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), seed=SEEDS)
+    def test_tournament_select(self, data, seed):
+        fitnesses = data.draw(st.lists(TIED_FITNESSES, min_size=1, max_size=12))
+        n = len(fitnesses)
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        population = [Individual((i,)) for i in range(n)]
+        config = GAConfig(population=n, tournament_k=k)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert tournament_select(
+                population, fitnesses, config, ours
+            ) is oracle_tournament_select(population, fitnesses, config, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        genes=st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=SEEDS,
+    )
+    def test_crossover(self, genes, seed):
+        a = Individual(tuple(pair[0] for pair in genes))
+        b = Individual(tuple(pair[1] for pair in genes))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert crossover(a, b, ours) == oracle_crossover(a, b, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.data(), rate=MUTATION_RATES, seed=SEEDS)
+    def test_mutate(self, data, rate, seed):
+        space = data.draw(spaces())
+        child = genomes(data.draw, space)
+        config = GAConfig(mutation_rate=rate)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert mutate(child, space, config, ours) == oracle_mutate(
+                child, space, config, theirs
+            )
+        assert ours.getstate() == theirs.getstate()
+
+    def test_mutate_without_genes_rejected(self):
+        config = GAConfig(mutation_rate=1.0)
+        space = SearchSpace(per_act_slots=())
+        ours, theirs = random.Random(0), random.Random(0)
+        with pytest.raises(ValueError):
+            mutate(Individual(()), space, config, ours)
+        with pytest.raises(ValueError):
+            oracle_mutate(Individual(()), space, config, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=12)),
+        rate=MUTATION_RATES,
+        seed=SEEDS,
+    )
+    def test_next_generation(self, data, size, rate, seed):
+        space = data.draw(spaces())
+        population = [genomes(data.draw, space) for _ in range(size)]
+        fitnesses = data.draw(st.lists(TIED_FITNESSES, min_size=size, max_size=size))
+        k = data.draw(st.integers(min_value=1, max_value=size))
+        config = GAConfig(population=size, tournament_k=k, mutation_rate=rate)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert next_generation(
+            population, fitnesses, space, config, ours
+        ) == oracle_next_generation(population, fitnesses, space, config, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        data=st.data(),
+        variant=st.sampled_from(list(Variant)),
+        size=st.integers(min_value=1, max_value=6),
+        seed=SEEDS,
+    )
+    def test_init_population_and_uniform_genes(self, data, variant, size, seed):
+        space = data.draw(spaces())
+        order = data.draw(st.permutations(range(space.act_count)))
+        config = GAConfig(population=size, tournament_k=1, variant=variant)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert init_population(space, config, order, ours) == oracle_init_population(
+            space, config, order, theirs
+        )
+        assert uniform_genes(space, ours) == oracle_uniform_genes(space, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+def evolve_digest(result):
+    """sha256 of ``best`` and every history row, floats written exactly."""
+    document = repr(
+        (
+            [(act, slot.id) for act, slot in result.best.assignments],
+            [
+                (
+                    row.generation,
+                    row.best_fitness.hex(),
+                    row.mean_fitness.hex(),
+                    row.best_individual.genes,
+                )
+                for row in result.history
+            ],
+        )
+    )
+    return hashlib.sha256(document.encode()).hexdigest()
+
+
+# Recorded with the ``randrange``-drawing operators above, one default-sized
+# run per (variant, seed) on the default world's seed-``seed`` request.
+EVOLVE_DIGESTS = {
+    (Variant.ORDERED, 0): "6e20297e2e809ee527c23b41107452997ee2e5e830da8e53544d66a153cd8ec9",
+    (Variant.ORDERED, 1): "e23aa26e586d6ff62b4c8ced647f4997bef9f7dbc579371e95c553cb6a595eee",
+    (Variant.ORDERED, 2): "a4c3d454d4f986a6762ec4c83ee5686570ac737c4e688761cecae5d21591fdc3",
+    (Variant.UNORDERED, 0): "1c49575c331db498c0fe70c754cc4b985e91ae890c790e7ec99ef3daacf4e94f",
+    (Variant.UNORDERED, 1): "aa7acf164502e9a31c0f28204891c4d79689b1eefccbcc39c6b8dca15c46800e",
+    (Variant.UNORDERED, 2): "7a03f048647eb85ba0be57710cfeedd257e0766ff11c429897392a793203deab",
+}
+
+
+@pytest.mark.parametrize(("variant", "seed"), list(EVOLVE_DIGESTS))
+def test_evolve_matches_recorded_digest(default_world, variant, seed):
+    request = generate_request(
+        list(default_world.exams), default_world.config, 5, seed=seed
+    )
+    space = filter_search_space(default_world.slots, request)
+    result = evolve(space, request, default_world.rules, GAConfig(variant=variant, seed=seed))
+    assert evolve_digest(result) == EVOLVE_DIGESTS[variant, seed]

@@ -10,6 +10,7 @@ from medsched.fitness import compute_penalties, fitness
 from medsched.metrics import solution_metrics
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 from medsched.worldio import (
+    WorldFormatError,
     instant_label,
     load_request,
     load_world,
@@ -19,6 +20,8 @@ from medsched.worldio import (
     save_solution,
     save_world,
     solution_to_dict,
+    world_from_dict,
+    world_to_dict,
     write_csv,
 )
 
@@ -74,6 +77,38 @@ class TestWorldPersistence:
         assert len(document["slots"]) == len(default_world.slots)
         sample = document["slots"][0]
         assert sample["start_label"] == instant_label(sample["start"])
+
+    @pytest.mark.parametrize(
+        ("section", "index", "field", "value"),
+        [
+            ("slots", 7, "start", "abc"),
+            ("slots", 0, "duration_minutes", -30),
+            ("slots", 2, "start", None),
+            ("exams", 4, "specialty", "astrology"),
+            ("rules", 1, "logic", "SOMETIMES"),
+            ("facilities", 0, "rooms", 3),
+        ],
+    )
+    def test_bad_entry_raises_format_error_naming_it(
+        self, default_world, section, index, field, value
+    ):
+        document = world_to_dict(default_world)
+        document[section][index][field] = value
+        with pytest.raises(WorldFormatError, match=rf"{section}\[{index}\]"):
+            world_from_dict(document)
+
+    @pytest.mark.parametrize("key", ["config", "exams", "slots"])
+    def test_missing_section_raises_format_error(self, default_world, key):
+        document = world_to_dict(default_world)
+        del document[key]
+        with pytest.raises(WorldFormatError, match=f"missing key '{key}'"):
+            world_from_dict(document)
+
+    def test_missing_slot_field_raises_format_error(self, default_world):
+        document = world_to_dict(default_world)
+        del document["slots"][5]["exam"]
+        with pytest.raises(WorldFormatError, match=r"slots\[5\]: missing key 'exam'"):
+            world_from_dict(document)
 
 
 class TestRequestPersistence:
