@@ -14,6 +14,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import getitem
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
@@ -41,6 +42,9 @@ from .model import (
 # scores about 14.5k distinct genomes; with this limit it makes about 4% more
 # evaluations than with an unbounded memo and peaks about 1 MB lower.
 MEMO_LIMIT = 8192
+
+# A genome's genes, as ``Individual.genes`` holds them.
+Genes = tuple[int | None, ...]
 
 
 class UnschedulableError(Exception):
@@ -163,35 +167,24 @@ def uniform_genes(space: SearchSpace, rng: random.Random) -> tuple[int | None, .
 
 
 def _ordered_genes(
-    order: Sequence[int],
-    block_starts: Sequence[Sequence[int]],
-    block_ends: Sequence[Sequence[int]],
+    chain: Sequence[tuple[int, Sequence[tuple[int, int, int]]]],
+    act_count: int,
     rng: random.Random,
 ) -> tuple[int | None, ...]:
-    # Walk acts in precedence order; prefer candidates starting at or after the
-    # previously selected slot's end, falling back to the whole block.  The
-    # draw is ``lo + rng.randrange(size - lo)`` written out.
+    # Walk the chain built by ``_initializer``: each link is an act and its
+    # draws ``(lo, width, bits)``, indexed by the previous link's gene (the
+    # first link has one draw, at index 0).  The draw is
+    # ``lo + rng.randrange(width)`` written out.
     getrandbits = rng.getrandbits
-    genes: list[int | None] = [None] * len(block_ends)
-    prev_end: int | None = None
-    for act in order:
-        ends = block_ends[act]
-        size = len(ends)
-        if not size:
-            continue
-        lo = 0
-        if prev_end is not None:
-            lo = bisect_left(block_starts[act], prev_end)
-            if lo >= size:
-                lo = 0
-        width = size - lo
-        bits = width.bit_length()
-        offset = getrandbits(bits)
-        while offset >= width:
-            offset = getrandbits(bits)
-        gene = lo + offset
+    genes: list[int | None] = [None] * act_count
+    gene = 0
+    for act, draws in chain:
+        lo, width, bits = draws[gene]
+        gene = getrandbits(bits)
+        while gene >= width:
+            gene = getrandbits(bits)
+        gene += lo
         genes[act] = gene
-        prev_end = ends[gene]
     return tuple(genes)
 
 
@@ -201,12 +194,35 @@ def _initializer(
     order: Sequence[int],
     rng: random.Random,
 ) -> Callable[[], tuple[int | None, ...]]:
-    """One genome drawn from the configured variant's initial distribution per call."""
+    """One genome drawn from the configured variant's initial distribution per call.
+
+    The ordered variant walks acts along ``order``, skipping empty blocks,
+    and prefers the candidates that start at or after the previous pick's
+    end, falling back to the whole block when there are none.  That choice
+    depends only on the previous pick, so it is tabulated here once: for
+    each act, one ``(lo, width, bits)`` draw per gene of the previous
+    non-empty act.
+    """
     if config.variant is Variant.UNORDERED:
         return lambda: uniform_genes(space, rng)
-    block_starts = [[slot.start for slot in block] for block in space.per_act_slots]
-    block_ends = [[slot.end for slot in block] for block in space.per_act_slots]
-    return lambda: _ordered_genes(order, block_starts, block_ends, rng)
+    blocks = space.per_act_slots
+    chain: list[tuple[int, list[tuple[int, int, int]]]] = []
+    prev_block: Sequence[TimeSlot] = ()
+    for act in order:
+        block = blocks[act]
+        size = len(block)
+        if not size:
+            continue
+        by_lo = [(lo, size - lo, (size - lo).bit_length()) for lo in range(size)]
+        if not chain:
+            chain.append((act, [by_lo[0]]))
+        else:
+            starts = [slot.start for slot in block]
+            los = (bisect_left(starts, slot.end) for slot in prev_block)
+            chain.append((act, [by_lo[lo if lo < size else 0] for lo in los]))
+        prev_block = block
+    act_count = space.act_count
+    return lambda: _ordered_genes(chain, act_count, rng)
 
 
 def init_population(
@@ -359,9 +375,9 @@ def make_evaluator(
     ``Schedule.sorted_by_start`` does (by start, then id, then act).  Each
     rule becomes one check per ordered pair of acts whose exams it names.
     A genome is then scored by one sort of its picks and one pass over
-    consecutive picks, counting breaches instead of listing them.  Like
-    ``decode``, it raises ``ValueError`` for a wrong gene count or a gene
-    outside its block.
+    consecutive picks, which also counts overlaps; breaches are counted,
+    not listed.  It rejects every genome ``decode`` rejects, with
+    ``decode``'s error, and genes that are not ``int`` or ``None``.
     """
     rules = tuple(rules)
     blocks = space.per_act_slots
@@ -380,9 +396,11 @@ def make_evaluator(
         for act, block in enumerate(blocks)
         for gene, slot in enumerate(block)
     )
+    # One dict per act, gene -> pick, with ``None -> None`` for an unassigned
+    # gene, so a genome is looked up by one ``map`` at C speed.
     facilities: dict[str, int] = {}
-    tables: list[list[tuple[int, int, int, int] | None]] = [
-        [None] * len(block) for block in blocks
+    tables: list[dict[int | None, tuple[int, int, int, int] | None]] = [
+        {None: None} for _ in blocks
     ]
     for rank, (start, _, act, gene) in enumerate(keyed):
         slot = blocks[act][gene]
@@ -408,35 +426,27 @@ def make_evaluator(
                     )
 
     act_count = len(blocks)
+    gene_types = [(int, type(None))] * act_count
     requested = len(request.acts)
     start_day = request.start_day
 
     def evaluate(individual: Individual) -> float:
         genes = individual.genes
-        if len(genes) != act_count:
-            raise ValueError(
-                f"individual has {len(genes)} genes for {act_count} acts"
-            )
-        by_act: list[tuple[int, int, int, int] | None] = []
-        for act, gene in enumerate(genes):
-            if gene is None:
-                by_act.append(None)
-                continue
-            table = tables[act]
-            if not 0 <= gene < len(table):
-                raise ValueError(f"gene {gene} out of range for act {act}")
-            by_act.append(table[gene])
-        picks = sorted(pick for pick in by_act if pick is not None)
+        try:
+            by_act = list(map(getitem, tables, genes))
+            # A dict finds 1.0 under 1, so the gene types are checked too.
+            valid = len(genes) == act_count and all(map(isinstance, genes, gene_types))
+        except (KeyError, TypeError):
+            valid = False
+        if not valid:
+            decode(individual, space, request)  # raises the reference's error
+            raise TypeError(f"genes must be ints or None, got {genes!r}")
+        picks = sorted(filter(None, by_act))
         missing = MISSING_SLOT_PENALTY if len(picks) != requested else 0
         if not picks:
             return 1.0 / (1.0 + missing)
 
         breaches = 0
-        for i, (_, _, end, _) in enumerate(picks):
-            for later in picks[i + 1 :]:
-                if later[1] >= end:
-                    break
-                breaches += 1
         for act_1, act_2, gap, symmetric in checks:
             first, second = by_act[act_1], by_act[act_2]
             if (
@@ -448,8 +458,18 @@ def make_evaluator(
                 breaches += 1
 
         trips, transfers, wait = 1, 0, 0
-        for prev, cur in zip(picks, picks[1:]):
+        for later_from, (prev, cur) in enumerate(zip(picks, picks[1:]), 2):
             gap = cur[1] - prev[2]
+            if gap < 0:
+                # ``cur`` overlaps ``prev``, and so does every later pick up to
+                # the first that starts at or after ``prev``'s end: picks are
+                # sorted by start, so none after that one can overlap it.
+                breaches += 1
+                end = prev[2]
+                for later in picks[later_from:]:
+                    if later[1] >= end:
+                        break
+                    breaches += 1
             if cur[3] != prev[3]:
                 trips += 1
                 if gap < TRAVEL_GAP_MINUTES:
@@ -489,30 +509,74 @@ def _replace_duplicates(
         seen.add(child.genes)
 
 
-def _polish(
-    genes: tuple[int | None, ...],
-    value: float,
-    space: SearchSpace,
-    score: Callable[[tuple[int | None, ...]], float],
-) -> tuple[tuple[int | None, ...], float]:
-    """First-improvement one-gene hill climb from ``genes`` (fitness ``value``).
+def _memoised(
+    space: SearchSpace, evaluate: Callable[[Individual], float]
+) -> tuple[Callable[[Genes], float], Callable[[Genes, float], tuple[Genes, float]]]:
+    """``score(genes)`` and ``polish(genes, value)``, sharing one fitness memo.
 
-    Acts are scanned in order and each act's candidates by position; any
-    strictly better one-gene neighbour is taken at once.  Stops after a full
-    pass finds none, so the result is a local optimum under one-gene moves.
+    The memo maps a genome's key to ``evaluate``'s fitness and is emptied
+    when it holds ``MEMO_LIMIT`` genomes.  The key reads the genes as a
+    mixed-radix integer (radix: the block's size, at least 1; an unassigned
+    gene counts as 0), which takes less memory than the gene tuple.
+
+    ``polish`` is a first-improvement one-gene hill climb from ``genes``
+    (fitness ``value``).  Acts are scanned in order and each act's
+    candidates by position; any strictly better one-gene neighbour is taken
+    at once.  It stops after a full pass finds none, so the result is a
+    local optimum under one-gene moves.  A neighbour's key differs from the
+    current key only in its act's digit, so it is found by arithmetic; the
+    neighbour's genes are built only to evaluate or take it.
     """
-    improved = True
-    while improved:
-        improved = False
-        for act, block in enumerate(space.per_act_slots):
-            for gene in range(len(block)):
-                if gene == genes[act]:
-                    continue
-                candidate = genes[:act] + (gene,) + genes[act + 1 :]
-                candidate_value = score(candidate)
-                if candidate_value > value:
-                    genes, value, improved = candidate, candidate_value, True
-    return genes, value
+    radices = [max(1, len(block)) for block in space.per_act_slots]
+    places = [1] * len(radices)
+    for act in range(len(radices) - 1, 0, -1):
+        places[act - 1] = places[act] * radices[act]
+    sizes = [len(block) for block in space.per_act_slots]
+    memo: dict[int, float] = {}
+
+    def key_of(genes: Genes) -> int:
+        key = 0
+        for gene, radix in zip(genes, radices):
+            key = key * radix + (gene or 0)
+        return key
+
+    def fill(key: int, genes: Genes) -> float:
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+        value = memo[key] = evaluate(Individual(genes))
+        return value
+
+    def score(genes: Genes) -> float:
+        key = key_of(genes)
+        value = memo.get(key)
+        return fill(key, genes) if value is None else value
+
+    def polish(genes: Genes, value: float) -> tuple[Genes, float]:
+        key = key_of(genes)
+        improved = True
+        while improved:
+            improved = False
+            for act, (size, place) in enumerate(zip(sizes, places)):
+                current = genes[act]
+                base = key - (current or 0) * place
+                for gene in range(size):
+                    if gene == current:
+                        continue
+                    candidate_key = base + gene * place
+                    candidate_value = memo.get(candidate_key)
+                    if candidate_value is not None and candidate_value <= value:
+                        continue
+                    candidate = genes[:act] + (gene,) + genes[act + 1 :]
+                    if candidate_value is None:
+                        candidate_value = fill(candidate_key, candidate)
+                    if candidate_value > value:
+                        genes, value, key, current = (
+                            candidate, candidate_value, candidate_key, gene
+                        )
+                        improved = True
+        return genes, value
+
+    return score, polish
 
 
 def evolve(
@@ -528,9 +592,9 @@ def evolve(
     the last generation:
 
     - after the history row is recorded, the generation's best genome is
-      polished by ``_polish`` (a first-improvement one-gene hill climb) and
-      replaces that best, so the polished genome is the next generation's
-      elite;
+      polished by a first-improvement one-gene hill climb (``_memoised``)
+      and replaces that best, so the polished genome is the next
+      generation's elite;
     - ``next_generation`` breeds the next population from this one;
     - each bred child whose genome repeats the elite or an earlier child is
       redrawn once from the variant's initializer (``_replace_duplicates``),
@@ -554,20 +618,7 @@ def evolve(
     draw = _initializer(space, config, order, rng)
     evaluate = make_evaluator(space, request, rules)
 
-    # Mixed-radix integer keys take less memory than gene tuples.
-    radices = [max(1, len(block)) for block in space.per_act_slots]
-    memo: dict[int, float] = {}
-
-    def score(genes: tuple[int | None, ...]) -> float:
-        key = 0
-        for gene, radix in zip(genes, radices):
-            key = key * radix + (gene or 0)
-        value = memo.get(key)
-        if value is None:
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            value = memo[key] = evaluate(Individual(genes))
-        return value
+    score, polish = _memoised(space, evaluate)
 
     history: list[GenerationStats] = []
     last_polished: tuple[int | None, ...] | None = None
@@ -586,8 +637,8 @@ def evolve(
             break
         best_genes = population[best_idx].genes
         if best_genes != last_polished:
-            last_polished, fitnesses[best_idx] = _polish(
-                best_genes, fitnesses[best_idx], space, score
+            last_polished, fitnesses[best_idx] = polish(
+                best_genes, fitnesses[best_idx]
             )
             population[best_idx] = Individual(last_polished)
         population = next_generation(population, fitnesses, space, config, rng)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields, replace
 from operator import length_hint
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -36,7 +37,7 @@ class WorldFormatError(ValueError):
 
 
 class RequestError(ValueError):
-    """A request that names exams outside the world's catalogue."""
+    """A malformed request, or one that names exams outside the world's catalogue."""
 
 
 def instant_label(minutes: int) -> str:
@@ -84,22 +85,18 @@ def _slot_from_dict(entry: dict[str, Any]) -> TimeSlot:
     )
 
 
+# The tuple-valued ``WorldConfig`` fields are JSON lists.
+_CONFIG_FIELDS = [
+    (entry.name, isinstance(entry.default, tuple)) for entry in fields(WorldConfig)
+]
+
+
 def world_to_dict(world: World) -> dict[str, Any]:
     cfg = world.config
     return {
         "config": {
-            "seed": cfg.seed,
-            "horizon_days": cfg.horizon_days,
-            "facilities": cfg.facilities,
-            "rooms_per_facility": cfg.rooms_per_facility,
-            "day_open": cfg.day_open,
-            "day_close": cfg.day_close,
-            "practitioner_pool": cfg.practitioner_pool,
-            "rule_count": cfg.rule_count,
-            "specialties": cfg.specialties,
-            "exams_per_specialty": cfg.exams_per_specialty,
-            "duration_choices": list(cfg.duration_choices),
-            "gap_choices": list(cfg.gap_choices),
+            name: list(getattr(cfg, name)) if is_tuple else getattr(cfg, name)
+            for name, is_tuple in _CONFIG_FIELDS
         },
         "exams": [
             {"id": e.id, "name": e.name, "specialty": e.specialty.value}
@@ -162,18 +159,10 @@ def world_from_dict(document: dict[str, Any]) -> World:
     try:
         cfg = document["config"]
         config = WorldConfig(
-            seed=cfg["seed"],
-            horizon_days=cfg["horizon_days"],
-            facilities=cfg["facilities"],
-            rooms_per_facility=cfg["rooms_per_facility"],
-            day_open=cfg["day_open"],
-            day_close=cfg["day_close"],
-            practitioner_pool=cfg["practitioner_pool"],
-            rule_count=cfg["rule_count"],
-            specialties=cfg["specialties"],
-            exams_per_specialty=cfg["exams_per_specialty"],
-            duration_choices=tuple(cfg["duration_choices"]),
-            gap_choices=tuple(cfg["gap_choices"]),
+            **{
+                name: tuple(cfg[name]) if is_tuple else cfg[name]
+                for name, is_tuple in _CONFIG_FIELDS
+            }
         )
         sections = {}
         for entry, build in _ENTRY_BUILDERS.items():
@@ -214,17 +203,37 @@ def request_to_dict(request: ScheduleRequest) -> dict[str, Any]:
     }
 
 
+def _strings(value: Any) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def request_from_dict(document: dict[str, Any]) -> ScheduleRequest:
-    facilities = document.get("preferred_facilities")
-    practitioners = document.get("preferred_practitioners")
-    return ScheduleRequest(
-        acts=tuple(document["acts"]),
-        start_day=document.get("start_day", 0),
-        preferred_facilities=frozenset(facilities) if facilities is not None else None,
-        preferred_practitioners=(
-            frozenset(practitioners) if practitioners is not None else None
-        ),
-    )
+    """Build a request, or raise ``RequestError`` naming the first bad field.
+
+    Each field is set, and checked by ``ScheduleRequest``, in turn; any
+    ``TypeError``, ``ValueError`` or ``KeyError`` on the way is re-raised as
+    that one error.
+    """
+    field = "acts"
+    try:
+        request = ScheduleRequest(acts=_strings(document["acts"]))
+        field = "start_day"
+        start_day = document.get(field, 0)
+        if not isinstance(start_day, int) or isinstance(start_day, bool):
+            raise TypeError(f"expected an integer day, got {start_day!r}")
+        request = replace(request, start_day=start_day)
+        for field in ("preferred_facilities", "preferred_practitioners"):
+            preferred = document.get(field)
+            if preferred is not None:
+                request = replace(request, **{field: frozenset(_strings(preferred))})
+    except (TypeError, ValueError, KeyError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise RequestError(f"malformed request field {field}: {reason}") from exc
+    return request
 
 
 def save_request(request: ScheduleRequest, path: Path) -> None:

@@ -188,6 +188,25 @@ class TestSolve:
         assert not (out / "solution.json").exists()
 
     @pytest.mark.parametrize(
+        ("document", "field"),
+        [
+            ({"acts": ["E01"], "preferred_facilities": 5}, "preferred_facilities"),
+            ({"acts": ["E01"], "start_day": -1}, "start_day"),
+            ({"acts": []}, "acts"),
+        ],
+    )
+    def test_malformed_request_exits_2_naming_field(
+        self, world_dir, tmp_path, capsys, document, field
+    ):
+        request_path = tmp_path / "request.json"
+        request_path.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        code = main(fast_solve_args(world_dir, out, "--request", str(request_path)))
+        assert code == 2
+        assert f"malformed request field {field}" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize(
         ("field", "value"), [("start", "abc"), ("duration_minutes", -30)]
     )
     def test_malformed_slot_exits_2_naming_it(

@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import random
 from bisect import bisect_left
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medsched import ga
 from medsched.constraints import optimal_act_order
 from medsched.datagen import generate_request
 from medsched.fitness import compute_penalties, fitness
@@ -817,6 +819,117 @@ class TestBreedingReplaysRandrange:
         )
         assert uniform_genes(space, ours) == oracle_uniform_genes(space, theirs)
         assert ours.getstate() == theirs.getstate()
+
+    # Acts 0, 2 and 3 have candidates.  Every act-2 candidate starts before
+    # any act-0 slot ends, and every act-3 candidate before any act-0 or
+    # act-2 slot ends, so a walk reaching act 2 from act 0, or act 3 from
+    # either, falls back to the whole block (``lo = 0``).
+    EDGE_SPACE = SearchSpace(
+        per_act_slots=(
+            block("E00", [(3, 540), (3, 600), (3, 660)], duration=90),
+            (),
+            block("E02", [(0, 540), (0, 570), (1, 540)], duration=60),
+            block("E03", [(0, 480), (0, 510)]),
+            (),
+        )
+    )
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            (1, 0, 2, 3, 4),  # an empty block first
+            (0, 1, 2, 4, 3),  # empty blocks in the middle
+            (3, 0, 2, 4, 1),  # empty blocks last
+            (4, 1, 0, 3, 2),  # all empty blocks first
+        ],
+    )
+    def test_ordered_init_empty_blocks_and_fallback(self, order):
+        space = self.EDGE_SPACE
+        config = GAConfig(population=50, tournament_k=1)
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert init_population(space, config, order, ours) == oracle_init_population(
+                space, config, order, theirs
+            )
+            assert ours.getstate() == theirs.getstate()
+
+
+# The fitness memo and one-gene polish as they were before the polish moved
+# to key arithmetic: the oracle the shared memo's ``score`` and ``polish``
+# must replay, evaluator call for evaluator call.
+
+
+def oracle_scorer(space, evaluate, limit):
+    radices = [max(1, len(block)) for block in space.per_act_slots]
+    memo = {}
+
+    def score(genes):
+        key = 0
+        for gene, radix in zip(genes, radices):
+            key = key * radix + (gene or 0)
+        value = memo.get(key)
+        if value is None:
+            if len(memo) >= limit:
+                memo.clear()
+            value = memo[key] = evaluate(Individual(genes))
+        return value
+
+    return score
+
+
+def oracle_polish(genes, value, space, score):
+    improved = True
+    while improved:
+        improved = False
+        for act, block in enumerate(space.per_act_slots):
+            for gene in range(len(block)):
+                if gene == genes[act]:
+                    continue
+                candidate = genes[:act] + (gene,) + genes[act + 1 :]
+                candidate_value = score(candidate)
+                if candidate_value > value:
+                    genes, value, improved = candidate, candidate_value, True
+    return genes, value
+
+
+def recording_evaluator(seed):
+    """Fitness drawn from a few tied levels per genome; records every call."""
+    calls = []
+
+    def evaluate(individual):
+        calls.append(individual.genes)
+        return random.Random(f"{seed}:{individual.genes}").choice(
+            [0.1, 0.2, 0.2, 0.5, 0.5, 0.5]
+        )
+
+    return evaluate, calls
+
+
+class TestPolishReplaysOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.data(),
+        limit=st.one_of(st.integers(min_value=1, max_value=12), st.just(ga.MEMO_LIMIT)),
+        seed=SEEDS,
+    )
+    def test_same_result_and_evaluator_calls(self, data, limit, seed):
+        space = data.draw(spaces(max_acts=4))
+        warm = [genomes(data.draw, space).genes for _ in range(data.draw(st.integers(0, 6)))]
+        starts = [genomes(data.draw, space).genes for _ in range(2)]
+        evaluate, calls = recording_evaluator(seed)
+        oracle_evaluate, oracle_calls = recording_evaluator(seed)
+        with patch.object(ga, "MEMO_LIMIT", limit):
+            score, polish = ga._memoised(space, evaluate)
+            oracle_score = oracle_scorer(space, oracle_evaluate, limit)
+            assert [score(genes) for genes in warm] == [oracle_score(g) for g in warm]
+            for genes in starts:
+                value = score(genes)
+                assert value == oracle_score(genes)
+                assert polish(genes, value) == oracle_polish(
+                    genes, value, space, oracle_score
+                )
+            assert [score(genes) for genes in warm] == [oracle_score(g) for g in warm]
+        assert calls == oracle_calls
 
 
 def evolve_digest(result):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsched import ga
+from medsched.constraints import find_overlaps
 from medsched.datagen import WorldConfig, generate_request
 from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
@@ -219,6 +220,44 @@ class TestMatchesReference:
             assert_exact(space, request, rules, genes)
 
 
+# Overlap chains, one act per (start, duration, facility) slot, each with the
+# number of overlapping pairs the reference counts.
+OVERLAP_CHAINS = {
+    "long_pick_overlaps_next_two": (
+        [(540, 120, "F1"), (570, 130, "F1"), (600, 30, "F1"), (670, 30, "F1")],
+        4,
+    ),
+    "nested_intervals": ([(540, 180, "F1"), (570, 90, "F1"), (600, 30, "F1")], 3),
+    "identical_intervals": ([(540, 60, "F1")] * 3 + [(600, 30, "F1")], 3),
+    "equal_starts_two_facilities": (
+        [(540, 60, "F1"), (540, 30, "F2"), (555, 30, "F1"), (540, 90, "F2")],
+        6,
+    ),
+    "chain_broken_by_back_to_back_pair": (
+        [(540, 60, "F1"), (570, 60, "F1"), (630, 30, "F1"), (645, 60, "F2")],
+        2,
+    ),
+}
+
+
+class TestOverlapChains:
+    @pytest.mark.parametrize("case", list(OVERLAP_CHAINS))
+    def test_matches_reference(self, case):
+        layout, overlaps = OVERLAP_CHAINS[case]
+        exams = [f"E{act:02d}" for act in range(len(layout))]
+        space = SearchSpace(
+            per_act_slots=tuple(
+                (make_slot(f"S{act}", exam=exam, start=start, duration=duration, facility=facility),)
+                for act, (exam, (start, duration, facility)) in enumerate(zip(exams, layout))
+            )
+        )
+        request = ScheduleRequest(acts=tuple(exams))
+        genes = (0,) * len(layout)
+        schedule = decode(Individual(genes), space, request)
+        assert len(find_overlaps(schedule)) == overlaps
+        assert_exact(space, request, (), genes)
+
+
 class TestInputGuard:
     SPACE = SearchSpace(
         per_act_slots=(
@@ -239,6 +278,17 @@ class TestInputGuard:
         evaluate = make_evaluator(self.SPACE, self.REQUEST, ())
         with pytest.raises(ValueError, match="out of range"):
             evaluate(Individual(genes))
+
+    @pytest.mark.parametrize(
+        "genes", [(1.0, 0), (0, 0.0), (0.5, 0), ("0", 0), ([0], 0), (0, 2**70)]
+    )
+    def test_rejects_what_decode_rejects(self, genes):
+        individual = Individual(genes)
+        with pytest.raises((TypeError, ValueError)) as expected:
+            decode(individual, self.SPACE, self.REQUEST)
+        evaluate = make_evaluator(self.SPACE, self.REQUEST, ())
+        with pytest.raises(expected.type):
+            evaluate(individual)
 
 
 @pytest.mark.parametrize("variant", list(Variant))

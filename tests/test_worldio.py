@@ -1,6 +1,7 @@
 """JSON and CSV persistence: round-trips, byte determinism, instant labels."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,13 @@ from medsched.fitness import compute_penalties, fitness
 from medsched.metrics import solution_metrics
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 from medsched.worldio import (
+    RequestError,
     WorldFormatError,
     instant_label,
     load_request,
     load_world,
     parse_instant_label,
+    request_from_dict,
     request_to_dict,
     save_request,
     save_solution,
@@ -78,6 +81,41 @@ class TestWorldPersistence:
         sample = document["slots"][0]
         assert sample["start_label"] == instant_label(sample["start"])
 
+    def test_config_document_lists_every_field(self, default_world):
+        assert world_to_dict(default_world)["config"] == {
+            "seed": 42,
+            "horizon_days": 30,
+            "facilities": 4,
+            "rooms_per_facility": 3,
+            "day_open": 540,
+            "day_close": 1260,
+            "practitioner_pool": 4,
+            "rule_count": 15,
+            "specialties": 5,
+            "exams_per_specialty": 10,
+            "duration_choices": [15, 30, 45, 60, 90],
+            "gap_choices": [30, 60, 1440],
+        }
+
+    def test_example_world_loads(self):
+        example = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
+        world = load_world(example)
+        assert isinstance(world.config.duration_choices, tuple)
+        assert world_to_dict(world) == json.loads(example.read_text())
+
+    @pytest.mark.parametrize(("field", "value"), [("gap_choices", 5), ("day_open", "nine")])
+    def test_bad_config_field_raises_format_error(self, default_world, field, value):
+        document = world_to_dict(default_world)
+        document["config"][field] = value
+        with pytest.raises(WorldFormatError, match="entry config:"):
+            world_from_dict(document)
+
+    def test_missing_config_field_raises_format_error(self, default_world):
+        document = world_to_dict(default_world)
+        del document["config"]["seed"]
+        with pytest.raises(WorldFormatError, match="config: missing key 'seed'"):
+            world_from_dict(document)
+
     @pytest.mark.parametrize(
         ("section", "index", "field", "value"),
         [
@@ -136,6 +174,25 @@ class TestRequestPersistence:
             acts=("E01",), preferred_facilities=frozenset({"F3", "F1", "F2"})
         )
         assert request_to_dict(request)["preferred_facilities"] == ["F1", "F2", "F3"]
+
+    @pytest.mark.parametrize(
+        ("document", "field"),
+        [
+            ({}, "acts"),
+            ({"acts": []}, "acts"),
+            ({"acts": "E01"}, "acts"),
+            ({"acts": ["E01", 7]}, "acts"),
+            ({"acts": ["E01"], "start_day": -1}, "start_day"),
+            ({"acts": ["E01"], "start_day": "3"}, "start_day"),
+            ({"acts": ["E01"], "start_day": 1.5}, "start_day"),
+            ({"acts": ["E01"], "preferred_facilities": 5}, "preferred_facilities"),
+            ({"acts": ["E01"], "preferred_facilities": "F1"}, "preferred_facilities"),
+            ({"acts": ["E01"], "preferred_practitioners": ["P1", 2]}, "preferred_practitioners"),
+        ],
+    )
+    def test_malformed_request_raises_naming_field(self, document, field):
+        with pytest.raises(RequestError, match=f"malformed request field {field}:"):
+            request_from_dict(document)
 
     def test_missing_optional_keys_default(self, tmp_path):
         path = tmp_path / "request.json"
