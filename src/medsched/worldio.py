@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import fields, replace
-from operator import length_hint
+from functools import partial
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -73,16 +75,96 @@ def _slot_to_dict(slot: TimeSlot) -> dict[str, Any]:
     }
 
 
-def _slot_from_dict(entry: dict[str, Any]) -> TimeSlot:
-    return TimeSlot(
-        id=entry["id"],
-        exam=entry["exam"],
-        facility=entry["facility"],
-        room=entry["room"],
-        practitioner=entry["practitioner"],
-        start=entry["start"],
-        duration_minutes=entry["duration_minutes"],
+# TimeSlot's fields in positional order, each with the one JSON type it
+# takes: a decoded world holds only exact str and int (never bool or float)
+# slot fields, which ``_SLOT_JSON`` renders exactly as ``json.dumps`` does.
+_SLOT_COLUMNS = (
+    ("id", str),
+    ("exam", str),
+    ("facility", str),
+    ("room", str),
+    ("practitioner", str),
+    ("start", int),
+    ("duration_minutes", int),
+)
+_slot_row = itemgetter(*(name for name, _ in _SLOT_COLUMNS))
+
+# One slot as ``json.dumps(indent=2, sort_keys=True)`` lays it out in the
+# world document's ``slots`` list: keys sorted, strings escaped by the same
+# C function ``json.dumps`` uses.
+_SLOT_JSON = """    {
+      "duration_minutes": %d,
+      "exam": %s,
+      "facility": %s,
+      "id": %s,
+      "practitioner": %s,
+      "room": %s,
+      "start": %d,
+      "start_label": "%dT%d"
+    }"""
+
+
+def _slot_from_dict(
+    entry: dict[str, Any],
+    seen_ids: set[str],
+    exam_ids: set[str],
+    facility_ids: set[str],
+    rooms: set[tuple[str, str]],
+) -> TimeSlot:
+    """One slot, checked field by field; the reference for ``_slots_from_list``."""
+    values = _slot_row(entry)
+    for value, (name, kind) in zip(values, _SLOT_COLUMNS):
+        if type(value) is not kind:
+            raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    slot_id, exam, facility, room = values[:4]
+    if slot_id in seen_ids:
+        raise ValueError(f"duplicate slot id {slot_id!r}")
+    seen_ids.add(slot_id)
+    if exam not in exam_ids:
+        raise ValueError(f"unknown exam {exam!r}")
+    if facility not in facility_ids:
+        raise ValueError(f"unknown facility {facility!r}")
+    if (facility, room) not in rooms:
+        raise ValueError(f"room {room!r} is not in facility {facility!r}")
+    return TimeSlot(*values)
+
+
+def _slots_from_list(
+    items: Any,
+    exam_ids: set[str],
+    facility_ids: set[str],
+    rooms: set[tuple[str, str]],
+) -> tuple[TimeSlot, ...]:
+    """Every slot, checked a column at a time; entry by entry only on failure.
+
+    The column checks accept exactly the lists ``_slot_from_dict`` accepts
+    for every entry, so a failure here is found again, and named, by the
+    entry-by-entry pass.
+    """
+    items = list(items)  # walked once per column, and again on failure
+    try:
+        columns = [list(map(itemgetter(name), items)) for name, _ in _SLOT_COLUMNS]
+        ids, exams, facilities, room_names = columns[:4]
+        if (
+            all(
+                set(map(type, column)) <= {kind}
+                for column, (_, kind) in zip(columns, _SLOT_COLUMNS)
+            )
+            and len(set(ids)) == len(items)
+            and set(exams) <= exam_ids
+            and set(zip(facilities, room_names)) <= rooms
+        ):
+            return tuple(map(TimeSlot, *columns))
+    except (TypeError, ValueError, KeyError):
+        pass
+    build = partial(
+        _slot_from_dict,
+        seen_ids=set(),
+        exam_ids=exam_ids,
+        facility_ids=facility_ids,
+        rooms=rooms,
     )
+    return _entries("slots", items, build)
 
 
 # The tuple-valued ``WorldConfig`` fields are JSON lists.
@@ -91,7 +173,8 @@ _CONFIG_FIELDS = [
 ]
 
 
-def world_to_dict(world: World) -> dict[str, Any]:
+def _head_to_dict(world: World) -> dict[str, Any]:
+    """Every section of the world document but ``slots``."""
     cfg = world.config
     return {
         "config": {
@@ -115,8 +198,11 @@ def world_to_dict(world: World) -> dict[str, Any]:
             {"id": f.id, "name": f.name, "rooms": list(f.rooms)}
             for f in world.facilities
         ],
-        "slots": [_slot_to_dict(s) for s in world.slots],
     }
+
+
+def world_to_dict(world: World) -> dict[str, Any]:
+    return {**_head_to_dict(world), "slots": [_slot_to_dict(s) for s in world.slots]}
 
 
 def _exam_from_dict(entry: dict[str, Any]) -> ExamType:
@@ -125,25 +211,37 @@ def _exam_from_dict(entry: dict[str, Any]) -> ExamType:
     )
 
 
-def _rule_from_dict(entry: dict[str, Any]) -> IncompatibilityRule:
-    return IncompatibilityRule(
+def _rule_from_dict(entry: dict[str, Any], exam_ids: set[str]) -> IncompatibilityRule:
+    rule = IncompatibilityRule(
         first=entry["first"],
         second=entry["second"],
         logic=RuleLogic(entry["logic"]),
         gap_minutes=entry["gap_minutes"],
     )
+    for exam in (rule.first, rule.second):
+        if exam not in exam_ids:
+            raise ValueError(f"unknown exam {exam!r}")
+    return rule
 
 
 def _facility_from_dict(entry: dict[str, Any]) -> Facility:
     return Facility(id=entry["id"], name=entry["name"], rooms=tuple(entry["rooms"]))
 
 
-_ENTRY_BUILDERS: dict[str, Callable[[Any], Any]] = {
-    "exams": _exam_from_dict,
-    "rules": _rule_from_dict,
-    "facilities": _facility_from_dict,
-    "slots": _slot_from_dict,
-}
+def _format_error(entry: str, exc: Exception) -> WorldFormatError:
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return WorldFormatError(f"malformed world entry {entry}: {reason}")
+
+
+def _entries(section: str, items: Any, build: Callable[[Any], Any]) -> tuple:
+    """Build each entry in turn, or raise ``WorldFormatError`` naming the first bad one."""
+    built = []
+    for index, item in enumerate(items):
+        try:
+            built.append(build(item))
+        except (TypeError, ValueError, KeyError) as exc:
+            raise _format_error(f"{section}[{index}]", exc) from exc
+    return tuple(built)
 
 
 def world_from_dict(document: dict[str, Any]) -> World:
@@ -151,11 +249,11 @@ def world_from_dict(document: dict[str, Any]) -> World:
 
     Any ``TypeError``, ``ValueError`` or ``KeyError`` raised while building
     is re-raised as that one error, so a wrongly typed, missing or
-    out-of-range field never escapes as a bare Python exception.
+    out-of-range field never escapes as a bare Python exception.  Slot ids
+    must be unique, and every exam, facility and room a rule or slot names
+    must be in the world.
     """
-    # No per-entry bookkeeping: when an entry fails, the section's iterator
-    # has yielded it last, so the entries it has left give its index.
-    entry, cursor = "config", None
+    entry = "config"
     try:
         cfg = document["config"]
         config = WorldConfig(
@@ -164,22 +262,55 @@ def world_from_dict(document: dict[str, Any]) -> World:
                 for name, is_tuple in _CONFIG_FIELDS
             }
         )
-        sections = {}
-        for entry, build in _ENTRY_BUILDERS.items():
-            items = document[entry]
-            cursor = iter(items)
-            sections[entry] = tuple(build(item) for item in cursor)
-            cursor = None
+        entry = "exams"
+        exams = _entries(entry, document[entry], _exam_from_dict)
+        exam_ids = {exam.id for exam in exams}
+        entry = "rules"
+        rules = _entries(entry, document[entry], partial(_rule_from_dict, exam_ids=exam_ids))
+        entry = "facilities"
+        facilities = _entries(entry, document[entry], _facility_from_dict)
+        facility_ids = {f.id for f in facilities}
+        rooms = {(f.id, room) for f in facilities for room in f.rooms}
+        entry = "slots"
+        slots = _slots_from_list(document[entry], exam_ids, facility_ids, rooms)
+    except WorldFormatError:
+        raise
     except (TypeError, ValueError, KeyError) as exc:
-        if cursor is not None:
-            entry = f"{entry}[{len(items) - length_hint(cursor) - 1}]"
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise WorldFormatError(f"malformed world entry {entry}: {reason}") from exc
-    return World(config=config, **sections)
+        raise _format_error(entry, exc) from exc
+    return World(
+        config=config, exams=exams, rules=rules, facilities=facilities, slots=slots
+    )
 
 
 def save_world(world: World, path: Path) -> None:
-    _dump_json(world_to_dict(world), path)
+    """Write ``json.dumps(world_to_dict(world), indent=2, sort_keys=True)``
+    and a newline.
+
+    The bytes are the same, but each slot is one ``%`` format: ``json.dumps``
+    runs its pure-Python encoder whenever ``indent`` is set, and ``slots``
+    is nearly all of the document.
+    """
+    head = json.dumps(_head_to_dict(world), indent=2, sort_keys=True)
+    enc = encode_basestring_ascii
+    slots = ",\n".join(
+        [
+            _SLOT_JSON
+            % (
+                s.duration_minutes,
+                enc(s.exam),
+                enc(s.facility),
+                enc(s.id),
+                enc(s.practitioner),
+                enc(s.room),
+                s.start,
+                *divmod(s.start, MINUTES_PER_DAY),
+            )
+            for s in world.slots
+        ]
+    )
+    # "slots" sorts last, so it replaces the head's closing "\n}".
+    body = f"[\n{slots}\n  ]" if slots else "[]"
+    path.write_text(f'{head[:-2]},\n  "slots": {body}\n}}\n', encoding="utf-8")
 
 
 def load_world(path: Path) -> World:

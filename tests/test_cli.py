@@ -207,7 +207,17 @@ class TestSolve:
         assert not (out / "solution.json").exists()
 
     @pytest.mark.parametrize(
-        ("field", "value"), [("start", "abc"), ("duration_minutes", -30)]
+        ("field", "value"),
+        [
+            ("start", "abc"),
+            ("duration_minutes", -30),
+            ("start", 5940.0),
+            ("duration_minutes", True),
+            ("id", 5),
+            ("exam", "ZZZ"),
+            ("facility", "ZZZ"),
+            ("room", "ZZZ"),
+        ],
     )
     def test_malformed_slot_exits_2_naming_it(
         self, world_dir, tmp_path, capsys, field, value
@@ -218,6 +228,24 @@ class TestSolve:
         bad.write_text(json.dumps(document))
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
         assert "slots[3]" in capsys.readouterr().err
+
+    def test_duplicate_slot_id_exits_2_naming_it(self, world_dir, tmp_path, capsys):
+        document = json.loads((world_dir / "world.json").read_text())
+        document["slots"][3]["id"] = document["slots"][0]["id"]
+        bad = tmp_path / "world.json"
+        bad.write_text(json.dumps(document))
+        assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
+        assert "slots[3]: duplicate slot id" in capsys.readouterr().err
+
+    def test_rule_naming_unknown_exam_exits_2_naming_it(
+        self, world_dir, tmp_path, capsys
+    ):
+        document = json.loads((world_dir / "world.json").read_text())
+        document["rules"][1]["second"] = "ZZZ"
+        bad = tmp_path / "world.json"
+        bad.write_text(json.dumps(document))
+        assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
+        assert "rules[1]: unknown exam 'ZZZ'" in capsys.readouterr().err
 
 
 class TestBench:

@@ -1,5 +1,7 @@
 """JSON and CSV persistence: round-trips, byte determinism, instant labels."""
 
+import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,9 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medsched.datagen import World, WorldConfig, generate_world
 from medsched.fitness import compute_penalties, fitness
 from medsched.metrics import solution_metrics
-from medsched.model import MINUTES_PER_DAY, ScheduleRequest
+from medsched.model import (
+    MINUTES_PER_DAY,
+    ExamType,
+    Facility,
+    IncompatibilityRule,
+    RuleLogic,
+    ScheduleRequest,
+    Specialty,
+    TimeSlot,
+)
 from medsched.worldio import (
     RequestError,
     WorldFormatError,
@@ -147,6 +159,214 @@ class TestWorldPersistence:
         del document["slots"][5]["exam"]
         with pytest.raises(WorldFormatError, match=r"slots\[5\]: missing key 'exam'"):
             world_from_dict(document)
+
+    @pytest.mark.parametrize(
+        ("section", "index", "field", "value", "reason"),
+        [
+            ("slots", 9, "start", 5940.0, "start must be int"),
+            ("slots", 9, "duration_minutes", True, "duration_minutes must be int"),
+            ("slots", 9, "id", 5, "id must be str"),
+            ("slots", 9, "room", None, "room must be str"),
+            ("slots", 9, "exam", "ZZZ", "unknown exam 'ZZZ'"),
+            ("slots", 9, "facility", "ZZZ", "unknown facility 'ZZZ'"),
+            ("slots", 9, "room", "ZZZ", "room 'ZZZ' is not in facility"),
+            ("rules", 3, "first", "ZZZ", "unknown exam 'ZZZ'"),
+            ("rules", 3, "second", 7, "unknown exam 7"),
+        ],
+    )
+    def test_mistyped_or_dangling_field_raises_naming_entry(
+        self, default_world, section, index, field, value, reason
+    ):
+        document = world_to_dict(default_world)
+        document[section][index][field] = value
+        with pytest.raises(WorldFormatError, match=rf"{section}\[{index}\]: {reason}"):
+            world_from_dict(document)
+
+    def test_duplicate_slot_id_raises_naming_later_entry(self, default_world):
+        document = world_to_dict(default_world)
+        document["slots"][9]["id"] = document["slots"][4]["id"]
+        with pytest.raises(WorldFormatError, match=r"slots\[9\]: duplicate slot id"):
+            world_from_dict(document)
+
+    def test_example_world_saves_byte_for_byte(self, tmp_path):
+        example = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
+        path = tmp_path / "world.json"
+        save_world(load_world(example), path)
+        assert path.read_bytes() == example.read_bytes()
+
+    def test_default_world_bytes_pinned(self, default_world, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(default_world, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f5a35e8a46fa4acbac3694496f525a33702eaa666efa9b5060418df8a4023cfb"
+        )
+
+
+def reference_bytes(world):
+    """What save_world must write: the json.dumps rendering of the document."""
+    return (json.dumps(world_to_dict(world), indent=2, sort_keys=True) + "\n").encode()
+
+
+# Strings json.dumps escapes, or that a hand-rolled writer could get wrong:
+# non-ASCII, a quote, a backslash, control characters, "</", a line
+# separator, a lone surrogate, an astral character and the empty string.
+AWKWARD = ["é", "漢字", '"', "\\", "\x00\n\x1f\x7f", "</script>", "\u2028", "\ud800", "\U0001f600", ""]
+texts = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=6))
+
+
+@st.composite
+def time_slots(draw):
+    begin = draw(st.integers(0, MINUTES_PER_DAY - 1))
+    # Slots that end exactly at midnight are drawn as often as the rest.
+    duration = draw(
+        st.one_of(st.just(MINUTES_PER_DAY - begin), st.integers(1, MINUTES_PER_DAY - begin))
+    )
+    return TimeSlot(
+        *(draw(texts) for _ in range(5)),
+        start=draw(st.integers(0, 400)) * MINUTES_PER_DAY + begin,
+        duration_minutes=duration,
+    )
+
+
+@st.composite
+def rules(draw):
+    first = draw(texts)
+    return IncompatibilityRule(
+        first,
+        draw(texts.filter(lambda text: text != first)),
+        draw(st.sampled_from(RuleLogic)),
+        draw(st.integers(1, 3 * MINUTES_PER_DAY)),
+    )
+
+
+worlds = st.builds(
+    World,
+    config=st.just(WorldConfig()),
+    exams=st.lists(
+        st.builds(ExamType, texts, texts, st.sampled_from(Specialty)), max_size=4
+    ).map(tuple),
+    rules=st.lists(rules(), max_size=3).map(tuple),
+    facilities=st.lists(
+        st.builds(Facility, texts, texts, st.lists(texts, max_size=3).map(tuple)),
+        max_size=3,
+    ).map(tuple),
+    slots=st.lists(time_slots(), max_size=8).map(tuple),
+)
+
+
+def awkward_world(with_slots):
+    """Every awkward string in every string field, rules empty, slots at 0 and ending at midnight."""
+    slots = tuple(
+        TimeSlot(
+            id=f"{text}{index}",
+            exam=text,
+            facility=text,
+            room=text,
+            practitioner=text,
+            start=index * MINUTES_PER_DAY,
+            duration_minutes=MINUTES_PER_DAY if index % 2 else 30,
+        )
+        for index, text in enumerate(AWKWARD)
+    )
+    return World(
+        config=WorldConfig(),
+        exams=tuple(ExamType(text, text, Specialty.RADIOLOGY) for text in AWKWARD),
+        rules=(),
+        facilities=tuple(Facility(text, text, (text,)) for text in AWKWARD),
+        slots=slots if with_slots else (),
+    )
+
+
+@pytest.fixture(scope="module")
+def world_path(tmp_path_factory):
+    """One file that each hypothesis example overwrites."""
+    return tmp_path_factory.mktemp("worlds") / "world.json"
+
+
+class TestWorldWriter:
+    @pytest.mark.parametrize("with_slots", [True, False])
+    def test_awkward_world_matches_reference_and_round_trips(self, tmp_path, with_slots):
+        world = awkward_world(with_slots)
+        path = tmp_path / "world.json"
+        save_world(world, path)
+        assert path.read_bytes() == reference_bytes(world)
+        assert load_world(path) == world
+
+    @settings(max_examples=200, deadline=None)
+    @given(world=worlds)
+    def test_bytes_equal_json_dumps(self, world_path, world):
+        save_world(world, world_path)
+        assert world_path.read_bytes() == reference_bytes(world)
+
+
+SMALL_DOCUMENT = world_to_dict(
+    generate_world(
+        WorldConfig(seed=11, horizon_days=1, facilities=2, rooms_per_facility=2, rule_count=4)
+    )
+)
+WRONG_VALUES = [None, True, 1.5, -1, 0, "x", [], {}, ["x"], {"x": 1}]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small world document with one fault of the kinds a hand edit makes."""
+    document = copy.deepcopy(SMALL_DOCUMENT)
+
+    def entry_of(section):
+        entries = document[section]
+        return entries, draw(st.integers(0, len(entries) - 1))
+
+    kind = draw(
+        st.sampled_from(
+            ["drop_key", "wrong_type", "duplicate_id", "unknown_reference", "drop_entry", "duplicate_entry"]
+        )
+    )
+    if kind in ("drop_key", "wrong_type"):
+        section = draw(st.sampled_from(["document", "config", "exams", "rules", "facilities", "slots"]))
+        if section == "document":
+            target = document
+        elif section == "config":
+            target = document["config"]
+        else:
+            entries, index = entry_of(section)
+            target = entries[index]
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop_key":
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+    elif kind == "duplicate_id":
+        entries, index = entry_of(draw(st.sampled_from(["exams", "facilities", "slots"])))
+        entries[index]["id"] = entries[draw(st.integers(0, len(entries) - 1))]["id"]
+    elif kind == "unknown_reference":
+        section, key = draw(
+            st.sampled_from(
+                [("rules", "first"), ("rules", "second"), ("slots", "exam"), ("slots", "facility"), ("slots", "room")]
+            )
+        )
+        entries, index = entry_of(section)
+        entries[index][key] = "ZZZ"
+    else:
+        entries, index = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
+        if kind == "drop_entry":
+            del entries[index]
+        else:
+            entries.insert(index, copy.deepcopy(entries[index]))
+    return document
+
+
+class TestWorldLoadFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(document=mutated_documents())
+    def test_loads_and_round_trips_or_raises_format_error(self, world_path, document):
+        try:
+            world = world_from_dict(document)
+        except WorldFormatError:
+            return
+        save_world(world, world_path)
+        # Equality alone would pass 5940.0 for 5940 and True for 1.
+        assert world_path.read_bytes() == reference_bytes(world)
+        assert load_world(world_path) == world
 
 
 class TestRequestPersistence:
