@@ -160,36 +160,64 @@ def generate_slots(catalog: list[ExamType], config: WorldConfig) -> list[TimeSlo
     Durations, practitioners and exam types are uniform draws; a room-day
     stops as soon as the next drawn duration would cross closing time, so
     slots within one room never overlap.
+
+    Each draw is ``rng.choice`` or ``rng.randrange`` written out as the
+    ``getrandbits`` loop CPython runs underneath (see the note in ``ga``),
+    so the stream and the slots are those of the plain calls.  Everything a
+    slot takes from the config is looked up in tables built once.
     """
+    if not catalog:
+        raise ValueError("cannot generate slots from an empty catalog")
     rng = _stream(config, "slots")
-    facilities = generate_facilities(config)
+    getrandbits = rng.getrandbits
+    durations = config.duration_choices
+    practitioners = [f"P{n}" for n in range(1, config.practitioner_pool + 1)]
+    exam_ids = [exam.id for exam in catalog]
+    n_durations = len(durations)
+    n_practitioners = len(practitioners)
+    n_exams = len(exam_ids)
+    duration_bits = n_durations.bit_length()
+    practitioner_bits = n_practitioners.bit_length()
+    exam_bits = n_exams.bit_length()
+    # One more than a room-day can hold, so every day ends on the draw that
+    # does not fit, as in a plain ``while True`` loop.
+    per_day = (config.day_close - config.day_open) // min(durations) + 1
+    seqs = [f"{seq:02d}" for seq in range(per_day)]
     slots: list[TimeSlot] = []
-    for facility in facilities:
+    append = slots.append
+    for facility in generate_facilities(config):
+        facility_id = facility.id
         for room in facility.rooms:
             for day in range(config.horizon_days):
-                day_base = day * MINUTES_PER_DAY
-                cursor = day_base + config.day_open
-                close = day_base + config.day_close
-                seq = 0
-                while True:
-                    duration = rng.choice(config.duration_choices)
+                prefix = f"{room}-d{day:02d}-"
+                cursor = day * MINUTES_PER_DAY + config.day_open
+                close = day * MINUTES_PER_DAY + config.day_close
+                for seq in seqs:
+                    pick = getrandbits(duration_bits)
+                    while pick >= n_durations:
+                        pick = getrandbits(duration_bits)
+                    duration = durations[pick]
                     if cursor + duration > close:
                         break
-                    practitioner = f"P{rng.randrange(config.practitioner_pool) + 1}"
-                    exam = rng.choice(catalog)
-                    slots.append(
+                    pick = getrandbits(practitioner_bits)
+                    while pick >= n_practitioners:
+                        pick = getrandbits(practitioner_bits)
+                    practitioner = practitioners[pick]
+                    pick = getrandbits(exam_bits)
+                    while pick >= n_exams:
+                        pick = getrandbits(exam_bits)
+                    append(
                         TimeSlot(
-                            id=f"{room}-d{day:02d}-{seq:02d}",
-                            exam=exam.id,
-                            facility=facility.id,
-                            room=room,
-                            practitioner=practitioner,
-                            start=cursor,
-                            duration_minutes=duration,
+                            prefix + seq,
+                            exam_ids[pick],
+                            facility_id,
+                            room,
+                            practitioner,
+                            cursor,
+                            duration,
                         )
                     )
                     cursor += duration
-                    seq += 1
     return slots
 
 

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import getitem
+from operator import attrgetter, getitem
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
@@ -113,25 +113,26 @@ def filter_search_space(
 ) -> SearchSpace:
     """Candidate slots per act: exam match, on/after start day, preference filters.
 
-    Empty blocks are legal; the act then surfaces as a missing-slot penalty
-    downstream rather than an error here.
+    One pass over ``slots`` sorts each into its exam's block; acts naming the
+    same exam share one block.  Empty blocks are legal; the act then
+    surfaces as a missing-slot penalty downstream rather than an error here.
     """
-    slots = list(slots)
     facilities = request.preferred_facilities
     practitioners = request.preferred_practitioners
-    blocks = []
-    for exam in request.acts:
-        block = [
-            slot
-            for slot in slots
-            if slot.exam == exam
-            and slot.day >= request.start_day
+    earliest = request.start_day * MINUTES_PER_DAY  # a slot's day >= start_day
+    by_exam: dict[str, list[TimeSlot]] = {exam: [] for exam in request.acts}
+    for slot in slots:
+        block = by_exam.get(slot.exam)
+        if (
+            block is not None
+            and slot.start >= earliest
             and (facilities is None or slot.facility in facilities)
             and (practitioners is None or slot.practitioner in practitioners)
-        ]
-        block.sort(key=lambda slot: (slot.start, slot.id))
-        blocks.append(tuple(block))
-    return SearchSpace(per_act_slots=tuple(blocks))
+        ):
+            block.append(slot)
+    by_start = attrgetter("start", "id")
+    blocks = {exam: tuple(sorted(block, key=by_start)) for exam, block in by_exam.items()}
+    return SearchSpace(per_act_slots=tuple(blocks[exam] for exam in request.acts))
 
 
 # Every uniform integer draw in this module is ``rng.randrange(width)``

@@ -8,8 +8,10 @@ boundary do not overlap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Iterable
 
 MINUTES_PER_DAY = 1440
 
@@ -68,29 +70,51 @@ class Facility:
     rooms: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class TimeSlot:
+class TimeSlot(
+    namedtuple(
+        "TimeSlot", "id exam facility room practitioner start duration_minutes"
+    )
+):
     """One bookable interval in one room.
 
     ``start`` is absolute minutes since the horizon epoch; the slot covers
     [start, start + duration_minutes) and never spans midnight.
+
+    A slot is an immutable tuple of its seven fields, read through the C
+    getters ``namedtuple`` makes, so it is cheap to build: a world holds
+    tens of thousands.  Its hash is the hash of that tuple, and it equals
+    the plain tuple of its fields.  Every way of making one, positional,
+    keyword, ``_make``, ``_replace``, ``pickle`` and ``copy``, goes through
+    ``__new__`` and its range checks.
     """
 
-    id: str
-    exam: str
-    facility: str
-    room: str
-    practitioner: str
-    start: int
-    duration_minutes: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"slot {self.id} starts before the horizon epoch")
-        if self.duration_minutes <= 0:
-            raise ValueError(f"slot {self.id} has non-positive duration")
-        if self.start // MINUTES_PER_DAY != (self.end - 1) // MINUTES_PER_DAY:
-            raise ValueError(f"slot {self.id} crosses midnight")
+    def __new__(
+        cls,
+        id: str,
+        exam: str,
+        facility: str,
+        room: str,
+        practitioner: str,
+        start: int,
+        duration_minutes: int,
+    ) -> TimeSlot:
+        if start < 0:
+            raise ValueError(f"slot {id} starts before the horizon epoch")
+        if duration_minutes <= 0:
+            raise ValueError(f"slot {id} has non-positive duration")
+        last_minute = start + duration_minutes - 1
+        if start // MINUTES_PER_DAY != last_minute // MINUTES_PER_DAY:
+            raise ValueError(f"slot {id} crosses midnight")
+        return tuple.__new__(
+            cls, (id, exam, facility, room, practitioner, start, duration_minutes)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> TimeSlot:
+        # namedtuple's own ``_make`` (which ``_replace`` calls) skips ``__new__``.
+        return cls(*iterable)
 
     @property
     def end(self) -> int:

@@ -244,14 +244,26 @@ def _entries(section: str, items: Any, build: Callable[[Any], Any]) -> tuple:
     return tuple(built)
 
 
+def _unique_ids(section: str, entries: tuple, kind: str) -> set[str]:
+    """The entries' ids, or ``WorldFormatError`` naming the first repeated one."""
+    ids: set[str] = set()
+    for index, entry in enumerate(entries):
+        if entry.id in ids:
+            raise _format_error(
+                f"{section}[{index}]", ValueError(f"duplicate {kind} id {entry.id!r}")
+            )
+        ids.add(entry.id)
+    return ids
+
+
 def world_from_dict(document: dict[str, Any]) -> World:
     """Build a world, or raise ``WorldFormatError`` naming the first bad entry.
 
     Any ``TypeError``, ``ValueError`` or ``KeyError`` raised while building
     is re-raised as that one error, so a wrongly typed, missing or
-    out-of-range field never escapes as a bare Python exception.  Slot ids
-    must be unique, and every exam, facility and room a rule or slot names
-    must be in the world.
+    out-of-range field never escapes as a bare Python exception.  Exam,
+    facility and slot ids must each be unique, and every exam, facility and
+    room a rule or slot names must be in the world.
     """
     entry = "config"
     try:
@@ -264,12 +276,12 @@ def world_from_dict(document: dict[str, Any]) -> World:
         )
         entry = "exams"
         exams = _entries(entry, document[entry], _exam_from_dict)
-        exam_ids = {exam.id for exam in exams}
+        exam_ids = _unique_ids(entry, exams, "exam")
         entry = "rules"
         rules = _entries(entry, document[entry], partial(_rule_from_dict, exam_ids=exam_ids))
         entry = "facilities"
         facilities = _entries(entry, document[entry], _facility_from_dict)
-        facility_ids = {f.id for f in facilities}
+        facility_ids = _unique_ids(entry, facilities, "facility")
         rooms = {(f.id, room) for f in facilities for room in f.rooms}
         entry = "slots"
         slots = _slots_from_list(document[entry], exam_ids, facility_ids, rooms)
@@ -288,7 +300,8 @@ def save_world(world: World, path: Path) -> None:
 
     The bytes are the same, but each slot is one ``%`` format: ``json.dumps``
     runs its pure-Python encoder whenever ``indent`` is set, and ``slots``
-    is nearly all of the document.
+    is nearly all of the document.  A slot is a tuple, so its fields are
+    unpacked in one step rather than read one getter at a time.
     """
     head = json.dumps(_head_to_dict(world), indent=2, sort_keys=True)
     enc = encode_basestring_ascii
@@ -296,16 +309,18 @@ def save_world(world: World, path: Path) -> None:
         [
             _SLOT_JSON
             % (
-                s.duration_minutes,
-                enc(s.exam),
-                enc(s.facility),
-                enc(s.id),
-                enc(s.practitioner),
-                enc(s.room),
-                s.start,
-                *divmod(s.start, MINUTES_PER_DAY),
+                duration,
+                enc(exam),
+                enc(facility),
+                enc(slot_id),
+                enc(practitioner),
+                enc(room),
+                start,
+                *divmod(start, MINUTES_PER_DAY),
             )
-            for s in world.slots
+            for slot_id, exam, facility, room, practitioner, start, duration in (
+                world.slots
+            )
         ]
     )
     # "slots" sorts last, so it replaces the head's closing "\n}".

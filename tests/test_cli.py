@@ -237,6 +237,20 @@ class TestSolve:
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
         assert "slots[3]: duplicate slot id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("section", "index", "duplicate"),
+        [("exams", 3, "E00"), ("facilities", 1, "F1")],
+    )
+    def test_duplicate_exam_or_facility_id_exits_2_naming_it(
+        self, world_dir, tmp_path, capsys, section, index, duplicate
+    ):
+        document = json.loads((world_dir / "world.json").read_text())
+        document[section][index]["id"] = duplicate
+        bad = tmp_path / "world.json"
+        bad.write_text(json.dumps(document))
+        assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"{section}[{index}]: duplicate" in capsys.readouterr().err
+
     def test_rule_naming_unknown_exam_exits_2_naming_it(
         self, world_dir, tmp_path, capsys
     ):

@@ -5,9 +5,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medsched.datagen import (
     WorldConfig,
+    _stream,
     generate_catalog,
     generate_facilities,
     generate_request,
@@ -15,7 +18,7 @@ from medsched.datagen import (
     generate_slots,
     generate_world,
 )
-from medsched.model import MINUTES_PER_DAY, RuleLogic, Specialty
+from medsched.model import MINUTES_PER_DAY, RuleLogic, Specialty, TimeSlot
 
 
 class TestWorldConfig:
@@ -108,6 +111,62 @@ class TestRules:
             assert abs(gap_counts[gap] - n / 3) <= 3 * sigma
 
 
+def reference_generate_slots(catalog, config):
+    """The ``rng.choice``/``randrange`` loop ``generate_slots`` replaced."""
+    rng = _stream(config, "slots")
+    slots = []
+    for facility in generate_facilities(config):
+        for room in facility.rooms:
+            for day in range(config.horizon_days):
+                day_base = day * MINUTES_PER_DAY
+                cursor = day_base + config.day_open
+                close = day_base + config.day_close
+                seq = 0
+                while True:
+                    duration = rng.choice(config.duration_choices)
+                    if cursor + duration > close:
+                        break
+                    practitioner = f"P{rng.randrange(config.practitioner_pool) + 1}"
+                    exam = rng.choice(catalog)
+                    slots.append(
+                        TimeSlot(
+                            id=f"{room}-d{day:02d}-{seq:02d}",
+                            exam=exam.id,
+                            facility=facility.id,
+                            room=room,
+                            practitioner=practitioner,
+                            start=cursor,
+                            duration_minutes=duration,
+                        )
+                    )
+                    cursor += duration
+                    seq += 1
+    return slots
+
+
+@st.composite
+def slot_configs(draw):
+    """Configs whose draw widths (durations, practitioners, exams) vary,
+    powers of two among them, over small horizons and day windows."""
+    day_open = draw(st.integers(min_value=0, max_value=1320))
+    day_close = draw(st.integers(min_value=day_open + 120, max_value=MINUTES_PER_DAY))
+    n_durations = draw(st.sampled_from((1, 2, 4, 5, 8)))
+    return WorldConfig(
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        horizon_days=draw(st.integers(min_value=1, max_value=3)),
+        facilities=draw(st.integers(min_value=1, max_value=2)),
+        rooms_per_facility=draw(st.integers(min_value=1, max_value=2)),
+        day_open=day_open,
+        day_close=day_close,
+        practitioner_pool=draw(st.integers(min_value=1, max_value=9)),
+        specialties=draw(st.integers(min_value=1, max_value=5)),
+        exams_per_specialty=draw(st.integers(min_value=1, max_value=17)),
+        duration_choices=tuple(
+            draw(st.lists(st.integers(min_value=5, max_value=120), min_size=n_durations, max_size=n_durations))
+        ),
+    )
+
+
 class TestSlots:
     def test_room_days_packed_back_to_back(self, default_world):
         config = default_world.config
@@ -142,6 +201,16 @@ class TestSlots:
         counts = Counter(s.duration_minutes for s in slots)
         for duration in (15, 30, 45, 60, 90):
             assert abs(counts[duration] / len(slots) - 0.2) <= 0.02
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=slot_configs())
+    def test_equals_choice_and_randrange_reference(self, config):
+        catalog = generate_catalog(config)
+        assert generate_slots(catalog, config) == reference_generate_slots(catalog, config)
+
+    def test_rejects_empty_catalog(self):
+        with pytest.raises(ValueError, match="empty catalog"):
+            generate_slots([], WorldConfig())
 
 
 class TestRequests:

@@ -120,6 +120,71 @@ class TestFilterSearchSpace:
         assert space.act_count == 2
         assert space.per_act_slots[0] == space.per_act_slots[1]
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_equals_per_act_reference(self, data):
+        slots = data.draw(st.lists(filter_slots(), max_size=40))
+        request = data.draw(filter_requests())
+        expected = reference_filter_search_space(slots, request)
+        assert filter_search_space(slots, request) == expected
+        # Any iterable will do: the filter walks its input once.
+        assert filter_search_space(iter(slots), request) == expected
+
+
+def reference_filter_search_space(slots, request):
+    """The per-act filter ``filter_search_space`` replaced: one scan per act."""
+    slots = list(slots)
+    facilities = request.preferred_facilities
+    practitioners = request.preferred_practitioners
+    blocks = []
+    for exam in request.acts:
+        block = [
+            slot
+            for slot in slots
+            if slot.exam == exam
+            and slot.day >= request.start_day
+            and (facilities is None or slot.facility in facilities)
+            and (practitioners is None or slot.practitioner in practitioners)
+        ]
+        block.sort(key=lambda slot: (slot.start, slot.id))
+        blocks.append(tuple(block))
+    return SearchSpace(per_act_slots=tuple(blocks))
+
+
+# Few values per field, so blocks collide on exam, start and id; "E9" has
+# no slots, so its blocks are empty.
+FILTER_EXAMS = ("E1", "E2", "E3", "E9")
+FILTER_FACILITIES = ("F1", "F2", "F3")
+FILTER_PRACTITIONERS = ("P1", "P2", "P3")
+
+
+@st.composite
+def filter_slots(draw):
+    day = draw(st.integers(min_value=0, max_value=4))
+    minute = draw(st.sampled_from((0, 540, 600, 1380)))
+    return make_slot(
+        id=draw(st.sampled_from("ABCDEF")),
+        exam=draw(st.sampled_from(FILTER_EXAMS[:3])),
+        facility=draw(st.sampled_from(FILTER_FACILITIES)),
+        practitioner=draw(st.sampled_from(FILTER_PRACTITIONERS)),
+        start=day * MINUTES_PER_DAY + minute,
+        duration=draw(st.sampled_from((15, 60))),
+    )
+
+
+def preference_sets(values):
+    return st.none() | st.frozensets(st.sampled_from(values), max_size=len(values))
+
+
+@st.composite
+def filter_requests(draw):
+    return ScheduleRequest(
+        acts=tuple(draw(st.lists(st.sampled_from(FILTER_EXAMS), min_size=1, max_size=6))),
+        start_day=draw(st.integers(min_value=0, max_value=6)),
+        preferred_facilities=draw(preference_sets(FILTER_FACILITIES)),
+        preferred_practitioners=draw(preference_sets(FILTER_PRACTITIONERS)),
+    )
+
 
 class TestGAConfig:
     @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Core vocabulary: slots, rules, requests, schedules, time arithmetic."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +50,80 @@ class TestTimeSlot:
         with pytest.raises(ValueError):
             make_slot(start=MINUTES_PER_DAY - 10, duration=20)
         make_slot(start=MINUTES_PER_DAY - 10, duration=10)  # flush to midnight is fine
+
+
+# Field values that break each of the three range checks, with the message.
+BAD_SLOT_FIELDS = [
+    (("S9", "E00", "F1", "F1-R1", "P1", -1, 30), "slot S9 starts before the horizon epoch"),
+    (("S9", "E00", "F1", "F1-R1", "P1", 540, 0), "slot S9 has non-positive duration"),
+    (("S9", "E00", "F1", "F1-R1", "P1", MINUTES_PER_DAY - 10, 20), "slot S9 crosses midnight"),
+]
+FIELD_NAMES = ("id", "exam", "facility", "room", "practitioner", "start", "duration_minutes")
+
+
+def forged(fields):
+    """A slot built around ``__new__``, as a tampered pickle would hold it."""
+    return tuple.__new__(TimeSlot, fields)
+
+
+class TestTimeSlotContract:
+    """A slot is an immutable tuple of its fields, checked however it is made.
+
+    It equals, and hashes as, the plain tuple of its seven fields, which is
+    the hash the frozen dataclass it replaced had.
+    """
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda fields: TimeSlot(*fields), id="positional"),
+            pytest.param(lambda fields: TimeSlot(**dict(zip(FIELD_NAMES, fields))), id="keyword"),
+            pytest.param(TimeSlot._make, id="make"),
+            pytest.param(
+                lambda fields: make_slot()._replace(**dict(zip(FIELD_NAMES, fields))),
+                id="replace",
+            ),
+            pytest.param(lambda fields: pickle.loads(pickle.dumps(forged(fields))), id="pickle"),
+            pytest.param(lambda fields: copy.copy(forged(fields)), id="copy"),
+            pytest.param(lambda fields: copy.deepcopy(forged(fields)), id="deepcopy"),
+        ],
+    )
+    @pytest.mark.parametrize(("fields", "message"), BAD_SLOT_FIELDS)
+    def test_range_checks_on_every_construction_path(self, build, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(fields)
+
+    def test_valid_slot_survives_every_construction_path(self):
+        slot = make_slot(id="S7", start=3 * MINUTES_PER_DAY + 630, duration=45)
+        fields = tuple(slot)
+        assert TimeSlot(**dict(zip(FIELD_NAMES, fields))) == slot
+        assert TimeSlot._make(fields) == slot
+        assert slot._replace(start=slot.start) == slot
+        assert pickle.loads(pickle.dumps(slot)) == slot
+        assert copy.copy(slot) == slot == copy.deepcopy(slot)
+        assert type(pickle.loads(pickle.dumps(slot))) is TimeSlot
+
+    def test_immutable_without_instance_dict(self):
+        slot = make_slot()
+        for name in FIELD_NAMES:
+            with pytest.raises(AttributeError):
+                setattr(slot, name, getattr(slot, name))
+        with pytest.raises(AttributeError):
+            slot.extra = 1
+        assert not hasattr(slot, "__dict__")
+
+    def test_hash_and_equality_are_the_field_tuple(self):
+        slot = make_slot(id="S7", start=600, duration=45)
+        fields = ("S7", "E00", "F1", "F1-R1", "P1", 600, 45)
+        assert tuple(slot) == fields
+        assert slot == fields
+        assert hash(slot) == hash(fields)
+
+    def test_repr_unchanged(self):
+        assert repr(make_slot(id="S7", start=600, duration=45)) == (
+            "TimeSlot(id='S7', exam='E00', facility='F1', room='F1-R1', "
+            "practitioner='P1', start=600, duration_minutes=45)"
+        )
 
 
 class TestSlotsOverlap:

@@ -172,6 +172,8 @@ class TestWorldPersistence:
             ("slots", 9, "room", "ZZZ", "room 'ZZZ' is not in facility"),
             ("rules", 3, "first", "ZZZ", "unknown exam 'ZZZ'"),
             ("rules", 3, "second", 7, "unknown exam 7"),
+            ("exams", 7, "id", "E03", "duplicate exam id 'E03'"),
+            ("facilities", 2, "id", "F1", "duplicate facility id 'F1'"),
         ],
     )
     def test_mistyped_or_dangling_field_raises_naming_entry(
@@ -194,12 +196,27 @@ class TestWorldPersistence:
         save_world(load_world(example), path)
         assert path.read_bytes() == example.read_bytes()
 
-    def test_default_world_bytes_pinned(self, default_world, tmp_path):
+    # Digests recorded with dataclass slots and the ``rng.choice`` generator:
+    # a faster generator or writer must reproduce these bytes.
+    @pytest.mark.parametrize(
+        ("config", "digest"),
+        [
+            pytest.param(
+                WorldConfig(),
+                "f5a35e8a46fa4acbac3694496f525a33702eaa666efa9b5060418df8a4023cfb",
+                id="default",
+            ),
+            pytest.param(
+                WorldConfig(seed=3, horizon_days=120),
+                "bf182327aa035f014a3fcf1401244cc308629f21024e5d1f6a39eb995ad4a3be",
+                id="seed3-120days",
+            ),
+        ],
+    )
+    def test_default_world_bytes_pinned(self, tmp_path, config, digest):
         path = tmp_path / "world.json"
-        save_world(default_world, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f5a35e8a46fa4acbac3694496f525a33702eaa666efa9b5060418df8a4023cfb"
-        )
+        save_world(generate_world(config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def reference_bytes(world):
