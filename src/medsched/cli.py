@@ -29,7 +29,7 @@ from .bench import (
 )
 from .datagen import WorldConfig, generate_request, generate_world
 from .fitness import compute_penalties, fitness
-from .ga import GAConfig, UnschedulableError, Variant, filter_search_space
+from .ga import GAConfig, UnschedulableError, filter_search_space
 from .metrics import solution_metrics
 from .worldio import (
     RequestError,
@@ -76,13 +76,12 @@ def _add_request_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _ga_config(args: argparse.Namespace, seed: int, variant: Variant) -> GAConfig:
+def _ga_config(args: argparse.Namespace, seed: int) -> GAConfig:
     return GAConfig(
         population=args.population,
         generations=args.generations,
         tournament_k=args.tournament_k,
         mutation_rate=args.mutation_rate,
-        variant=variant,
         seed=seed,
     )
 
@@ -112,12 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=".", help="output directory")
     p_solve.add_argument("--world", default=None, help="world.json path")
     p_solve.add_argument("--request", default=None, help="request.json path")
-    p_solve.add_argument("--algo", choices=SOLVE_ALGORITHMS, default="ga")
     p_solve.add_argument(
-        "--variant",
-        choices=[v.value for v in Variant],
-        default=Variant.ORDERED.value,
-        help="initialization variant when --algo ga",
+        "--algo", choices=SOLVE_ALGORITHMS, default="ga", help="ga is ga-ordered"
     )
     _add_request_flags(p_solve)
     _add_ga_flags(p_solve)
@@ -169,12 +164,6 @@ def cmd_gen_world(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_algorithm(args: argparse.Namespace) -> str:
-    if args.algo != "ga":
-        return args.algo
-    return f"ga-{args.variant}"
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     seed = _seed(args)
     world = _load_or_generate_world(args, seed)
@@ -203,8 +192,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"no candidate slots for any act of {list(request.acts)}"
         )
 
-    algorithm = _resolve_algorithm(args)
-    ga = _ga_config(args, seed, Variant.ORDERED)
+    algorithm = "ga-ordered" if args.algo == "ga" else args.algo
+    ga = _ga_config(args, seed)
     schedule, history = run_algorithm(
         algorithm, world, request, ga, ga_seed=seed, random_seed=seed
     )
@@ -237,7 +226,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seed = _seed(args)
     world = _load_or_generate_world(args, seed)
     algorithms = tuple(args.algo) if args.algo else ALL_ALGORITHMS
-    ga = _ga_config(args, seed, Variant.ORDERED)
+    ga = _ga_config(args, seed)
     config = BenchConfig(
         world=world.config,
         trials=args.trials,

@@ -171,6 +171,19 @@ def check_travel_gaps(schedule: Schedule) -> list[Violation]:
     return violations
 
 
+def idle_minutes(ordered: Sequence[tuple[int, TimeSlot]]) -> int:
+    """Idle minutes between consecutive assignments of a start-sorted schedule.
+
+    Only positive gaps count: overlapping slots add no idle time.
+    """
+    idle = 0
+    for (_, slot_a), (_, slot_b) in zip(ordered, ordered[1:]):
+        gap = slot_b.start - slot_a.end
+        if gap > 0:
+            idle += gap
+    return idle
+
+
 def optimal_act_order(
     acts: Sequence[str], rules: Iterable[IncompatibilityRule]
 ) -> ActOrder:

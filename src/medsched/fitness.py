@@ -16,6 +16,7 @@ from .constraints import (
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
+    idle_minutes,
     segment_trips,
 )
 from .model import MINUTES_PER_DAY, IncompatibilityRule, Schedule, ScheduleRequest
@@ -66,12 +67,7 @@ def compute_penalties(
     travel = TRAVEL_GAP_PENALTY * len(check_travel_gaps(schedule))
 
     ordered = schedule.sorted_by_start()
-    wait_minutes = 0
-    for (_, slot_a), (_, slot_b) in zip(ordered, ordered[1:]):
-        gap = slot_b.start - slot_a.end
-        if gap > 0:
-            wait_minutes += gap
-    wait = wait_minutes / WAIT_MINUTES_PER_POINT
+    wait = idle_minutes(ordered) / WAIT_MINUTES_PER_POINT
 
     first_day = ordered[0][1].start // MINUTES_PER_DAY
     lead = max(0, first_day - request.start_day)

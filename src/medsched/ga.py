@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, getitem
+from operator import attrgetter, getitem, mul
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
@@ -263,85 +263,6 @@ def decode(
     return Schedule(assignments=tuple(assignments))
 
 
-def tournament_select(
-    population: Sequence[Individual],
-    fitnesses: Sequence[float],
-    config: GAConfig,
-    rng: random.Random,
-) -> Individual:
-    """Fittest of ``tournament_k`` uniform draws with replacement.
-
-    Fitness ties go to the lowest population index.
-    """
-    if not population:
-        raise ValueError("cannot select from an empty population")
-    n = len(population)
-    bits = n.bit_length()
-    getrandbits = rng.getrandbits
-    best_idx = getrandbits(bits)
-    while best_idx >= n:
-        best_idx = getrandbits(bits)
-    best = fitnesses[best_idx]
-    for _ in range(config.tournament_k - 1):
-        idx = getrandbits(bits)
-        while idx >= n:
-            idx = getrandbits(bits)
-        value = fitnesses[idx]
-        if value > best or (value == best and idx < best_idx):
-            best_idx, best = idx, value
-    return population[best_idx]
-
-
-def crossover(
-    parent_a: Individual, parent_b: Individual, rng: random.Random
-) -> tuple[Individual, Individual]:
-    """Single-point crossover at an act-block boundary.
-
-    Cutting between blocks keeps every block one-hot, so children are always
-    valid.  Single-act parents have no interior boundary and pass through.
-    """
-    n = len(parent_a.genes)
-    if n < 2:
-        return parent_a, parent_b
-    width = n - 1
-    bits = width.bit_length()
-    cut = rng.getrandbits(bits)
-    while cut >= width:
-        cut = rng.getrandbits(bits)
-    cut += 1
-    child_a = Individual(parent_a.genes[:cut] + parent_b.genes[cut:])
-    child_b = Individual(parent_b.genes[:cut] + parent_a.genes[cut:])
-    return child_a, child_b
-
-
-def mutate(
-    child: Individual,
-    space: SearchSpace,
-    config: GAConfig,
-    rng: random.Random,
-) -> Individual:
-    """With probability ``mutation_rate``, redraw one uniformly chosen act's gene."""
-    if rng.random() >= config.mutation_rate:
-        return child
-    n = len(child.genes)
-    if not n:
-        raise ValueError("cannot mutate an individual without genes")
-    bits = n.bit_length()
-    act = rng.getrandbits(bits)
-    while act >= n:
-        act = rng.getrandbits(bits)
-    width = len(space.per_act_slots[act])
-    if not width:
-        return child
-    bits = width.bit_length()
-    gene = rng.getrandbits(bits)
-    while gene >= width:
-        gene = rng.getrandbits(bits)
-    genes = list(child.genes)
-    genes[act] = gene
-    return Individual(tuple(genes))
-
-
 def next_generation(
     population: Sequence[Individual],
     fitnesses: Sequence[float],
@@ -349,17 +270,77 @@ def next_generation(
     config: GAConfig,
     rng: random.Random,
 ) -> list[Individual]:
-    """Breed population-1 children by tournament/crossover/mutation, then add the elite."""
+    """Breed ``population - 1`` children in pairs, then append the elite.
+
+    Each pair is bred in this order, drawing from ``rng``:
+
+    - two parents, each the fittest of ``tournament_k`` uniform draws with
+      replacement, fitness ties going to the lowest population index;
+    - one single-point crossover cut at an act-block boundary, so every
+      block stays one-hot; with fewer than two acts there is no interior
+      boundary and the parents pass through without a draw;
+    - per child, with probability ``mutation_rate``, a redraw of one
+      uniformly chosen act's gene (an empty block keeps its gene).
+
+    When ``population - 1`` is odd the last pair's second child is bred,
+    its draws included, and dropped.
+    """
+    n = len(population)
+    if not n:
+        raise ValueError("cannot select from an empty population")
+    getrandbits = rng.getrandbits
+    draw_unit = rng.random
+    bits = n.bit_length()
+    rest = range(config.tournament_k - 1)
+    rate = config.mutation_rate
+    widths = [(width, width.bit_length()) for width in map(len, space.per_act_slots)]
+    act_count = len(widths)
+    act_bits = act_count.bit_length()
+    cut_width = act_count - 1
+    cut_bits = cut_width.bit_length()
+    genomes = [individual.genes for individual in population]
+
     children: list[Individual] = []
-    while len(children) < config.population - 1:
-        parent_a = tournament_select(population, fitnesses, config, rng)
-        parent_b = tournament_select(population, fitnesses, config, rng)
-        child_a, child_b = crossover(parent_a, parent_b, rng)
-        children.append(mutate(child_a, space, config, rng))
-        children.append(mutate(child_b, space, config, rng))
+    for _ in range(config.population // 2):
+        parents = []
+        for _ in (0, 1):
+            best_idx = getrandbits(bits)
+            while best_idx >= n:
+                best_idx = getrandbits(bits)
+            best = fitnesses[best_idx]
+            for _ in rest:
+                idx = getrandbits(bits)
+                while idx >= n:
+                    idx = getrandbits(bits)
+                value = fitnesses[idx]
+                if value > best or (value == best and idx < best_idx):
+                    best_idx, best = idx, value
+            parents.append(genomes[best_idx])
+        genes_a, genes_b = parents
+        if cut_width > 0:
+            cut = getrandbits(cut_bits)
+            while cut >= cut_width:
+                cut = getrandbits(cut_bits)
+            cut += 1
+            genes_a, genes_b = (
+                genes_a[:cut] + genes_b[cut:], genes_b[:cut] + genes_a[cut:]
+            )
+        for genes in (genes_a, genes_b):
+            if draw_unit() < rate:
+                if not act_count:
+                    raise ValueError("cannot mutate an individual without genes")
+                act = getrandbits(act_bits)
+                while act >= act_count:
+                    act = getrandbits(act_bits)
+                width, gene_bits = widths[act]
+                if width:
+                    gene = getrandbits(gene_bits)
+                    while gene >= width:
+                        gene = getrandbits(gene_bits)
+                    genes = genes[:act] + (gene,) + genes[act + 1 :]
+            children.append(Individual(genes))
     del children[config.population - 1 :]
-    elite = population[max(range(len(population)), key=fitnesses.__getitem__)]
-    children.append(elite)
+    children.append(population[max(range(n), key=fitnesses.__getitem__)])
     return children
 
 
@@ -459,27 +440,30 @@ def make_evaluator(
                 breaches += 1
 
         trips, transfers, wait = 1, 0, 0
-        for later_from, (prev, cur) in enumerate(zip(picks, picks[1:]), 2):
-            gap = cur[1] - prev[2]
-            if gap < 0:
-                # ``cur`` overlaps ``prev``, and so does every later pick up to
-                # the first that starts at or after ``prev``'s end: picks are
-                # sorted by start, so none after that one can overlap it.
+        count = len(picks)
+        _, first_start, prev_end, prev_facility = picks[0]
+        for i in range(1, count):
+            _, start, end, facility = picks[i]
+            gap = start - prev_end
+            if gap > 0:
+                wait += gap
+            elif gap < 0:
+                # This pick overlaps the previous one, and so does every later
+                # pick up to the first that starts at or after the previous
+                # end: picks are sorted by start, so none after it can overlap.
                 breaches += 1
-                end = prev[2]
-                for later in picks[later_from:]:
-                    if later[1] >= end:
-                        break
+                later = i + 1
+                while later < count and picks[later][1] < prev_end:
                     breaches += 1
-            if cur[3] != prev[3]:
+                    later += 1
+            if facility != prev_facility:
                 trips += 1
                 if gap < TRAVEL_GAP_MINUTES:
                     transfers += 1
             elif gap > TRIP_GAP_MINUTES:
                 trips += 1
-            if gap > 0:
-                wait += gap
-        lead = max(0, picks[0][1] // MINUTES_PER_DAY - start_day)
+            prev_end, prev_facility = end, facility
+        lead = max(0, first_start // MINUTES_PER_DAY - start_day)
 
         # Summed in PenaltyBreakdown.total()'s order, so the float matches.
         total = (
@@ -510,15 +494,37 @@ def _replace_duplicates(
         seen.add(child.genes)
 
 
+def _key_places(space: SearchSpace) -> list[int]:
+    # Place value of each act's digit in a genome's memo key, which reads the
+    # genes as a mixed-radix integer (radix: the block's size, at least 1).
+    radices = [max(1, len(block)) for block in space.per_act_slots]
+    places = [1] * len(radices)
+    for act in range(len(radices) - 1, 0, -1):
+        places[act - 1] = places[act] * radices[act]
+    return places
+
+
+# Maps a gene to its key digit, ``get(gene, gene)``: an unassigned gene is 0.
+_DIGIT = {None: 0}.get
+
+
+def genome_key(genes: Genes, places: Sequence[int]) -> int:
+    """A genome's memo key: its genes as a mixed-radix integer, at C speed."""
+    return sum(map(mul, map(_DIGIT, genes, genes), places))
+
+
 def _memoised(
     space: SearchSpace, evaluate: Callable[[Individual], float]
-) -> tuple[Callable[[Genes], float], Callable[[Genes, float], tuple[Genes, float]]]:
-    """``score(genes)`` and ``polish(genes, value)``, sharing one fitness memo.
+) -> tuple[
+    Callable[[Sequence[Individual]], list[float]],
+    Callable[[Genes, float], tuple[Genes, float]],
+]:
+    """``score(population)`` and ``polish(genes, value)``, sharing one fitness memo.
 
-    The memo maps a genome's key to ``evaluate``'s fitness and is emptied
-    when it holds ``MEMO_LIMIT`` genomes.  The key reads the genes as a
-    mixed-radix integer (radix: the block's size, at least 1; an unassigned
-    gene counts as 0), which takes less memory than the gene tuple.
+    The memo maps a genome's ``genome_key`` to ``evaluate``'s fitness and is
+    emptied when it holds ``MEMO_LIMIT`` genomes; the key takes less memory
+    than the gene tuple.  ``score`` returns each individual's fitness in
+    order, evaluating the individual itself on a miss.
 
     ``polish`` is a first-improvement one-gene hill climb from ``genes``
     (fitness ``value``).  Acts are scanned in order and each act's
@@ -528,32 +534,28 @@ def _memoised(
     current key only in its act's digit, so it is found by arithmetic; the
     neighbour's genes are built only to evaluate or take it.
     """
-    radices = [max(1, len(block)) for block in space.per_act_slots]
-    places = [1] * len(radices)
-    for act in range(len(radices) - 1, 0, -1):
-        places[act - 1] = places[act] * radices[act]
+    places = _key_places(space)
     sizes = [len(block) for block in space.per_act_slots]
     memo: dict[int, float] = {}
 
-    def key_of(genes: Genes) -> int:
-        key = 0
-        for gene, radix in zip(genes, radices):
-            key = key * radix + (gene or 0)
-        return key
-
-    def fill(key: int, genes: Genes) -> float:
+    def fill(key: int, individual: Individual) -> float:
         if len(memo) >= MEMO_LIMIT:
             memo.clear()
-        value = memo[key] = evaluate(Individual(genes))
+        value = memo[key] = evaluate(individual)
         return value
 
-    def score(genes: Genes) -> float:
-        key = key_of(genes)
-        value = memo.get(key)
-        return fill(key, genes) if value is None else value
+    def score(population: Sequence[Individual]) -> list[float]:
+        values = []
+        for individual in population:
+            genes = individual.genes
+            # genome_key, inlined: one call fewer per genome.
+            key = sum(map(mul, map(_DIGIT, genes, genes), places))
+            value = memo.get(key)
+            values.append(fill(key, individual) if value is None else value)
+        return values
 
     def polish(genes: Genes, value: float) -> tuple[Genes, float]:
-        key = key_of(genes)
+        key = genome_key(genes, places)
         improved = True
         while improved:
             improved = False
@@ -569,7 +571,7 @@ def _memoised(
                         continue
                     candidate = genes[:act] + (gene,) + genes[act + 1 :]
                     if candidate_value is None:
-                        candidate_value = fill(candidate_key, candidate)
+                        candidate_value = fill(candidate_key, Individual(candidate))
                     if candidate_value > value:
                         genes, value, key, current = (
                             candidate, candidate_value, candidate_key, gene
@@ -623,7 +625,7 @@ def evolve(
 
     history: list[GenerationStats] = []
     last_polished: tuple[int | None, ...] | None = None
-    fitnesses = [score(individual.genes) for individual in population]
+    fitnesses = score(population)
     best_idx = max(range(len(fitnesses)), key=fitnesses.__getitem__)
     for generation in range(config.generations):
         history.append(
@@ -644,7 +646,7 @@ def evolve(
             population[best_idx] = Individual(last_polished)
         population = next_generation(population, fitnesses, space, config, rng)
         _replace_duplicates(population, draw)
-        fitnesses = [score(individual.genes) for individual in population]
+        fitnesses = score(population)
         best_idx = max(range(len(fitnesses)), key=fitnesses.__getitem__)
 
     return EvolveResult(

@@ -15,6 +15,7 @@ from .constraints import (
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
+    idle_minutes,
     segment_trips,
 )
 from .model import IncompatibilityRule, Schedule
@@ -49,13 +50,8 @@ def idle_time_ratio(schedule: Schedule) -> float | None:
     if len(schedule) < 2:
         return None
     ordered = schedule.sorted_by_start()
-    idle = 0
-    for (_, slot_a), (_, slot_b) in zip(ordered, ordered[1:]):
-        gap = slot_b.start - slot_a.end
-        if gap > 0:
-            idle += gap
     span = ordered[-1][1].end - ordered[0][1].start
-    return idle / span
+    return idle_minutes(ordered) / span
 
 
 def trip_count(schedule: Schedule) -> int:

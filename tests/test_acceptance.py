@@ -39,11 +39,10 @@ from medsched.ga import (
     Individual,
     SearchSpace,
     Variant,
-    crossover,
     decode,
     evolve,
     filter_search_space,
-    mutate,
+    next_generation,
 )
 from medsched.metrics import idle_time_ratio, mann_whitney_u
 from medsched.model import (
@@ -383,12 +382,12 @@ gene_strategy = st.tuples(
 def property_one_hot_preserved(genes_a, genes_b, seed):
     rng = random.Random(seed)
     request = ScheduleRequest(acts=("E00", "E01", "E02"))
-    child_a, child_b = crossover(Individual(genes_a), Individual(genes_b), rng)
-    for child in (child_a, child_b):
-        mutated = mutate(child, PROPERTY_SPACE, GAConfig(), rng)
-        for act, gene in enumerate(mutated.genes):
+    population = [Individual(genes_a), Individual(genes_b)]
+    config = GAConfig(population=7, tournament_k=2)
+    for child in next_generation(population, [0.5, 0.5], PROPERTY_SPACE, config, rng):
+        for act, gene in enumerate(child.genes):
             assert 0 <= gene < len(PROPERTY_SPACE.per_act_slots[act])
-        assert len(decode(mutated, PROPERTY_SPACE, request)) == 3
+        assert len(decode(child, PROPERTY_SPACE, request)) == 3
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)

@@ -105,8 +105,10 @@ class TestSolve:
 
     def test_variant_flag_selects_unordered(self, world_dir, tmp_path):
         out = tmp_path / "out"
-        assert main(fast_solve_args(world_dir, out, "--variant", "unordered")) == 0
+        assert main(fast_solve_args(world_dir, out, "--algo", "ga-unordered")) == 0
         assert read_solution(out)["algorithm"] == "ga-unordered"
+        # --algo is the one way to pick the variant.
+        assert main(fast_solve_args(world_dir, out, "--variant", "unordered")) == 1
 
     def test_fcfs_writes_no_convergence(self, world_dir, tmp_path):
         out = tmp_path / "out"

@@ -11,6 +11,7 @@ from medsched.constraints import (
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
+    idle_minutes,
     optimal_act_order,
     segment_trips,
 )
@@ -227,6 +228,23 @@ class TestCheckTravelGaps:
             make_slot(id="C", facility="F2", start=1140, duration=30),
         )
         assert check_travel_gaps(schedule) == []
+
+
+class TestIdleMinutes:
+    def test_sums_positive_gaps_only(self):
+        # Gaps: 30 (A->B), -30 (B overlaps C), 0 (C touches D), 100 (D->E).
+        schedule = make_schedule(
+            make_slot(id="A", start=540, duration=30),
+            make_slot(id="B", start=600, duration=60),
+            make_slot(id="C", start=630, duration=30),
+            make_slot(id="D", start=660, duration=20),
+            make_slot(id="E", start=780, duration=30),
+        )
+        assert idle_minutes(schedule.sorted_by_start()) == 130
+
+    def test_fewer_than_two_assignments_is_zero(self):
+        assert idle_minutes(()) == 0
+        assert idle_minutes(make_schedule(make_slot(id="A")).sorted_by_start()) == 0
 
 
 class TestOptimalActOrder:

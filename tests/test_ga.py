@@ -21,15 +21,13 @@ from medsched.ga import (
     SearchSpace,
     UnschedulableError,
     Variant,
-    crossover,
     decode,
     evolve,
     filter_search_space,
+    genome_key,
     init_population,
     make_evaluator,
-    mutate,
     next_generation,
-    tournament_select,
     uniform_genes,
 )
 from medsched.model import (
@@ -308,21 +306,38 @@ class TestDecode:
 
 
 def replay_draws(seed, n, k):
-    """The index sample a tournament with this rng state will see."""
+    """The index sample the first tournament with this rng state will see."""
     rng = random.Random(seed)
     return [rng.randrange(n) for _ in range(k)]
 
 
+def breed(genomes, space, rate=0.0, fitnesses=None, k=1, size=None, seed=0):
+    """``next_generation`` on ``genomes``; the bred children's genes, elite dropped.
+
+    ``size`` defaults to one pair of children (``population`` 3), raised to
+    at least ``k`` so the config is valid.
+    """
+    population = [Individual(tuple(genes)) for genes in genomes]
+    if fitnesses is None:
+        fitnesses = [0.5] * len(population)
+    config = GAConfig(
+        population=max(size or 3, k), tournament_k=k, mutation_rate=rate
+    )
+    children = next_generation(population, fitnesses, space, config, random.Random(seed))
+    return [child.genes for child in children[:-1]]
+
+
+def one_act_space(width=1):
+    return SearchSpace(per_act_slots=(block("E01", [(day, 540) for day in range(width)]),))
+
+
 class TestTournamentSelect:
     def test_population_of_one(self):
-        population = [Individual((0,))]
-        config = GAConfig(population=1, tournament_k=1)
-        winner = tournament_select(population, [0.5], config, random.Random(0))
-        assert winner is population[0]
+        assert breed([(0,)], one_act_space()) == [(0,), (0,)]
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            tournament_select([], [], GAConfig(), random.Random(0))
+            next_generation([], [], toy_space(), GAConfig(), random.Random(0))
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -335,44 +350,53 @@ class TestTournamentSelect:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_winner_is_best_of_sample_tie_to_lowest_index(self, fitnesses, k, seed):
+        # One act, so no cut is drawn, and rate 0: the first child is the
+        # first tournament's winner.
         n = len(fitnesses)
         k = min(k, n)
-        population = [Individual((i,)) for i in range(n)]
-        config = GAConfig(population=n, tournament_k=k)
-        winner = tournament_select(population, fitnesses, config, random.Random(seed))
+        genomes = [(i,) for i in range(n)]
+        first = breed(genomes, one_act_space(), fitnesses=fitnesses, k=k, seed=seed)[0]
         draws = replay_draws(seed, n, k)
-        expected = min(draws, key=lambda i: (-fitnesses[i], i))
-        assert winner is population[expected]
+        assert first == genomes[min(draws, key=lambda i: (-fitnesses[i], i))]
 
     def test_uniform_fitness_returns_lowest_sampled_index(self):
-        n, k, seed = 10, 7, 123
-        population = [Individual((i,)) for i in range(n)]
-        config = GAConfig(population=n, tournament_k=k)
-        for trial_seed in range(200):
-            winner = tournament_select(
-                population, [0.5] * n, config, random.Random(trial_seed)
-            )
-            assert winner is population[min(replay_draws(trial_seed, n, k))]
+        n, k = 10, 7
+        genomes = [(i,) for i in range(n)]
+        for seed in range(200):
+            first = breed(genomes, one_act_space(), k=k, seed=seed)[0]
+            assert first == genomes[min(replay_draws(seed, n, k))]
 
 
 class TestCrossover:
     def test_identical_parents_clone(self):
-        parent = Individual((1, 2, 3))
-        child_a, child_b = crossover(parent, parent, random.Random(0))
-        assert child_a == parent and child_b == parent
+        assert breed([(1, 2, 3)], toy_space()) == [(1, 2, 3), (1, 2, 3)]
 
     def test_two_act_swap(self):
-        a, b = Individual((1, 2)), Individual((3, 4))
-        child_a, child_b = crossover(a, b, random.Random(0))
-        assert child_a.genes == (1, 4)
-        assert child_b.genes == (3, 2)
+        space = SearchSpace(per_act_slots=toy_space().per_act_slots[:2])
+        genomes = [(1, 2), (3, 4)]
+        swapped = 0
+        for seed in range(20):
+            a, b = replay_draws(seed, 2, 2)
+            children = breed(genomes, space, seed=seed)
+            assert children == [(genomes[a][0], genomes[b][1]), (genomes[b][0], genomes[a][1])]
+            swapped += a != b
+        assert swapped
 
     def test_single_act_passes_through(self):
-        a, b = Individual((1,)), Individual((2,))
+        # Each child is its tournament's winner, and no cut is drawn: the
+        # stream after breeding is two tournament draws and two mutation
+        # draws.
+        genomes = [(1,), (2,)]
         rng = random.Random(0)
-        child_a, child_b = crossover(a, b, rng)
-        assert child_a is a and child_b is b
-        assert rng.getstate() == random.Random(0).getstate()  # no draw consumed
+        config = GAConfig(population=3, tournament_k=1, mutation_rate=0.0)
+        children = next_generation(
+            [Individual(g) for g in genomes], [0.5, 0.5], one_act_space(3), config, rng
+        )
+        replay = random.Random(0)
+        a, b = replay.randrange(2), replay.randrange(2)
+        replay.random(), replay.random()
+        assert [child.genes for child in children[:2]] == [genomes[a], genomes[b]]
+        assert rng.getstate() == replay.getstate()
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -387,43 +411,39 @@ class TestCrossover:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_cut_at_block_boundary_preserves_blocks(self, genes, seed):
-        a = Individual(tuple(pair[0] for pair in genes))
-        b = Individual(tuple(pair[1] for pair in genes))
-        child_a, child_b = crossover(a, b, random.Random(seed))
         n = len(genes)
-        cut = random.Random(seed).randrange(1, n)
-        assert child_a.genes == a.genes[:cut] + b.genes[cut:]
-        assert child_b.genes == b.genes[:cut] + a.genes[cut:]
+        space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]),) * n)
+        genomes = [tuple(pair[0] for pair in genes), tuple(pair[1] for pair in genes)]
+        child_a, child_b = breed(genomes, space, seed=seed)
+        replay = random.Random(seed)
+        a, b = genomes[replay.randrange(2)], genomes[replay.randrange(2)]
+        cut = replay.randrange(1, n)
+        assert child_a == a[:cut] + b[cut:]
+        assert child_b == b[:cut] + a[cut:]
         for i in range(n):
-            assert child_a.genes[i] in (a.genes[i], b.genes[i])
-            assert child_b.genes[i] in (a.genes[i], b.genes[i])
+            assert child_a[i] in (a[i], b[i])
+            assert child_b[i] in (a[i], b[i])
 
 
 class TestMutate:
     def test_rate_zero_is_identity(self):
-        space = toy_space()
-        child = Individual((0, 1, 2))
-        config = GAConfig(mutation_rate=0.0)
         for seed in range(50):
-            assert mutate(child, space, config, random.Random(seed)) is child
+            assert breed([(0, 1, 2)], toy_space(), size=9, seed=seed) == [(0, 1, 2)] * 8
 
     def test_singleton_block_redraw_keeps_value(self):
-        space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]),))
-        child = Individual((0,))
-        config = GAConfig(mutation_rate=1.0)
-        mutated = mutate(child, space, config, random.Random(0))
-        assert mutated.genes == (0,)
+        assert breed([(0,)], one_act_space(), rate=1.0) == [(0,), (0,)]
 
     def test_mutation_frequency_within_one_percent(self):
-        # Non-empty blocks, so a triggered mutation always returns a new object.
-        space = toy_space()
-        child = Individual((0, 0, 0))
-        config = GAConfig(mutation_rate=0.10)
-        rng = random.Random(99)
-        mutated = sum(
-            1 for _ in range(10_000) if mutate(child, space, config, rng) is not child
-        )
+        # Genes start unassigned over non-empty blocks, so every triggered
+        # mutation shows as one assigned gene.
+        children = breed([(None, None, None)], toy_space(), rate=0.10, size=10_001, seed=99)
+        mutated = sum(1 for genes in children if genes != (None, None, None))
+        assert len(children) == 10_000
         assert abs(mutated / 10_000 - 0.10) <= 0.01
+
+    def test_without_genes_rejected(self):
+        with pytest.raises(ValueError):
+            breed([()], SearchSpace(per_act_slots=()), rate=1.0)
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -436,14 +456,11 @@ class TestMutate:
     )
     def test_changes_at_most_one_gene_within_block_range(self, genes, seed):
         space = toy_space()
-        child = Individual(genes)
-        mutated = mutate(child, space, GAConfig(), random.Random(seed))
-        differing = [
-            i for i in range(3) if mutated.genes[i] != child.genes[i]
-        ]
-        assert len(differing) <= 1
-        for i in differing:
-            assert 0 <= mutated.genes[i] < len(space.per_act_slots[i])
+        for child in breed([genes], space, rate=GAConfig().mutation_rate, size=9, seed=seed):
+            differing = [i for i in range(3) if child[i] != genes[i]]
+            assert len(differing) <= 1
+            for i in differing:
+                assert 0 <= child[i] < len(space.per_act_slots[i])
 
 
 class TestNextGeneration:
@@ -789,21 +806,29 @@ MUTATION_RATES = st.one_of(
 )
 
 
+def assert_breeding_replays(genomes, fitnesses, space, config, seed):
+    """``next_generation`` equals the oracle's children and stream, three times over."""
+    population = [Individual(genes) for genes in genomes]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert next_generation(
+            population, fitnesses, space, config, ours
+        ) == oracle_next_generation(population, fitnesses, space, config, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
 class TestBreedingReplaysRandrange:
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data(), seed=SEEDS)
     def test_tournament_select(self, data, seed):
+        # One act and rate 0: the stream is tournament draws and the
+        # mutation draw of each child.
         fitnesses = data.draw(st.lists(TIED_FITNESSES, min_size=1, max_size=12))
         n = len(fitnesses)
         k = data.draw(st.integers(min_value=1, max_value=n))
-        population = [Individual((i,)) for i in range(n)]
-        config = GAConfig(population=n, tournament_k=k)
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(3):
-            assert tournament_select(
-                population, fitnesses, config, ours
-            ) is oracle_tournament_select(population, fitnesses, config, theirs)
-        assert ours.getstate() == theirs.getstate()
+        config = GAConfig(population=max(n, 2), tournament_k=k, mutation_rate=0.0)
+        genomes = [(i,) for i in range(n)]
+        assert_breeding_replays(genomes, fitnesses, one_act_space(), config, seed)
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -818,34 +843,30 @@ class TestBreedingReplaysRandrange:
         seed=SEEDS,
     )
     def test_crossover(self, genes, seed):
-        a = Individual(tuple(pair[0] for pair in genes))
-        b = Individual(tuple(pair[1] for pair in genes))
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(3):
-            assert crossover(a, b, ours) == oracle_crossover(a, b, theirs)
-        assert ours.getstate() == theirs.getstate()
+        space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]),) * len(genes))
+        genomes = [tuple(pair[0] for pair in genes), tuple(pair[1] for pair in genes)]
+        config = GAConfig(population=3, tournament_k=1, mutation_rate=0.0)
+        assert_breeding_replays(genomes, [0.5, 0.5], space, config, seed)
 
     @settings(max_examples=1000, deadline=None)
     @given(data=st.data(), rate=MUTATION_RATES, seed=SEEDS)
     def test_mutate(self, data, rate, seed):
+        # One parent genome, so crossover reproduces it and each child shows
+        # only its mutation.
         space = data.draw(spaces())
         child = genomes(data.draw, space)
-        config = GAConfig(mutation_rate=rate)
-        ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(3):
-            assert mutate(child, space, config, ours) == oracle_mutate(
-                child, space, config, theirs
-            )
-        assert ours.getstate() == theirs.getstate()
+        config = GAConfig(population=3, tournament_k=1, mutation_rate=rate)
+        assert_breeding_replays([child.genes], [0.5], space, config, seed)
 
     def test_mutate_without_genes_rejected(self):
-        config = GAConfig(mutation_rate=1.0)
+        config = GAConfig(population=3, tournament_k=1, mutation_rate=1.0)
         space = SearchSpace(per_act_slots=())
+        population = [Individual(())]
         ours, theirs = random.Random(0), random.Random(0)
         with pytest.raises(ValueError):
-            mutate(Individual(()), space, config, ours)
+            next_generation(population, [0.5], space, config, ours)
         with pytest.raises(ValueError):
-            oracle_mutate(Individual(()), space, config, theirs)
+            oracle_next_generation(population, [0.5], space, config, theirs)
         assert ours.getstate() == theirs.getstate()
 
     @settings(max_examples=1000, deadline=None)
@@ -919,27 +940,34 @@ class TestBreedingReplaysRandrange:
             assert ours.getstate() == theirs.getstate()
 
 
-# The fitness memo and one-gene polish as they were before the polish moved
-# to key arithmetic: the oracle the shared memo's ``score`` and ``polish``
-# must replay, evaluator call for evaluator call.
+# The fitness memo's ``score`` as it was before it scored whole populations,
+# and the one-gene polish as it was before it moved to key arithmetic: the
+# oracles the shared memo's ``score`` and ``polish`` must replay, evaluator
+# call for evaluator call.
 
 
 def oracle_scorer(space, evaluate, limit):
     radices = [max(1, len(block)) for block in space.per_act_slots]
     memo = {}
 
-    def score(genes):
+    def key_of(genes):
         key = 0
         for gene, radix in zip(genes, radices):
             key = key * radix + (gene or 0)
-        value = memo.get(key)
-        if value is None:
-            if len(memo) >= limit:
-                memo.clear()
-            value = memo[key] = evaluate(Individual(genes))
+        return key
+
+    def fill(key, genes):
+        if len(memo) >= limit:
+            memo.clear()
+        value = memo[key] = evaluate(Individual(genes))
         return value
 
-    return score
+    def score(genes):
+        key = key_of(genes)
+        value = memo.get(key)
+        return fill(key, genes) if value is None else value
+
+    return score, key_of
 
 
 def oracle_polish(genes, value, space, score):
@@ -970,6 +998,47 @@ def recording_evaluator(seed):
     return evaluate, calls
 
 
+class TestPopulationScorerReplaysOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), limit=st.integers(min_value=1, max_value=12), seed=SEEDS)
+    def test_same_values_and_evaluator_calls(self, data, limit, seed):
+        # Populations are drawn from a small pool, so genomes repeat within
+        # and across generations.
+        space = data.draw(spaces(max_acts=4))
+        pool = [genomes(data.draw, space) for _ in range(data.draw(st.integers(1, 6)))]
+        generations = data.draw(
+            st.lists(st.lists(st.sampled_from(pool), max_size=10), max_size=5)
+        )
+        recording, calls = recording_evaluator(seed)
+        oracle_evaluate, oracle_calls = recording_evaluator(seed)
+        evaluated = []
+
+        def evaluate(individual):
+            evaluated.append(individual)
+            return recording(individual)
+
+        with patch.object(ga, "MEMO_LIMIT", limit):
+            score, _ = ga._memoised(space, evaluate)
+            oracle_score, _ = oracle_scorer(space, oracle_evaluate, limit)
+            for population in generations:
+                assert score(population) == [oracle_score(i.genes) for i in population]
+        assert calls == oracle_calls
+        # Each miss evaluates the population's own individual.
+        assert all(any(i is p for p in pool) for i in evaluated)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_genome_key_equals_mixed_radix_loop(self, data):
+        space = data.draw(spaces())
+        _, key_of = oracle_scorer(space, None, 1)
+        places = ga._key_places(space)
+        for _ in range(5):
+            genes = genomes(data.draw, space).genes
+            assert genome_key(genes, places) == key_of(genes)
+        # Every block unassigned, empty blocks included, is key 0.
+        assert genome_key((None,) * space.act_count, places) == 0
+
+
 class TestPolishReplaysOracle:
     @settings(max_examples=500, deadline=None)
     @given(
@@ -985,15 +1054,15 @@ class TestPolishReplaysOracle:
         oracle_evaluate, oracle_calls = recording_evaluator(seed)
         with patch.object(ga, "MEMO_LIMIT", limit):
             score, polish = ga._memoised(space, evaluate)
-            oracle_score = oracle_scorer(space, oracle_evaluate, limit)
-            assert [score(genes) for genes in warm] == [oracle_score(g) for g in warm]
+            oracle_score, _ = oracle_scorer(space, oracle_evaluate, limit)
+            assert score([Individual(g) for g in warm]) == [oracle_score(g) for g in warm]
             for genes in starts:
-                value = score(genes)
+                [value] = score([Individual(genes)])
                 assert value == oracle_score(genes)
                 assert polish(genes, value) == oracle_polish(
                     genes, value, space, oracle_score
                 )
-            assert [score(genes) for genes in warm] == [oracle_score(g) for g in warm]
+            assert score([Individual(g) for g in warm]) == [oracle_score(g) for g in warm]
         assert calls == oracle_calls
 
 
