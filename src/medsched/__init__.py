@@ -35,9 +35,7 @@ from .ga import (
     filter_search_space,
 )
 from .metrics import (
-    ConstraintFlags,
     SolutionMetrics,
-    constraint_fulfillment,
     idle_time_ratio,
     mann_whitney_u,
     solution_metrics,
@@ -64,7 +62,6 @@ __all__ = [
     "ActOrder",
     "BenchConfig",
     "BenchResult",
-    "ConstraintFlags",
     "EvolveResult",
     "ExamType",
     "Facility",
@@ -91,7 +88,6 @@ __all__ = [
     "check_incompatibilities",
     "check_travel_gaps",
     "compute_penalties",
-    "constraint_fulfillment",
     "evolve",
     "fcfs_schedule",
     "filter_search_space",

@@ -17,6 +17,7 @@ from .model import (
     IncompatibilityRule,
     RuleLogic,
     ScheduleRequest,
+    SlotTable,
     Specialty,
     TimeSlot,
 )
@@ -70,13 +71,24 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class World:
-    """A fully generated instance: catalog, rules, facilities and slot inventory."""
+    """A fully generated instance: catalog, rules, facilities and slot inventory.
+
+    ``slots`` is always a ``SlotTable``, so every request filtered against
+    one world shares that world's per-exam index.  ``generate_world`` and
+    ``worldio.world_from_dict`` build the table directly; any other slot
+    sequence, from a hand-built world or ``dataclasses.replace``, is copied
+    into a new table, which starts with no index.
+    """
 
     config: WorldConfig
     exams: tuple[ExamType, ...]
     rules: tuple[IncompatibilityRule, ...]
     facilities: tuple[Facility, ...]
-    slots: tuple[TimeSlot, ...] = field(repr=False)
+    slots: SlotTable = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.slots, SlotTable):
+            object.__setattr__(self, "slots", SlotTable(self.slots))
 
 
 def _stream(config: WorldConfig, label: str, seed: int | None = None) -> random.Random:
@@ -247,5 +259,5 @@ def generate_world(config: WorldConfig) -> World:
         exams=tuple(catalog),
         rules=tuple(generate_rules(catalog, config)),
         facilities=tuple(generate_facilities(config)),
-        slots=tuple(generate_slots(catalog, config)),
+        slots=SlotTable(generate_slots(catalog, config)),
     )

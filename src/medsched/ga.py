@@ -14,7 +14,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, getitem, mul
+from operator import getitem, mul
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
@@ -34,6 +34,7 @@ from .model import (
     RuleLogic,
     Schedule,
     ScheduleRequest,
+    SlotTable,
     TimeSlot,
 )
 
@@ -113,25 +114,29 @@ def filter_search_space(
 ) -> SearchSpace:
     """Candidate slots per act: exam match, on/after start day, preference filters.
 
-    One pass over ``slots`` sorts each into its exam's block; acts naming the
-    same exam share one block.  Empty blocks are legal; the act then
-    surfaces as a missing-slot penalty downstream rather than an error here.
+    Each distinct exam's block is read from a ``SlotTable``: one bisection
+    of that exam's starts at ``start_day``'s first minute, then a slice of
+    its slots, already sorted by (start, id).  The facility and practitioner
+    filters run only when the request sets them, and only over that slice.
+    A world's table keeps its per-exam index, so requests after the first
+    never look at other exams' slots; any other iterable is indexed in a
+    throwaway table.  Acts naming the same exam share one block.  Empty
+    blocks are legal; the act then surfaces as a missing-slot penalty
+    downstream rather than an error here.
     """
+    table = slots if isinstance(slots, SlotTable) else SlotTable(slots)
     facilities = request.preferred_facilities
     practitioners = request.preferred_practitioners
     earliest = request.start_day * MINUTES_PER_DAY  # a slot's day >= start_day
-    by_exam: dict[str, list[TimeSlot]] = {exam: [] for exam in request.acts}
-    for slot in slots:
-        block = by_exam.get(slot.exam)
-        if (
-            block is not None
-            and slot.start >= earliest
-            and (facilities is None or slot.facility in facilities)
-            and (practitioners is None or slot.practitioner in practitioners)
-        ):
-            block.append(slot)
-    by_start = attrgetter("start", "id")
-    blocks = {exam: tuple(sorted(block, key=by_start)) for exam, block in by_exam.items()}
+    blocks: dict[str, tuple[TimeSlot, ...]] = {}
+    for exam in dict.fromkeys(request.acts):
+        starts, block = table.exam_slots(exam)
+        block = block[bisect_left(starts, earliest) :]
+        if facilities is not None:
+            block = tuple([slot for slot in block if slot.facility in facilities])
+        if practitioners is not None:
+            block = tuple([slot for slot in block if slot.practitioner in practitioners])
+        blocks[exam] = block
     return SearchSpace(per_act_slots=tuple(blocks[exam] for exam in request.acts))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .constraints import (
     check_incompatibilities,
@@ -27,13 +27,6 @@ class SolutionMetrics:
 
     itr: float | None
     trips: int
-    overlap_ok: bool
-    compatibility_ok: bool
-    travel_ok: bool
-    fully_scheduled: bool
-
-
-class ConstraintFlags(NamedTuple):
     overlap_ok: bool
     compatibility_ok: bool
     travel_ok: bool
@@ -59,30 +52,17 @@ def trip_count(schedule: Schedule) -> int:
     return len(segment_trips(schedule).segments)
 
 
-def constraint_fulfillment(
+def solution_metrics(
     schedule: Schedule, rules: Iterable[IncompatibilityRule], act_count: int
-) -> ConstraintFlags:
-    """Flags for the three scheduling constraints plus full coverage of the request."""
-    return ConstraintFlags(
+) -> SolutionMetrics:
+    """ITR, trip count, the three constraint flags and full coverage of the request."""
+    return SolutionMetrics(
+        itr=idle_time_ratio(schedule),
+        trips=trip_count(schedule) if schedule.assignments else 0,
         overlap_ok=not find_overlaps(schedule),
         compatibility_ok=not check_incompatibilities(schedule, rules),
         travel_ok=not check_travel_gaps(schedule),
         fully_scheduled=len(schedule) == act_count,
-    )
-
-
-def solution_metrics(
-    schedule: Schedule, rules: Iterable[IncompatibilityRule], act_count: int
-) -> SolutionMetrics:
-    """Bundle ITR, trip count and constraint flags for one solution."""
-    flags = constraint_fulfillment(schedule, rules, act_count)
-    return SolutionMetrics(
-        itr=idle_time_ratio(schedule),
-        trips=trip_count(schedule) if schedule.assignments else 0,
-        overlap_ok=flags.overlap_ok,
-        compatibility_ok=flags.compatibility_ok,
-        travel_ok=flags.travel_ok,
-        fully_scheduled=flags.fully_scheduled,
     )
 
 

@@ -8,9 +8,10 @@ boundary do not overlap.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Any, Iterable
 
 MINUTES_PER_DAY = 1440
@@ -127,6 +128,52 @@ class TimeSlot(
     @property
     def minute_of_day(self) -> int:
         return self.start % MINUTES_PER_DAY
+
+
+# A slot's start and id, read by position: a slot is a tuple, and these C
+# getters make a sort key far cheaper than ``attrgetter`` or a key tuple.
+_START = itemgetter(TimeSlot._fields.index("start"))
+_ID = itemgetter(TimeSlot._fields.index("id"))
+
+
+def _index_exam(group: list[TimeSlot]) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
+    """One exam's slots sorted by (start, id), with their starts."""
+    group.sort(key=_ID)
+    group.sort(key=_START)  # stable, so equal starts stay in id order
+    return tuple(map(_START, group)), tuple(group)
+
+
+class SlotTable(tuple):
+    """A slot inventory that finds each exam's slots without rescanning.
+
+    To every reader it is the plain tuple of its slots: ``len``, iteration,
+    indexing, equality and hashing are the tuple's.  ``exam_slots`` adds an
+    index, built lazily and kept: the first call groups the slots by exam in
+    one pass, and each exam's group is sorted by (start, id) the first time
+    that exam is asked for.  The index lives in the instance ``__dict__``
+    and is a cache only; ``pickle`` and ``copy`` rebuild the table from its
+    slots, so a copy starts with no index.
+    """
+
+    def exam_slots(self, exam: str) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
+        """``exam``'s slots sorted by (start, id), with their starts.
+
+        An exam with no slots gives two empty tuples.
+        """
+        try:
+            return self._exams[exam]
+        except KeyError:
+            pass
+        except AttributeError:
+            groups = self._groups = defaultdict(list)
+            for slot in self:
+                groups[slot.exam].append(slot)
+            self._exams = {}
+        indexed = self._exams[exam] = _index_exam(self._groups.pop(exam, []))
+        return indexed
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[TimeSlot, ...]]]:
+        return type(self), (tuple(self),)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .model import (
     RuleLogic,
     Schedule,
     ScheduleRequest,
+    SlotTable,
     Specialty,
     TimeSlot,
 )
@@ -154,7 +155,7 @@ def _slots_from_list(
             and set(exams) <= exam_ids
             and set(zip(facilities, room_names)) <= rooms
         ):
-            return tuple(map(TimeSlot, *columns))
+            return SlotTable(map(TimeSlot, *columns))
     except (TypeError, ValueError, KeyError):
         pass
     build = partial(

@@ -1,18 +1,21 @@
 """Evolutionary engine: encoding, operators, generation loop."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from bisect import bisect_left
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsched import ga
+from medsched import ga, model
 from medsched.constraints import optimal_act_order
-from medsched.datagen import generate_request
+from medsched.datagen import WorldConfig, generate_request, generate_world
 from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
     EvolveResult,
@@ -35,7 +38,9 @@ from medsched.model import (
     IncompatibilityRule,
     RuleLogic,
     ScheduleRequest,
+    SlotTable,
 )
+from medsched.worldio import load_world, save_world
 
 from conftest import make_slot
 
@@ -125,8 +130,86 @@ class TestFilterSearchSpace:
         request = data.draw(filter_requests())
         expected = reference_filter_search_space(slots, request)
         assert filter_search_space(slots, request) == expected
-        # Any iterable will do: the filter walks its input once.
+        # Any iterable will do: it is indexed in a throwaway table.
         assert filter_search_space(iter(slots), request) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_table_answers_many_requests(self, data):
+        # Requests vary start_day (past the slots' last day too), preference
+        # sets and repeated acts, and name "E9", which no slot has.
+        slots = data.draw(st.lists(filter_slots(), max_size=40))
+        requests = data.draw(st.lists(filter_requests(), min_size=1, max_size=12))
+        table = SlotTable(slots)
+        for request in requests:
+            expected = reference_filter_search_space(slots, request)
+            assert filter_search_space(table, request) == expected
+
+    def test_world_table_equals_reference(self):
+        world = generate_world(WorldConfig(seed=5, horizon_days=4))
+        for seed in range(12):
+            request = replace(
+                generate_request(list(world.exams), world.config, 6, seed=seed),
+                start_day=seed % 5,
+            )
+            if seed % 3 == 1:
+                request = replace(request, preferred_facilities=frozenset({"F2", "F3"}))
+            if seed % 4 == 2:
+                request = replace(request, preferred_practitioners=frozenset({"P1"}))
+            expected = reference_filter_search_space(world.slots, request)
+            assert filter_search_space(world.slots, request) == expected
+
+
+class TestWorldSlotIndex:
+    """A world's ``SlotTable`` indexes each exam once and is otherwise a tuple."""
+
+    def test_index_built_once_per_exam(self):
+        world = generate_world(WorldConfig(seed=11, horizon_days=3))
+        requests = [
+            generate_request(list(world.exams), world.config, 5, seed=seed)
+            for seed in range(30)
+        ]
+        exams = {exam for request in requests for exam in request.acts}
+        with patch.object(model, "_index_exam", wraps=model._index_exam) as build:
+            first = [filter_search_space(world.slots, r) for r in requests]
+            assert build.call_count == len(exams)
+            again = [filter_search_space(world.slots, r) for r in requests]
+            assert build.call_count == len(exams)
+        assert again == first
+
+    def test_replaced_slots_get_their_own_index(self):
+        world = generate_world(WorldConfig(seed=11, horizon_days=3))
+        request = generate_request(list(world.exams), world.config, 5, seed=1)
+        filter_search_space(world.slots, request)
+        for slots in (world.slots[:200], list(world.slots)[::-1]):
+            other = replace(world, slots=slots)
+            assert type(other.slots) is SlotTable
+            assert other.slots is not world.slots
+            assert vars(other.slots) == {}
+            expected = reference_filter_search_space(slots, request)
+            assert filter_search_space(other.slots, request) == expected
+
+    def test_index_is_invisible(self, tmp_path):
+        world = generate_world(WorldConfig(seed=11, horizon_days=3))
+        save_world(world, tmp_path / "before.json")
+        for seed in range(10):
+            request = generate_request(list(world.exams), world.config, 5, seed=seed)
+            filter_search_space(world.slots, request)
+        assert vars(world.slots)
+        loaded = load_world(tmp_path / "before.json")
+        assert world == loaded
+        assert hash(world) == hash(loaded)
+        save_world(world, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        copies = [
+            pickle.loads(pickle.dumps(world, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        copies += [copy.deepcopy(world), replace(world, slots=copy.copy(world.slots))]
+        for other in copies:
+            assert other == world
+            assert type(other.slots) is SlotTable
+            assert vars(other.slots) == {}
 
 
 def reference_filter_search_space(slots, request):

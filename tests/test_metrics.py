@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsched.metrics import (
-    constraint_fulfillment,
     idle_time_ratio,
     mann_whitney_u,
     solution_metrics,
@@ -98,28 +97,34 @@ class TestTripCount:
             trip_count(Schedule(assignments=()))
 
 
+def flags(schedule, rules, act_count):
+    """The four constraint flags ``solution_metrics`` reports."""
+    metrics = solution_metrics(schedule, rules, act_count)
+    return (
+        metrics.overlap_ok,
+        metrics.compatibility_ok,
+        metrics.travel_ok,
+        metrics.fully_scheduled,
+    )
+
+
 class TestConstraintFulfillment:
     def test_empty_schedule_zero_acts_all_true(self):
-        flags = constraint_fulfillment(Schedule(assignments=()), [], 0)
-        assert flags == (True, True, True, True)
+        assert flags(Schedule(assignments=()), [], 0) == (True, True, True, True)
 
     def test_overlap_only_flips_one_flag(self):
         schedule = make_schedule(
             make_slot(id="A", start=540, duration=60),
             make_slot(id="B", start=570, duration=60),
         )
-        flags = constraint_fulfillment(schedule, [], 2)
-        assert flags.overlap_ok is False
-        assert flags.compatibility_ok is True
-        assert flags.travel_ok is True
-        assert flags.fully_scheduled is True
+        assert flags(schedule, [], 2) == (False, True, True, True)
 
     def test_travel_gap_just_under_three_hours(self):
         schedule = make_schedule(
             make_slot(id="A", facility="F1", start=540, duration=60),
             make_slot(id="B", facility="F2", start=600 + 179, duration=30),
         )
-        assert constraint_fulfillment(schedule, [], 2).travel_ok is False
+        assert flags(schedule, [], 2) == (True, True, False, True)
 
     def test_incompatibility_flag(self):
         schedule = make_schedule(
@@ -131,11 +136,11 @@ class TestConstraintFulfillment:
                 first="E01", second="E02", logic=RuleLogic.BOTH, gap_minutes=60
             )
         ]
-        assert constraint_fulfillment(schedule, rules, 2).compatibility_ok is False
+        assert flags(schedule, rules, 2) == (True, False, True, True)
 
     def test_partial_schedule_not_fully_scheduled(self):
         schedule = make_schedule(make_slot(id="A", start=540))
-        assert constraint_fulfillment(schedule, [], 2).fully_scheduled is False
+        assert flags(schedule, [], 2) == (True, True, True, False)
 
 
 class TestSolutionMetrics:
