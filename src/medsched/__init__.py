@@ -11,10 +11,6 @@ from .baselines import fcfs_schedule, random_schedule
 from .bench import ALL_ALGORITHMS, BenchConfig, BenchResult, run_bench, write_bench_csvs
 from .constraints import (
     ActOrder,
-    Trip,
-    TripSegmentation,
-    Violation,
-    ViolationKind,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -50,7 +46,6 @@ from .model import (
     ScheduleRequest,
     Specialty,
     TimeSlot,
-    gap_minutes,
     slots_overlap,
 )
 from .worldio import load_request, load_world, save_request, save_world
@@ -77,12 +72,8 @@ __all__ = [
     "SolutionMetrics",
     "Specialty",
     "TimeSlot",
-    "Trip",
-    "TripSegmentation",
     "UnschedulableError",
     "Variant",
-    "Violation",
-    "ViolationKind",
     "World",
     "WorldConfig",
     "check_incompatibilities",
@@ -93,7 +84,6 @@ __all__ = [
     "filter_search_space",
     "find_overlaps",
     "fitness",
-    "gap_minutes",
     "generate_request",
     "generate_world",
     "idle_time_ratio",

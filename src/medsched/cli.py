@@ -43,9 +43,6 @@ from .worldio import (
     write_csv,
 )
 
-SOLVE_ALGORITHMS = ("ga",) + ALL_ALGORITHMS
-
-
 def _env_seed() -> int:
     raw = os.environ.get("MEDSCHED_SEED", "42")
     try:
@@ -111,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=".", help="output directory")
     p_solve.add_argument("--world", default=None, help="world.json path")
     p_solve.add_argument("--request", default=None, help="request.json path")
-    p_solve.add_argument(
-        "--algo", choices=SOLVE_ALGORITHMS, default="ga", help="ga is ga-ordered"
-    )
+    p_solve.add_argument("--algo", choices=ALL_ALGORITHMS, default="ga-ordered")
     _add_request_flags(p_solve)
     _add_ga_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
@@ -192,10 +187,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             f"no candidate slots for any act of {list(request.acts)}"
         )
 
-    algorithm = "ga-ordered" if args.algo == "ga" else args.algo
     ga = _ga_config(args, seed)
     schedule, history = run_algorithm(
-        algorithm, world, request, ga, ga_seed=seed, random_seed=seed
+        args.algo, world, request, ga, ga_seed=seed, random_seed=seed
     )
     penalties = compute_penalties(schedule, request, world.rules)
     score = fitness(penalties)
@@ -204,7 +198,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_request(request, out_dir / "request.json")
-    document = solution_to_dict(algorithm, request, schedule, penalties, score, metrics)
+    document = solution_to_dict(args.algo, request, schedule, penalties, score, metrics)
     save_solution(document, out_dir / "solution.json")
     written = ["request.json", "solution.json"]
     if history is not None:
@@ -215,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         written.append("convergence.csv")
     print(
-        f"{algorithm}: fitness {score:.6f}, {len(schedule)}/{len(request.acts)} acts "
+        f"{args.algo}: fitness {score:.6f}, {len(schedule)}/{len(request.acts)} acts "
         f"scheduled, penalties {penalties.total():.1f} -> "
         + ", ".join(str(out_dir / name) for name in written)
     )

@@ -10,40 +10,12 @@ slot's start; trip boundaries trigger on a gap strictly greater than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .model import IncompatibilityRule, RuleLogic, Schedule, TimeSlot, slots_overlap
 
 TRIP_GAP_MINUTES = 120
 TRAVEL_GAP_MINUTES = 180
-
-
-class ViolationKind(str, Enum):
-    OVERLAP = "overlap"
-    INCOMPATIBILITY = "incompatibility"
-    TRAVEL_GAP = "travel_gap"
-    MISSING_SLOT = "missing_slot"
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    acts: tuple[int, ...]
-    detail: str
-
-
-@dataclass(frozen=True)
-class Trip:
-    """A maximal chronological run of assignments at one facility."""
-
-    facility: str
-    assignments: tuple[tuple[int, TimeSlot], ...]
-
-
-@dataclass(frozen=True)
-class TripSegmentation:
-    segments: tuple[Trip, ...]
 
 
 @dataclass(frozen=True)
@@ -58,8 +30,8 @@ class ActOrder:
     has_cycle: bool
 
 
-def find_overlaps(schedule: Schedule) -> list[Violation]:
-    """One violation per unordered pair of assignments whose slots overlap."""
+def find_overlaps(schedule: Schedule) -> list[tuple[int, int]]:
+    """The act pair of each unordered pair of assignments whose slots overlap."""
     pairs = schedule.sorted_by_start()
     violations = []
     for i in range(len(pairs)):
@@ -69,13 +41,7 @@ def find_overlaps(schedule: Schedule) -> list[Violation]:
             if slot_j.start >= slot_i.end:
                 break  # starts are sorted: nothing later overlaps slot_i
             if slots_overlap(slot_i, slot_j):
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.OVERLAP,
-                        acts=(act_i, act_j),
-                        detail=f"{slot_i.id} overlaps {slot_j.id}",
-                    )
-                )
+                violations.append((act_i, act_j))
     return violations
 
 
@@ -87,8 +53,8 @@ def _separation(a: TimeSlot, b: TimeSlot) -> int:
 
 def check_incompatibilities(
     schedule: Schedule, rules: Iterable[IncompatibilityRule]
-) -> list[Violation]:
-    """One violation per (rule, assignment pair) whose separation breaks the rule.
+) -> list[tuple[int, int]]:
+    """The act pair of each (rule, assignment pair) whose separation breaks the rule.
 
     BEFORE and AFTER also fail when the pair is scheduled in the wrong order,
     not merely when the gap is too small.
@@ -113,61 +79,43 @@ def check_incompatibilities(
                 else:
                     ok = _separation(slot_1, slot_2) >= rule.gap_minutes
                 if not ok:
-                    violations.append(
-                        Violation(
-                            kind=ViolationKind.INCOMPATIBILITY,
-                            acts=(act_1, act_2),
-                            detail=(
-                                f"rule {rule.first} {rule.logic.value} {rule.second} "
-                                f"(gap {rule.gap_minutes}m) broken by {slot_1.id}/{slot_2.id}"
-                            ),
-                        )
-                    )
+                    violations.append((act_1, act_2))
     return violations
 
 
-def segment_trips(schedule: Schedule) -> TripSegmentation:
+def segment_trips(schedule: Schedule) -> tuple[tuple[tuple[int, TimeSlot], ...], ...]:
     """Split the chronological assignment sequence into trips.
 
-    A new trip starts on a facility change or on an idle gap strictly
-    greater than two hours.
+    Each trip is a maximal run of (act, slot) pairs at one facility.  A new
+    trip starts on a facility change or on an idle gap strictly greater than
+    two hours.
     """
     if not schedule.assignments:
         raise ValueError("cannot segment an empty schedule")
     ordered = schedule.sorted_by_start()
-    segments: list[Trip] = []
+    segments = []
     run = [ordered[0]]
     for prev, cur in zip(ordered, ordered[1:]):
         facility_change = cur[1].facility != prev[1].facility
         gap = cur[1].start - prev[1].end
         if facility_change or gap > TRIP_GAP_MINUTES:
-            segments.append(Trip(run[0][1].facility, tuple(run)))
+            segments.append(tuple(run))
             run = [cur]
         else:
             run.append(cur)
-    segments.append(Trip(run[0][1].facility, tuple(run)))
-    return TripSegmentation(segments=tuple(segments))
+    segments.append(tuple(run))
+    return tuple(segments)
 
 
-def check_travel_gaps(schedule: Schedule) -> list[Violation]:
-    """Flag consecutive assignments at different facilities with under 3h between."""
+def check_travel_gaps(schedule: Schedule) -> list[tuple[int, int]]:
+    """The act pair of each consecutive pair at different facilities under 3h apart."""
     ordered = schedule.sorted_by_start()
     violations = []
     for (act_a, slot_a), (act_b, slot_b) in zip(ordered, ordered[1:]):
         if slot_a.facility == slot_b.facility:
             continue
-        gap = slot_b.start - slot_a.end
-        if gap < TRAVEL_GAP_MINUTES:
-            violations.append(
-                Violation(
-                    kind=ViolationKind.TRAVEL_GAP,
-                    acts=(act_a, act_b),
-                    detail=(
-                        f"{gap}m between {slot_a.facility} and {slot_b.facility} "
-                        f"({slot_a.id} -> {slot_b.id})"
-                    ),
-                )
-            )
+        if slot_b.start - slot_a.end < TRAVEL_GAP_MINUTES:
+            violations.append((act_a, act_b))
     return violations
 
 

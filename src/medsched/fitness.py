@@ -63,7 +63,7 @@ def compute_penalties(
     hard = HARD_VIOLATION_PENALTY * (
         len(find_overlaps(schedule)) + len(check_incompatibilities(schedule, rules))
     )
-    trips = PER_TRIP_PENALTY * len(segment_trips(schedule).segments)
+    trips = PER_TRIP_PENALTY * len(segment_trips(schedule))
     travel = TRAVEL_GAP_PENALTY * len(check_travel_gaps(schedule))
 
     ordered = schedule.sorted_by_start()

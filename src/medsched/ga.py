@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import getitem, mul
 from statistics import fmean
@@ -100,7 +100,6 @@ class GenerationStats:
     generation: int
     best_fitness: float
     mean_fitness: float
-    best_individual: Individual = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -638,7 +637,6 @@ def evolve(
                 generation=generation,
                 best_fitness=fitnesses[best_idx],
                 mean_fitness=fmean(fitnesses),
-                best_individual=population[best_idx],
             )
         )
         if generation + 1 == config.generations:

@@ -49,7 +49,7 @@ def idle_time_ratio(schedule: Schedule) -> float | None:
 
 def trip_count(schedule: Schedule) -> int:
     """Number of trips (facility changes or >2h breaks) in the journey."""
-    return len(segment_trips(schedule).segments)
+    return len(segment_trips(schedule))
 
 
 def solution_metrics(
@@ -66,10 +66,12 @@ def solution_metrics(
     )
 
 
-def _average_ranks(values: Sequence[float]) -> list[float]:
+def _average_ranks(values: Sequence[float]) -> tuple[list[float], int]:
     # Fractional ranking: tied values share the mean of their rank positions.
+    # Also returns the tie term, the sum of t**3 - t over groups of t ties.
     order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
+    tie_term = 0
     i = 0
     while i < len(order):
         j = i
@@ -78,8 +80,10 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
         rank = (i + j) / 2 + 1
         for k in range(i, j + 1):
             ranks[order[k]] = rank
+        t = j - i + 1
+        tie_term += t**3 - t
         i = j + 1
-    return ranks
+    return ranks, tie_term
 
 
 def mann_whitney_u(
@@ -93,23 +97,13 @@ def mann_whitney_u(
     if not sample_a or not sample_b:
         raise ValueError("both samples must be non-empty")
     n_a, n_b = len(sample_a), len(sample_b)
-    ranks = _average_ranks(list(sample_a) + list(sample_b))
+    ranks, tie_term = _average_ranks(list(sample_a) + list(sample_b))
     rank_sum_a = sum(ranks[:n_a])
     u_a = rank_sum_a - n_a * (n_a + 1) / 2
     u_b = n_a * n_b - u_a
     u = min(u_a, u_b)
 
     n = n_a + n_b
-    tie_term = 0
-    i = 0
-    ordered = sorted(ranks)
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1] == ordered[i]:
-            j += 1
-        t = j - i + 1
-        tie_term += t**3 - t
-        i = j + 1
     variance = n_a * n_b / 12 * (n + 1 - tie_term / (n * (n - 1)))
     if variance <= 0:
         return u, 1.0

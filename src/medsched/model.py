@@ -125,10 +125,6 @@ class TimeSlot(
     def day(self) -> int:
         return self.start // MINUTES_PER_DAY
 
-    @property
-    def minute_of_day(self) -> int:
-        return self.start % MINUTES_PER_DAY
-
 
 # A slot's start and id, read by position: a slot is a tuple, and these C
 # getters make a sort key far cheaper than ``attrgetter`` or a key tuple.
@@ -218,16 +214,3 @@ class Schedule:
 def slots_overlap(a: TimeSlot, b: TimeSlot) -> bool:
     """True iff the half-open intervals of the two slots intersect."""
     return a.start < b.end and b.start < a.end
-
-
-def gap_minutes(earlier: TimeSlot, later: TimeSlot) -> int:
-    """Idle minutes between the end of ``earlier`` and the start of ``later``.
-
-    Back-to-back slots have a gap of 0.  Callers must order the pair first.
-    """
-    if earlier.end > later.start:
-        raise ValueError(
-            f"slots out of order: {earlier.id} ends at {earlier.end}, "
-            f"{later.id} starts at {later.start}"
-        )
-    return later.start - earlier.end

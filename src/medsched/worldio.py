@@ -2,16 +2,17 @@
 
 Instants appear twice in JSON: as the absolute minute offset (exact integer
 used by all arithmetic) and as a ``<day>T<minute-of-day>`` label such as
-``"3T630"`` (day 3, 10:30) for human readers.  JSON is dumped with sorted
-keys and a trailing newline so identical inputs produce byte-identical
-files; CSV uses LF line endings and '.' decimals.
+``"3T630"`` (day 3, 10:30) for human readers; a loaded slot's label must
+be the label of its offset.  JSON is dumped with sorted keys and a trailing
+newline so identical inputs produce byte-identical files; CSV uses LF line
+endings and '.' decimals.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -117,7 +118,12 @@ def _slot_from_dict(
     for value, (name, kind) in zip(values, _SLOT_COLUMNS):
         if type(value) is not kind:
             raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
-    slot_id, exam, facility, room = values[:4]
+    slot_id, exam, facility, room, _, start = values[:6]
+    if entry["start_label"] != instant_label(start):
+        raise ValueError(
+            f"start_label {entry['start_label']!r} is not {instant_label(start)!r}, "
+            f"the label of start {start}"
+        )
     if slot_id in seen_ids:
         raise ValueError(f"duplicate slot id {slot_id!r}")
     seen_ids.add(slot_id)
@@ -145,12 +151,14 @@ def _slots_from_list(
     items = list(items)  # walked once per column, and again on failure
     try:
         columns = [list(map(itemgetter(name), items)) for name, _ in _SLOT_COLUMNS]
-        ids, exams, facilities, room_names = columns[:4]
+        ids, exams, facilities, room_names, _, starts = columns[:6]
         if (
             all(
                 set(map(type, column)) <= {kind}
                 for column, (_, kind) in zip(columns, _SLOT_COLUMNS)
             )
+            and list(map(itemgetter("start_label"), items))
+            == list(map(instant_label, starts))
             and len(set(ids)) == len(items)
             and set(exams) <= exam_ids
             and set(zip(facilities, room_names)) <= rooms
@@ -263,8 +271,9 @@ def world_from_dict(document: dict[str, Any]) -> World:
     Any ``TypeError``, ``ValueError`` or ``KeyError`` raised while building
     is re-raised as that one error, so a wrongly typed, missing or
     out-of-range field never escapes as a bare Python exception.  Exam,
-    facility and slot ids must each be unique, and every exam, facility and
-    room a rule or slot names must be in the world.
+    facility and slot ids must each be unique, every exam, facility and
+    room a rule or slot names must be in the world, and each slot's
+    ``start_label`` must be the label of its ``start``.
     """
     entry = "config"
     try:
@@ -406,24 +415,9 @@ def solution_to_dict(
             {"act": act, "slot": _slot_to_dict(slot)}
             for act, slot in schedule.sorted_by_start()
         ],
-        "penalties": {
-            "missing_slot": penalties.missing_slot,
-            "hard_violations": penalties.hard_violations,
-            "trips": penalties.trips,
-            "travel_gap": penalties.travel_gap,
-            "wait": penalties.wait,
-            "lead": penalties.lead,
-            "total": penalties.total(),
-        },
+        "penalties": {**asdict(penalties), "total": penalties.total()},
         "fitness": score,
-        "metrics": {
-            "itr": metrics.itr,
-            "trips": metrics.trips,
-            "overlap_ok": metrics.overlap_ok,
-            "compatibility_ok": metrics.compatibility_ok,
-            "travel_ok": metrics.travel_ok,
-            "fully_scheduled": metrics.fully_scheduled,
-        },
+        "metrics": asdict(metrics),
     }
 
 

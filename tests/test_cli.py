@@ -359,6 +359,10 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert main(["solve", "--algo", "branch-and-bound"]) == 1
 
+    def test_ga_is_not_an_algorithm(self):
+        # ga-ordered is the default and has no shorter alias.
+        assert main(["solve", "--algo", "ga"]) == 1
+
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MEDSCHED_SEED", "9")
         assert main(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from medsched.constraints import (
     TRAVEL_GAP_MINUTES,
     TRIP_GAP_MINUTES,
-    ViolationKind,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -47,8 +46,7 @@ class TestFindOverlaps:
         )
         violations = find_overlaps(schedule)
         assert len(violations) == 3
-        assert all(v.kind is ViolationKind.OVERLAP for v in violations)
-        assert {frozenset(v.acts) for v in violations} == {
+        assert {frozenset(v) for v in violations} == {
             frozenset({0, 1}),
             frozenset({0, 2}),
             frozenset({1, 2}),
@@ -62,7 +60,7 @@ class TestFindOverlaps:
             )
         )
         (violation,) = find_overlaps(schedule)
-        assert set(violation.acts) == {7, 3}
+        assert set(violation) == {7, 3}
 
 
 class TestCheckIncompatibilities:
@@ -82,10 +80,7 @@ class TestCheckIncompatibilities:
             make_slot(id="B", exam="E02", start=540, duration=30),
         )
         rules = [rule("E01", "E02", RuleLogic.BEFORE, 60)]
-        violations = check_incompatibilities(schedule, rules)
-        assert len(violations) == 1
-        assert violations[0].kind is ViolationKind.INCOMPATIBILITY
-        assert violations[0].acts == (0, 1)
+        assert check_incompatibilities(schedule, rules) == [(0, 1)]
 
     def test_after_mirrors_before(self):
         # "E01 after E02": E02 must finish 60 minutes before E01 starts.
@@ -150,16 +145,16 @@ class TestSegmentTrips:
             make_slot(id="B", start=600, duration=30),  # gap 30
             make_slot(id="C", start=690, duration=30),  # gap 60
         )
-        assert len(segment_trips(schedule).segments) == 1
+        assert len(segment_trips(schedule)) == 1
 
     def test_facility_change_starts_new_trip(self):
         schedule = make_schedule(
             make_slot(id="A", facility="F1", start=540, duration=30),
             make_slot(id="B", facility="F2", start=570, duration=30),
         )
-        segments = segment_trips(schedule).segments
+        segments = segment_trips(schedule)
         assert len(segments) == 2
-        assert [t.facility for t in segments] == ["F1", "F2"]
+        assert [t[0][1].facility for t in segments] == ["F1", "F2"]
 
     def test_trip_gap_boundary_is_strict(self):
         def with_gap(gap):
@@ -168,8 +163,8 @@ class TestSegmentTrips:
                 make_slot(id="B", start=570 + gap, duration=30),
             )
 
-        assert len(segment_trips(with_gap(TRIP_GAP_MINUTES)).segments) == 1
-        assert len(segment_trips(with_gap(TRIP_GAP_MINUTES + 1)).segments) == 2
+        assert len(segment_trips(with_gap(TRIP_GAP_MINUTES))) == 1
+        assert len(segment_trips(with_gap(TRIP_GAP_MINUTES + 1))) == 2
 
     def test_return_to_facility_counts_again(self):
         schedule = make_schedule(
@@ -177,8 +172,8 @@ class TestSegmentTrips:
             make_slot(id="B", facility="F2", start=800, duration=30),
             make_slot(id="C", facility="F1", start=1100, duration=30),
         )
-        segments = segment_trips(schedule).segments
-        assert [t.facility for t in segments] == ["F1", "F2", "F1"]
+        segments = segment_trips(schedule)
+        assert [t[0][1].facility for t in segments] == ["F1", "F2", "F1"]
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -190,8 +185,8 @@ class TestSegmentTrips:
             make_slot(id="B", facility="F1", start=600, duration=30),
             make_slot(id="C", facility="F2", start=900, duration=30),
         )
-        segments = segment_trips(schedule).segments
-        flattened = [pair for trip in segments for pair in trip.assignments]
+        segments = segment_trips(schedule)
+        flattened = [pair for trip in segments for pair in trip]
         assert flattened == schedule.sorted_by_start()
 
 
@@ -208,10 +203,7 @@ class TestCheckTravelGaps:
             make_slot(id="A", facility="F1", start=540, duration=60),
             make_slot(id="B", facility="F2", start=720, duration=30),
         )
-        violations = check_travel_gaps(schedule)
-        assert len(violations) == 1
-        assert violations[0].kind is ViolationKind.TRAVEL_GAP
-        assert violations[0].acts == (0, 1)
+        assert check_travel_gaps(schedule) == [(0, 1)]
 
     def test_single_facility_never_violates(self):
         schedule = make_schedule(
@@ -405,30 +397,30 @@ class TestBruteForceEquivalence:
     @given(schedule=random_schedules())
     def test_overlaps_match(self, schedule):
         got = find_overlaps(schedule)
-        got_pairs = sorted((frozenset(v.acts) for v in got), key=sorted)
+        got_pairs = sorted((frozenset(v) for v in got), key=sorted)
         assert got_pairs == sorted(naive_overlaps(schedule), key=sorted)
 
     @settings(max_examples=1000, deadline=None)
     @given(schedule=random_schedules(), rules=random_rules)
     def test_incompatibilities_match(self, schedule, rules):
         got = check_incompatibilities(schedule, rules)
-        assert sorted(v.acts for v in got) == sorted(naive_incompatibilities(schedule, rules))
+        assert sorted(got) == sorted(naive_incompatibilities(schedule, rules))
 
     @settings(max_examples=1000, deadline=None)
     @given(schedule=random_schedules())
     def test_travel_gaps_match(self, schedule):
         got = check_travel_gaps(schedule)
-        assert [v.acts for v in got] == naive_travel_gaps(schedule)
+        assert got == naive_travel_gaps(schedule)
 
     @settings(max_examples=1000, deadline=None)
     @given(schedule=random_schedules())
     def test_single_trip_iff_one_facility_and_small_gaps(self, schedule):
-        segmentation = segment_trips(schedule)
+        trips = segment_trips(schedule)
         ordered = schedule.sorted_by_start()
         one_facility = len({slot.facility for _, slot in ordered}) == 1
         small_gaps = all(
             b.start - a.end <= 120 for (_, a), (_, b) in zip(ordered, ordered[1:])
         )
-        assert (len(segmentation.segments) == 1) == (one_facility and small_gaps)
-        flattened = [pair for trip in segmentation.segments for pair in trip.assignments]
+        assert (len(trips) == 1) == (one_facility and small_gaps)
+        flattened = [pair for trip in trips for pair in trip]
         assert flattened == ordered

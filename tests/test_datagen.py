@@ -177,7 +177,7 @@ class TestSlots:
         for (room, day), slots in by_room_day.items():
             slots.sort(key=lambda s: s.start)
             assert len(slots) >= 8  # 720-minute day, 90-minute max duration
-            assert slots[0].minute_of_day == config.day_open
+            assert slots[0].start == day * MINUTES_PER_DAY + config.day_open
             assert slots[-1].end <= day * MINUTES_PER_DAY + config.day_close
             for a, b in zip(slots, slots[1:]):
                 assert a.end == b.start

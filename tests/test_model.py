@@ -15,7 +15,6 @@ from medsched.model import (
     ScheduleRequest,
     Specialty,
     TimeSlot,
-    gap_minutes,
     slots_overlap,
 )
 
@@ -34,7 +33,6 @@ class TestTimeSlot:
     def test_derived_properties(self):
         slot = make_slot(start=3 * MINUTES_PER_DAY + 630, duration=45)
         assert slot.day == 3
-        assert slot.minute_of_day == 630
         assert slot.end == 3 * MINUTES_PER_DAY + 675
 
     def test_rejects_negative_start(self):
@@ -148,48 +146,6 @@ class TestSlotsOverlap:
         assert slots_overlap(a, b) == slots_overlap(b, a)
         expected = max(a.start, b.start) < min(a.end, b.end)
         assert slots_overlap(a, b) == expected
-
-
-class TestGapMinutes:
-    def test_back_to_back_is_zero(self):
-        a = make_slot(start=540, duration=60)
-        b = make_slot(start=600, duration=30)
-        assert gap_minutes(a, b) == 0
-
-    def test_same_day_gap(self):
-        a = make_slot(start=540, duration=60)  # ends 10:00
-        b = make_slot(start=750, duration=30)  # starts 12:30
-        assert gap_minutes(a, b) == 150
-
-    def test_cross_day_gap(self):
-        a = make_slot(start=540, duration=660)  # ends 20:00 day 0
-        b = make_slot(start=MINUTES_PER_DAY + 540, duration=30)  # 09:00 day 1
-        assert gap_minutes(a, b) == 780
-
-    def test_rejects_unsorted_pair(self):
-        a = make_slot(start=600, duration=60)
-        b = make_slot(start=540, duration=30)
-        with pytest.raises(ValueError):
-            gap_minutes(a, b)
-
-    @settings(max_examples=1000, deadline=None)
-    @given(
-        minutes=st.lists(
-            st.integers(min_value=0, max_value=MINUTES_PER_DAY - 90), min_size=3, max_size=3
-        ),
-        durations=st.lists(
-            st.integers(min_value=1, max_value=90), min_size=3, max_size=3
-        ),
-    )
-    def test_span_is_durations_plus_gaps(self, minutes, durations):
-        # Ten days apart, so the slots are ordered and never overlap.
-        slots = [
-            make_slot(id=f"S{i}", start=10 * i * MINUTES_PER_DAY + m, duration=d)
-            for i, (m, d) in enumerate(zip(minutes, durations))
-        ]
-        span = slots[-1].end - slots[0].start
-        gaps = sum(gap_minutes(slots[i], slots[i + 1]) for i in range(2))
-        assert span == sum(s.duration_minutes for s in slots) + gaps
 
 
 class TestRuleAndRequest:

@@ -170,6 +170,9 @@ class TestWorldPersistence:
             ("slots", 9, "exam", "ZZZ", "unknown exam 'ZZZ'"),
             ("slots", 9, "facility", "ZZZ", "unknown facility 'ZZZ'"),
             ("slots", 9, "room", "ZZZ", "room 'ZZZ' is not in facility"),
+            # slots[9] starts at 1140, labelled "0T1140".
+            ("slots", 9, "start_label", "7T2000", "start_label '7T2000' is not '0T1140'"),
+            ("slots", 9, "start_label", "1T1140", "start_label '1T1140' is not '0T1140'"),
             ("rules", 3, "first", "ZZZ", "unknown exam 'ZZZ'"),
             ("rules", 3, "second", 7, "unknown exam 7"),
             ("exams", 7, "id", "E03", "duplicate exam id 'E03'"),
@@ -335,7 +338,7 @@ def mutated_documents(draw):
 
     kind = draw(
         st.sampled_from(
-            ["drop_key", "wrong_type", "duplicate_id", "unknown_reference", "drop_entry", "duplicate_entry"]
+            ["drop_key", "wrong_type", "duplicate_id", "unknown_reference", "relabel", "drop_entry", "duplicate_entry"]
         )
     )
     if kind in ("drop_key", "wrong_type"):
@@ -363,6 +366,17 @@ def mutated_documents(draw):
         )
         entries, index = entry_of(section)
         entries[index][key] = "ZZZ"
+    elif kind == "relabel":
+        entries, index = entry_of("slots")
+        label = entries[index]["start_label"]
+        entries[index]["start_label"] = draw(
+            st.one_of(
+                st.just(label),
+                st.just(" " + label),
+                st.builds("{}T{}".format, st.integers(-1, 2), st.integers(0, 2 * MINUTES_PER_DAY)),
+                st.text(max_size=6),
+            )
+        )
     else:
         entries, index = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
         if kind == "drop_entry":
@@ -384,6 +398,8 @@ class TestWorldLoadFuzz:
         # Equality alone would pass 5940.0 for 5940 and True for 1.
         assert world_path.read_bytes() == reference_bytes(world)
         assert load_world(world_path) == world
+        labels = [entry["start_label"] for entry in document["slots"]]
+        assert labels == [instant_label(slot.start) for slot in world.slots]
 
 
 class TestRequestPersistence:
