@@ -1,5 +1,9 @@
 """Feasibility checks: overlaps, incompatibility rules, trips and travel gaps.
 
+``schedule_counts`` is the one scoring pass: fitness and metrics read its
+counts.  The checkers below it list what it counts, one concern each; they
+are the tests' reference for the pass.
+
 Gap conventions, fixed once here and reused by fitness and metrics:
 a rule's separation is measured from the earlier slot's end to the later
 slot's start; trip boundaries trigger on a gap strictly greater than
@@ -10,12 +14,18 @@ slot's start; trip boundaries trigger on a gap strictly greater than
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import IncompatibilityRule, RuleLogic, Schedule, TimeSlot, slots_overlap
 
 TRIP_GAP_MINUTES = 120
 TRAVEL_GAP_MINUTES = 180
+
+# Read by position, so ``schedule_counts`` sorts at C speed: the second item
+# of an (act, slot) pair, and a slot's (start, id), ``sorted_by_start``'s key.
+_SLOT = itemgetter(1)
+_START_ID = itemgetter(TimeSlot._fields.index("start"), TimeSlot._fields.index("id"))
 
 
 @dataclass(frozen=True)
@@ -28,6 +38,90 @@ class ActOrder:
 
     order: tuple[int, ...]
     has_cycle: bool
+
+
+class ScheduleCounts(NamedTuple):
+    """What one walk of a schedule counts; see :func:`schedule_counts`."""
+
+    overlaps: int
+    breaches: int
+    trips: int
+    transfers: int
+    idle: int
+    span: int
+    first_start: int
+
+
+def schedule_counts(
+    schedule: Schedule, rules: Iterable[IncompatibilityRule]
+) -> ScheduleCounts:
+    """Every count fitness and metrics read, from one sort and one walk.
+
+    The counts equal the checkers': ``overlaps``, ``breaches``, ``trips``
+    and ``transfers`` are the lengths of ``find_overlaps``,
+    ``check_incompatibilities``, ``segment_trips`` and
+    ``check_travel_gaps``, and ``idle`` is ``idle_minutes`` of the start
+    order.  ``span`` runs from the first start to the end of the last pick
+    in start order, ``first_start`` is the first start, and an empty
+    schedule counts all zeros.
+    """
+    slots = sorted(map(_SLOT, schedule.assignments), key=_START_ID)
+    if not slots:
+        return ScheduleCounts(0, 0, 0, 0, 0, 0, 0)
+    overlaps = transfers = idle = 0
+    trips = 1
+    count = len(slots)
+    first_start = slots[0].start
+    prev_end = first_start + slots[0].duration_minutes
+    prev_facility = slots[0].facility
+    for i in range(1, count):
+        slot = slots[i]
+        start = slot.start
+        gap = start - prev_end
+        if gap > 0:
+            idle += gap
+        elif gap < 0:
+            # This slot overlaps the previous one, and so does every later
+            # slot that starts before the previous end: starts are sorted.
+            overlaps += 1
+            later = i + 1
+            while later < count and slots[later].start < prev_end:
+                overlaps += 1
+                later += 1
+        if slot.facility != prev_facility:
+            trips += 1
+            if gap < TRAVEL_GAP_MINUTES:
+                transfers += 1
+        elif gap > TRIP_GAP_MINUTES:
+            trips += 1
+        prev_end, prev_facility = start + slot.duration_minutes, slot.facility
+
+    breaches = 0
+    by_exam: dict[str, list[tuple[int, TimeSlot]]] = {}
+    for pair in schedule.assignments:
+        by_exam.setdefault(pair[1].exam, []).append(pair)
+    for rule in rules:
+        firsts = by_exam.get(rule.first)
+        seconds = by_exam.get(rule.second) if firsts else None
+        if not seconds:
+            continue
+        logic, gap = rule.logic, rule.gap_minutes
+        for act_1, slot_1 in firsts:
+            for act_2, slot_2 in seconds:
+                if act_1 == act_2:
+                    continue
+                if logic is RuleLogic.BEFORE:
+                    separation = slot_2.start - slot_1.end
+                elif logic is RuleLogic.AFTER:
+                    separation = slot_1.start - slot_2.end
+                else:
+                    separation = _separation(slot_1, slot_2)
+                if separation < gap:
+                    breaches += 1
+
+    return ScheduleCounts(
+        overlaps, breaches, trips, transfers, idle, prev_end - first_start, first_start
+    )
 
 
 def find_overlaps(schedule: Schedule) -> list[tuple[int, int]]:

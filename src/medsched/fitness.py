@@ -1,6 +1,7 @@
 """Penalty ledger and scalar fitness for candidate schedules.
 
-Penalty weights: 1000 per missing act and per hard violation (overlap or
+Penalty weights: 1000 once for a schedule that leaves any act unbooked,
+however many acts are missing, 1000 per hard violation (overlap or
 incompatibility breach), 100 per trip, 600 per under-3h inter-facility
 transfer, idle minutes divided by 10, and one point per day of lead time
 before the first appointment.  Fitness is 1 / (1 + total), a strictly
@@ -12,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .constraints import (
-    check_incompatibilities,
-    check_travel_gaps,
-    find_overlaps,
-    idle_minutes,
-    segment_trips,
-)
+from .constraints import schedule_counts
 from .model import MINUTES_PER_DAY, IncompatibilityRule, Schedule, ScheduleRequest
 
 MISSING_SLOT_PENALTY = 1000
@@ -59,20 +54,15 @@ def compute_penalties(
     missing = MISSING_SLOT_PENALTY if len(schedule) != len(request.acts) else 0
     if not schedule.assignments:
         return PenaltyBreakdown(missing, 0, 0, 0, 0.0, 0)
-
-    hard = HARD_VIOLATION_PENALTY * (
-        len(find_overlaps(schedule)) + len(check_incompatibilities(schedule, rules))
+    counts = schedule_counts(schedule, rules)
+    return PenaltyBreakdown(
+        missing,
+        HARD_VIOLATION_PENALTY * (counts.overlaps + counts.breaches),
+        PER_TRIP_PENALTY * counts.trips,
+        TRAVEL_GAP_PENALTY * counts.transfers,
+        counts.idle / WAIT_MINUTES_PER_POINT,
+        max(0, counts.first_start // MINUTES_PER_DAY - request.start_day),
     )
-    trips = PER_TRIP_PENALTY * len(segment_trips(schedule))
-    travel = TRAVEL_GAP_PENALTY * len(check_travel_gaps(schedule))
-
-    ordered = schedule.sorted_by_start()
-    wait = idle_minutes(ordered) / WAIT_MINUTES_PER_POINT
-
-    first_day = ordered[0][1].start // MINUTES_PER_DAY
-    lead = max(0, first_day - request.start_day)
-
-    return PenaltyBreakdown(missing, hard, trips, travel, wait, lead)
 
 
 def fitness(breakdown: PenaltyBreakdown) -> float:

@@ -11,13 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constraints import (
-    check_incompatibilities,
-    check_travel_gaps,
-    find_overlaps,
-    idle_minutes,
-    segment_trips,
-)
+from .constraints import schedule_counts
 from .model import IncompatibilityRule, Schedule
 
 
@@ -42,26 +36,28 @@ def idle_time_ratio(schedule: Schedule) -> float | None:
     """
     if len(schedule) < 2:
         return None
-    ordered = schedule.sorted_by_start()
-    span = ordered[-1][1].end - ordered[0][1].start
-    return idle_minutes(ordered) / span
+    counts = schedule_counts(schedule, ())
+    return counts.idle / counts.span
 
 
 def trip_count(schedule: Schedule) -> int:
     """Number of trips (facility changes or >2h breaks) in the journey."""
-    return len(segment_trips(schedule))
+    if not schedule.assignments:
+        raise ValueError("cannot count the trips of an empty schedule")
+    return schedule_counts(schedule, ()).trips
 
 
 def solution_metrics(
     schedule: Schedule, rules: Iterable[IncompatibilityRule], act_count: int
 ) -> SolutionMetrics:
     """ITR, trip count, the three constraint flags and full coverage of the request."""
+    counts = schedule_counts(schedule, rules)
     return SolutionMetrics(
-        itr=idle_time_ratio(schedule),
-        trips=trip_count(schedule) if schedule.assignments else 0,
-        overlap_ok=not find_overlaps(schedule),
-        compatibility_ok=not check_incompatibilities(schedule, rules),
-        travel_ok=not check_travel_gaps(schedule),
+        itr=counts.idle / counts.span if len(schedule) >= 2 else None,
+        trips=counts.trips,
+        overlap_ok=not counts.overlaps,
+        compatibility_ok=not counts.breaches,
+        travel_ok=not counts.transfers,
         fully_scheduled=len(schedule) == act_count,
     )
 

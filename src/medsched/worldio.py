@@ -106,6 +106,20 @@ _SLOT_JSON = """    {
     }"""
 
 
+def _typed(value: Any, kind: type, name: str) -> Any:
+    """``value`` if its type is exactly ``kind`` (so no bool for int), else ``TypeError``."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _typed_list(value: Any, kind: type, name: str) -> tuple:
+    """A JSON list of exactly-``kind`` items, as a tuple, else ``TypeError``."""
+    if type(value) is not list or any(type(item) is not kind for item in value):
+        raise TypeError(f"{name} must be a list of {kind.__name__}, got {value!r}")
+    return tuple(value)
+
+
 def _slot_from_dict(
     entry: dict[str, Any],
     seen_ids: set[str],
@@ -116,8 +130,7 @@ def _slot_from_dict(
     """One slot, checked field by field; the reference for ``_slots_from_list``."""
     values = _slot_row(entry)
     for value, (name, kind) in zip(values, _SLOT_COLUMNS):
-        if type(value) is not kind:
-            raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+        _typed(value, kind, name)
     slot_id, exam, facility, room, _, start = values[:6]
     if entry["start_label"] != instant_label(start):
         raise ValueError(
@@ -148,7 +161,7 @@ def _slots_from_list(
     for every entry, so a failure here is found again, and named, by the
     entry-by-entry pass.
     """
-    items = list(items)  # walked once per column, and again on failure
+    _typed(items, list, "slots")  # a list: walked once per column, and again on failure
     try:
         columns = [list(map(itemgetter(name), items)) for name, _ in _SLOT_COLUMNS]
         ids, exams, facilities, room_names, _, starts = columns[:6]
@@ -176,7 +189,7 @@ def _slots_from_list(
     return _entries("slots", items, build)
 
 
-# The tuple-valued ``WorldConfig`` fields are JSON lists.
+# The tuple-valued ``WorldConfig`` fields are JSON lists; every value is an int.
 _CONFIG_FIELDS = [
     (entry.name, isinstance(entry.default, tuple)) for entry in fields(WorldConfig)
 ]
@@ -216,7 +229,9 @@ def world_to_dict(world: World) -> dict[str, Any]:
 
 def _exam_from_dict(entry: dict[str, Any]) -> ExamType:
     return ExamType(
-        id=entry["id"], name=entry["name"], specialty=Specialty(entry["specialty"])
+        id=_typed(entry["id"], str, "id"),
+        name=_typed(entry["name"], str, "name"),
+        specialty=Specialty(entry["specialty"]),
     )
 
 
@@ -225,7 +240,7 @@ def _rule_from_dict(entry: dict[str, Any], exam_ids: set[str]) -> Incompatibilit
         first=entry["first"],
         second=entry["second"],
         logic=RuleLogic(entry["logic"]),
-        gap_minutes=entry["gap_minutes"],
+        gap_minutes=_typed(entry["gap_minutes"], int, "gap_minutes"),
     )
     for exam in (rule.first, rule.second):
         if exam not in exam_ids:
@@ -234,7 +249,11 @@ def _rule_from_dict(entry: dict[str, Any], exam_ids: set[str]) -> Incompatibilit
 
 
 def _facility_from_dict(entry: dict[str, Any]) -> Facility:
-    return Facility(id=entry["id"], name=entry["name"], rooms=tuple(entry["rooms"]))
+    return Facility(
+        id=_typed(entry["id"], str, "id"),
+        name=_typed(entry["name"], str, "name"),
+        rooms=_typed_list(entry["rooms"], str, "rooms"),
+    )
 
 
 def _format_error(entry: str, exc: Exception) -> WorldFormatError:
@@ -244,6 +263,7 @@ def _format_error(entry: str, exc: Exception) -> WorldFormatError:
 
 def _entries(section: str, items: Any, build: Callable[[Any], Any]) -> tuple:
     """Build each entry in turn, or raise ``WorldFormatError`` naming the first bad one."""
+    _typed(items, list, section)
     built = []
     for index, item in enumerate(items):
         try:
@@ -270,7 +290,10 @@ def world_from_dict(document: dict[str, Any]) -> World:
 
     Any ``TypeError``, ``ValueError`` or ``KeyError`` raised while building
     is re-raised as that one error, so a wrongly typed, missing or
-    out-of-range field never escapes as a bare Python exception.  Exam,
+    out-of-range field never escapes as a bare Python exception.  Each
+    section is a list, and each field has its one JSON type: config values
+    are integers (lists of integers for the choices), ids, names and rooms
+    are strings, and a gap is an integer, never a float or a bool.  Exam,
     facility and slot ids must each be unique, every exam, facility and
     room a rule or slot names must be in the world, and each slot's
     ``start_label`` must be the label of its ``start``.
@@ -280,7 +303,7 @@ def world_from_dict(document: dict[str, Any]) -> World:
         cfg = document["config"]
         config = WorldConfig(
             **{
-                name: tuple(cfg[name]) if is_tuple else cfg[name]
+                name: _typed_list(cfg[name], int, name) if is_tuple else _typed(cfg[name], int, name)
                 for name, is_tuple in _CONFIG_FIELDS
             }
         )

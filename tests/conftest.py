@@ -4,8 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from medsched.constraints import (
+    check_incompatibilities,
+    check_travel_gaps,
+    find_overlaps,
+    idle_minutes,
+    segment_trips,
+)
 from medsched.datagen import WorldConfig, generate_world
-from medsched.model import Schedule, TimeSlot
+from medsched.fitness import (
+    HARD_VIOLATION_PENALTY,
+    MISSING_SLOT_PENALTY,
+    PER_TRIP_PENALTY,
+    TRAVEL_GAP_PENALTY,
+    WAIT_MINUTES_PER_POINT,
+    PenaltyBreakdown,
+)
+from medsched.metrics import SolutionMetrics
+from medsched.model import MINUTES_PER_DAY, Schedule, TimeSlot
 
 DAY = 1440
 
@@ -40,3 +56,40 @@ def make_schedule(*slots: TimeSlot) -> Schedule:
 def default_world():
     """The default benchmark world; generated once per test session."""
     return generate_world(WorldConfig())
+
+
+# The scoring oracle: penalties and metrics composed from the checkers, one
+# concern per checker, independent of ``constraints.schedule_counts``.
+
+
+def reference_penalties(schedule, request, rules):
+    """``compute_penalties`` composed from the checkers."""
+    missing = MISSING_SLOT_PENALTY if len(schedule) != len(request.acts) else 0
+    if not schedule.assignments:
+        return PenaltyBreakdown(missing, 0, 0, 0, 0.0, 0)
+    hard = HARD_VIOLATION_PENALTY * (
+        len(find_overlaps(schedule)) + len(check_incompatibilities(schedule, rules))
+    )
+    trips = PER_TRIP_PENALTY * len(segment_trips(schedule))
+    travel = TRAVEL_GAP_PENALTY * len(check_travel_gaps(schedule))
+    ordered = schedule.sorted_by_start()
+    wait = idle_minutes(ordered) / WAIT_MINUTES_PER_POINT
+    first_day = ordered[0][1].start // MINUTES_PER_DAY
+    lead = max(0, first_day - request.start_day)
+    return PenaltyBreakdown(missing, hard, trips, travel, wait, lead)
+
+
+def reference_metrics(schedule, rules, act_count):
+    """``solution_metrics`` composed from the checkers."""
+    itr = None
+    if len(schedule) >= 2:
+        ordered = schedule.sorted_by_start()
+        itr = idle_minutes(ordered) / (ordered[-1][1].end - ordered[0][1].start)
+    return SolutionMetrics(
+        itr=itr,
+        trips=len(segment_trips(schedule)) if schedule.assignments else 0,
+        overlap_ok=not find_overlaps(schedule),
+        compatibility_ok=not check_incompatibilities(schedule, rules),
+        travel_ok=not check_travel_gaps(schedule),
+        fully_scheduled=len(schedule) == act_count,
+    )

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsched.fitness import PenaltyBreakdown, compute_penalties, fitness
+from medsched.ga import Individual, SearchSpace, make_evaluator
+from medsched.metrics import solution_metrics
 from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
@@ -50,6 +52,19 @@ class TestComputePenalties:
         )
         assert breakdown.missing_slot == 1000
         assert breakdown.trips == 100
+
+    def test_two_missing_acts_cost_one_missing_slot_penalty(self):
+        # 1000 once for an incomplete schedule, not 1000 per missing act.
+        booked = make_slot(id="A", exam="E01", start=540, duration=30)
+        request = ScheduleRequest(acts=("E01", "E02", "E03"))
+        schedule = make_schedule(booked)
+        breakdown = compute_penalties(schedule, request, [])
+        assert breakdown.missing_slot == 1000
+        assert breakdown.total() == 1100  # the missing slot and one trip
+        assert not solution_metrics(schedule, [], len(request.acts)).fully_scheduled
+        space = SearchSpace(per_act_slots=((booked,), (), ()))
+        evaluate = make_evaluator(space, request, [])
+        assert evaluate(Individual((0, None, None))) == fitness(breakdown) == 1 / 1101
 
     def test_overlap_costs_thousand_and_one_trip(self):
         schedule = make_schedule(

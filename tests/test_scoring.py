@@ -1,4 +1,4 @@
-"""The compiled evaluator against the reference scorer, exactly."""
+"""The compiled evaluator and the one scoring pass against the checker oracle, exactly."""
 
 import random
 
@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsched import ga
-from medsched.constraints import find_overlaps
+from medsched.constraints import (
+    check_incompatibilities,
+    check_travel_gaps,
+    find_overlaps,
+    idle_minutes,
+    schedule_counts,
+    segment_trips,
+)
 from medsched.datagen import WorldConfig, generate_request
 from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
@@ -20,14 +27,16 @@ from medsched.ga import (
     filter_search_space,
     make_evaluator,
 )
+from medsched.metrics import solution_metrics
 from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
     RuleLogic,
+    Schedule,
     ScheduleRequest,
 )
 
-from conftest import make_slot
+from conftest import make_slot, reference_metrics, reference_penalties
 
 EXAMS = ("E01", "E02", "E03")
 
@@ -37,7 +46,7 @@ def reference_evaluator(space, request, rules):
 
     def evaluate(individual):
         schedule = decode(individual, space, request)
-        return fitness(compute_penalties(schedule, request, rules))
+        return fitness(reference_penalties(schedule, request, rules))
 
     return evaluate
 
@@ -218,6 +227,76 @@ class TestMatchesReference:
         rules = (rule("E01", "E02", RuleLogic.BEFORE, 60),)
         for genes in ((0, 0), (1, 0)):
             assert_exact(space, request, rules, genes)
+
+
+def assert_pass_matches_oracle(schedule, request, rules):
+    counts = schedule_counts(schedule, rules)
+    ordered = schedule.sorted_by_start()
+    assert counts.overlaps == len(find_overlaps(schedule))
+    assert counts.breaches == len(check_incompatibilities(schedule, rules))
+    assert counts.transfers == len(check_travel_gaps(schedule))
+    assert counts.idle == idle_minutes(ordered)
+    if ordered:
+        assert counts.trips == len(segment_trips(schedule))
+        assert counts.first_start == ordered[0][1].start
+        assert counts.span == ordered[-1][1].end - ordered[0][1].start
+    else:
+        assert counts == (0, 0, 0, 0, 0, 0, 0)
+    penalties = compute_penalties(schedule, request, rules)
+    assert penalties == reference_penalties(schedule, request, rules)
+    assert penalties.total() == reference_penalties(schedule, request, rules).total()
+    act_count = len(request.acts)
+    assert solution_metrics(schedule, rules, act_count) == reference_metrics(schedule, rules, act_count)
+
+
+class TestPassMatchesOracle:
+    """``schedule_counts`` and its callers equal the checkers composed."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(scoring_cases())
+    def test_property(self, case):
+        space, request, rules, genes = case
+        schedule = decode(Individual(tuple(genes)), space, request)
+        assert_pass_matches_oracle(schedule, request, rules)
+
+    def test_empty_schedule(self):
+        rules = (rule("E01", "E02", RuleLogic.BOTH, 1440),)
+        assert_pass_matches_oracle(Schedule(assignments=()), ScheduleRequest(acts=("E01",)), rules)
+
+    def test_equal_starts_ordered_by_id(self):
+        # Sorted by id, "A" at F2 comes first and "B" at F1 ends last, so the
+        # span ends at B's end although C, listed first, ends later.
+        schedule = Schedule(
+            assignments=(
+                (0, make_slot("C", exam="E01", facility="F1", start=540, duration=90)),
+                (1, make_slot("A", exam="E02", facility="F2", start=540, duration=30)),
+                (2, make_slot("B", exam="E03", facility="F1", start=570, duration=30)),
+            )
+        )
+        assert_pass_matches_oracle(schedule, ScheduleRequest(acts=("E01", "E02", "E03")), ())
+        assert schedule_counts(schedule, ()).span == 60
+
+    def test_shared_slot_and_repeated_rules(self):
+        shared = make_slot("A", exam="E01", start=540)
+        other = make_slot("B", exam="E02", start=600)
+        schedule = Schedule(assignments=((0, shared), (1, shared), (2, other)))
+        request = ScheduleRequest(acts=("E01", "E01", "E02"))
+        rules = (rule("E01", "E02", RuleLogic.BEFORE, 60),) * 2
+        assert_pass_matches_oracle(schedule, request, rules)
+        assert schedule_counts(schedule, rules)[:2] == (1, 4)
+
+    def test_pair_of_one_act_is_not_a_breach(self):
+        # A hand-built schedule may list one act twice; like the checker, the
+        # pass never pairs an act with itself.
+        schedule = Schedule(
+            assignments=(
+                (0, make_slot("A", exam="E01", start=540)),
+                (0, make_slot("B", exam="E02", start=600)),
+            )
+        )
+        rules = (rule("E01", "E02", RuleLogic.BEFORE, 60),)
+        assert_pass_matches_oracle(schedule, ScheduleRequest(acts=("E01",)), rules)
+        assert schedule_counts(schedule, rules).breaches == 0
 
 
 # Overlap chains, one act per (start, duration, facility) slot, each with the

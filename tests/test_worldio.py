@@ -115,11 +115,30 @@ class TestWorldPersistence:
         assert isinstance(world.config.duration_choices, tuple)
         assert world_to_dict(world) == json.loads(example.read_text())
 
-    @pytest.mark.parametrize(("field", "value"), [("gap_choices", 5), ("day_open", "nine")])
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("gap_choices", 5),
+            ("day_open", "nine"),
+            ("seed", "abc"),
+            ("horizon_days", 30.0),
+            ("rule_count", True),
+            ("gap_choices", [30, 60.5]),
+            ("duration_choices", [15, "30"]),
+        ],
+    )
     def test_bad_config_field_raises_format_error(self, default_world, field, value):
         document = world_to_dict(default_world)
         document["config"][field] = value
-        with pytest.raises(WorldFormatError, match="entry config:"):
+        with pytest.raises(WorldFormatError, match=f"entry config: {field} must be"):
+            world_from_dict(document)
+
+    @pytest.mark.parametrize("section", ["exams", "rules", "facilities", "slots"])
+    @pytest.mark.parametrize("value", [{}, "", None])
+    def test_section_that_is_not_a_list_raises_format_error(self, default_world, section, value):
+        document = world_to_dict(default_world)
+        document[section] = value
+        with pytest.raises(WorldFormatError, match=f"entry {section}: {section} must be list"):
             world_from_dict(document)
 
     def test_missing_config_field_raises_format_error(self, default_world):
@@ -177,6 +196,15 @@ class TestWorldPersistence:
             ("rules", 3, "second", 7, "unknown exam 7"),
             ("exams", 7, "id", "E03", "duplicate exam id 'E03'"),
             ("facilities", 2, "id", "F1", "duplicate facility id 'F1'"),
+            ("facilities", 0, "rooms", "R1", "rooms must be a list of str"),
+            ("facilities", 0, "rooms", ["F1-R1", 2], "rooms must be a list of str"),
+            ("facilities", 1, "name", None, "name must be str"),
+            ("facilities", 1, "id", 2, "id must be str"),
+            ("exams", 2, "name", 5, "name must be str"),
+            ("exams", 2, "id", ["E02"], "id must be str"),
+            ("rules", 2, "gap_minutes", 30.5, "gap_minutes must be int"),
+            ("rules", 2, "gap_minutes", 60.0, "gap_minutes must be int"),
+            ("rules", 2, "gap_minutes", True, "gap_minutes must be int"),
         ],
     )
     def test_mistyped_or_dangling_field_raises_naming_entry(
@@ -325,49 +353,85 @@ SMALL_DOCUMENT = world_to_dict(
     )
 )
 WRONG_VALUES = [None, True, 1.5, -1, 0, "x", [], {}, ["x"], {"x": 1}]
+# Head-section values that a loose loader would take: a string or a dict
+# iterates as rooms, and a float, a bool or a number in a string compares or
+# prints like the int it replaces.
+HEAD_FAULTS = [
+    ("facilities", "rooms", ["R1", "", {"R1": 1}, ["R1", None]]),
+    ("facilities", "name", [5, None, True, ["F"]]),
+    ("exams", "name", [5, None, 1.5, ["E"]]),
+    ("rules", "gap_minutes", [30.5, 60.0, True, "60"]),
+    ("config", "seed", ["abc", "11", 11.0, True, None]),
+    ("config", "horizon_days", [1.0, "1", True]),
+    ("config", "gap_choices", [[30.0, 60], [30, "60"], [True], "30"]),
+]
 
 
 @st.composite
 def mutated_documents(draw):
-    """A small world document with one fault of the kinds a hand edit makes."""
+    """A small world document with one fault of the kinds a hand edit makes.
+
+    Returns (document, entry): ``entry`` is the entry the loader must reject
+    by name, or None where the fault may be harmless.
+    """
     document = copy.deepcopy(SMALL_DOCUMENT)
+    rejected = None
 
     def entry_of(section):
         entries = document[section]
-        return entries, draw(st.integers(0, len(entries) - 1))
+        index = draw(st.integers(0, len(entries) - 1))
+        return entries, index, f"{section}[{index}]"
 
     kind = draw(
         st.sampled_from(
-            ["drop_key", "wrong_type", "duplicate_id", "unknown_reference", "relabel", "drop_entry", "duplicate_entry"]
+            ["drop_key", "wrong_type", "head_type", "duplicate_id", "unknown_reference",
+             "relabel", "drop_entry", "duplicate_entry"]
         )
     )
     if kind in ("drop_key", "wrong_type"):
         section = draw(st.sampled_from(["document", "config", "exams", "rules", "facilities", "slots"]))
         if section == "document":
-            target = document
+            target, name = document, None
         elif section == "config":
-            target = document["config"]
+            target, name = document["config"], "config"
         else:
-            entries, index = entry_of(section)
+            entries, index, name = entry_of(section)
             target = entries[index]
         key = draw(st.sampled_from(sorted(target)))
+        name = name or key
         if kind == "drop_key":
             del target[key]
+            rejected = name  # every key is required
         else:
-            target[key] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+            value = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+            if type(value) is not type(target[key]):
+                rejected = name  # each field has one JSON type
+            target[key] = value
+    elif kind == "head_type":
+        section, key, values = draw(st.sampled_from(HEAD_FAULTS))
+        if section == "config":
+            target, rejected = document["config"], "config"
+        else:
+            entries, index, rejected = entry_of(section)
+            target = entries[index]
+        target[key] = copy.deepcopy(draw(st.sampled_from(values)))
     elif kind == "duplicate_id":
-        entries, index = entry_of(draw(st.sampled_from(["exams", "facilities", "slots"])))
-        entries[index]["id"] = entries[draw(st.integers(0, len(entries) - 1))]["id"]
+        section = draw(st.sampled_from(["exams", "facilities", "slots"]))
+        entries, index, _ = entry_of(section)
+        other = draw(st.integers(0, len(entries) - 1))
+        entries[index]["id"] = entries[other]["id"]
+        if other != index:
+            rejected = f"{section}[{max(index, other)}]"  # the later of the two
     elif kind == "unknown_reference":
         section, key = draw(
             st.sampled_from(
                 [("rules", "first"), ("rules", "second"), ("slots", "exam"), ("slots", "facility"), ("slots", "room")]
             )
         )
-        entries, index = entry_of(section)
+        entries, index, rejected = entry_of(section)
         entries[index][key] = "ZZZ"
     elif kind == "relabel":
-        entries, index = entry_of("slots")
+        entries, index, _ = entry_of("slots")
         label = entries[index]["start_label"]
         entries[index]["start_label"] = draw(
             st.one_of(
@@ -378,22 +442,25 @@ def mutated_documents(draw):
             )
         )
     else:
-        entries, index = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
+        entries, index, _ = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
         if kind == "drop_entry":
             del entries[index]
         else:
             entries.insert(index, copy.deepcopy(entries[index]))
-    return document
+    return document, rejected
 
 
 class TestWorldLoadFuzz:
     @settings(max_examples=500, deadline=None)
-    @given(document=mutated_documents())
-    def test_loads_and_round_trips_or_raises_format_error(self, world_path, document):
+    @given(case=mutated_documents())
+    def test_loads_and_round_trips_or_raises_format_error(self, world_path, case):
+        document, rejected = case
         try:
             world = world_from_dict(document)
-        except WorldFormatError:
+        except WorldFormatError as error:
+            assert rejected is None or f"entry {rejected}: " in str(error)
             return
+        assert rejected is None, f"loaded a document with a fault in {rejected}"
         save_world(world, world_path)
         # Equality alone would pass 5940.0 for 5940 and True for 1.
         assert world_path.read_bytes() == reference_bytes(world)
