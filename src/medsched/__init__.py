@@ -10,7 +10,6 @@ evaluation metrics, and a CSV benchmark harness.
 from .baselines import fcfs_schedule, random_schedule
 from .bench import ALL_ALGORITHMS, BenchConfig, BenchResult, run_bench, write_bench_csvs
 from .constraints import (
-    ActOrder,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -30,13 +29,7 @@ from .ga import (
     evolve,
     filter_search_space,
 )
-from .metrics import (
-    SolutionMetrics,
-    idle_time_ratio,
-    mann_whitney_u,
-    solution_metrics,
-    trip_count,
-)
+from .metrics import SolutionMetrics, mann_whitney_u, solution_metrics
 from .model import (
     ExamType,
     Facility,
@@ -54,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_ALGORITHMS",
-    "ActOrder",
     "BenchConfig",
     "BenchResult",
     "EvolveResult",
@@ -86,7 +78,6 @@ __all__ = [
     "fitness",
     "generate_request",
     "generate_world",
-    "idle_time_ratio",
     "load_request",
     "load_world",
     "mann_whitney_u",
@@ -98,6 +89,5 @@ __all__ = [
     "segment_trips",
     "slots_overlap",
     "solution_metrics",
-    "trip_count",
     "write_bench_csvs",
 ]

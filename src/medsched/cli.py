@@ -29,7 +29,7 @@ from .bench import (
 )
 from .datagen import WorldConfig, generate_request, generate_world
 from .fitness import compute_penalties, fitness
-from .ga import GAConfig, UnschedulableError, filter_search_space
+from .ga import GAConfig, UnschedulableError
 from .metrics import solution_metrics
 from .worldio import (
     RequestError,
@@ -179,12 +179,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.prefer_practitioner is not None:
         request = replace(
             request, preferred_practitioners=frozenset(args.prefer_practitioner)
-        )
-
-    space = filter_search_space(world.slots, request)
-    if all(not block for block in space.per_act_slots):
-        raise UnschedulableError(
-            f"no candidate slots for any act of {list(request.acts)}"
         )
 
     ga = _ga_config(args, seed)

@@ -1,10 +1,11 @@
 """Feasibility checks: overlaps, incompatibility rules, trips and travel gaps.
 
 ``schedule_counts`` is the one scoring pass: fitness and metrics read its
-counts.  The checkers below it list what it counts, one concern each; they
-are the tests' reference for the pass.
+counts.  Its walk over consecutive picks, ``walk_picks``, is also the GA
+evaluator's, so the two cannot count differently.  The checkers below list
+what the pass counts, one concern each; they are the tests' reference for it.
 
-Gap conventions, fixed once here and reused by fitness and metrics:
+Gap conventions, fixed once here and reused by fitness, metrics and the GA:
 a rule's separation is measured from the earlier slot's end to the later
 slot's start; trip boundaries trigger on a gap strictly greater than
 ``TRIP_GAP_MINUTES``; inter-facility travel needs at least
@@ -13,31 +14,17 @@ slot's start; trip boundaries trigger on a gap strictly greater than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .model import IncompatibilityRule, RuleLogic, Schedule, TimeSlot, slots_overlap
 
 TRIP_GAP_MINUTES = 120
 TRAVEL_GAP_MINUTES = 180
 
-# Read by position, so ``schedule_counts`` sorts at C speed: the second item
-# of an (act, slot) pair, and a slot's (start, id), ``sorted_by_start``'s key.
-_SLOT = itemgetter(1)
-_START_ID = itemgetter(TimeSlot._fields.index("start"), TimeSlot._fields.index("id"))
-
-
-@dataclass(frozen=True)
-class ActOrder:
-    """A precedence-respecting permutation of act indices.
-
-    ``has_cycle`` flags contradictory rules; the permutation is still total
-    (cycle members keep their original request order).
-    """
-
-    order: tuple[int, ...]
-    has_cycle: bool
+# A pick's (start, id), ``sorted_by_start``'s key, read by position so
+# ``schedule_counts`` sorts at C speed and keeps equal keys in input order.
+_START_ID = itemgetter(0, 1)
 
 
 class ScheduleCounts(NamedTuple):
@@ -50,6 +37,48 @@ class ScheduleCounts(NamedTuple):
     idle: int
     span: int
     first_start: int
+
+
+def walk_picks(
+    picks: Sequence[tuple[int, Any, int, Any]],
+) -> tuple[int, int, int, int, int]:
+    """Overlaps, trips, transfers, idle minutes and last end of a pick sequence.
+
+    This is the one walk over consecutive picks.  Each pick is ``(start,
+    tiebreak, end, facility)``, ``picks`` is non-empty and sorted by start,
+    and only ``start``, ``end`` and ``facility`` are read.  A pick overlaps
+    the previous one when it starts before that one ends; every later pick
+    that also starts before that end counts as one more overlap.  A trip
+    starts at the first pick, on a facility change, and on a gap over
+    ``TRIP_GAP_MINUTES``; a facility change under ``TRAVEL_GAP_MINUTES`` is
+    a transfer.  Idle minutes sum the positive gaps.  The last end is the
+    end of the last pick in the sequence.
+    """
+    overlaps = transfers = idle = 0
+    trips = 1
+    count = len(picks)
+    _, _, prev_end, prev_facility = picks[0]
+    for i in range(1, count):
+        start, _, end, facility = picks[i]
+        gap = start - prev_end
+        if gap > 0:
+            idle += gap
+        elif gap < 0:
+            # This pick overlaps the previous one, and so does every later
+            # pick that starts before the previous end: starts are sorted.
+            overlaps += 1
+            later = i + 1
+            while later < count and picks[later][0] < prev_end:
+                overlaps += 1
+                later += 1
+        if facility != prev_facility:
+            trips += 1
+            if gap < TRAVEL_GAP_MINUTES:
+                transfers += 1
+        elif gap > TRIP_GAP_MINUTES:
+            trips += 1
+        prev_end, prev_facility = end, facility
+    return overlaps, trips, transfers, idle, prev_end
 
 
 def schedule_counts(
@@ -65,36 +94,14 @@ def schedule_counts(
     in start order, ``first_start`` is the first start, and an empty
     schedule counts all zeros.
     """
-    slots = sorted(map(_SLOT, schedule.assignments), key=_START_ID)
-    if not slots:
+    picks = [
+        (slot.start, slot.id, slot.start + slot.duration_minutes, slot.facility)
+        for _, slot in schedule.assignments
+    ]
+    picks.sort(key=_START_ID)
+    if not picks:
         return ScheduleCounts(0, 0, 0, 0, 0, 0, 0)
-    overlaps = transfers = idle = 0
-    trips = 1
-    count = len(slots)
-    first_start = slots[0].start
-    prev_end = first_start + slots[0].duration_minutes
-    prev_facility = slots[0].facility
-    for i in range(1, count):
-        slot = slots[i]
-        start = slot.start
-        gap = start - prev_end
-        if gap > 0:
-            idle += gap
-        elif gap < 0:
-            # This slot overlaps the previous one, and so does every later
-            # slot that starts before the previous end: starts are sorted.
-            overlaps += 1
-            later = i + 1
-            while later < count and slots[later].start < prev_end:
-                overlaps += 1
-                later += 1
-        if slot.facility != prev_facility:
-            trips += 1
-            if gap < TRAVEL_GAP_MINUTES:
-                transfers += 1
-        elif gap > TRIP_GAP_MINUTES:
-            trips += 1
-        prev_end, prev_facility = start + slot.duration_minutes, slot.facility
+    overlaps, trips, transfers, idle, last_end = walk_picks(picks)
 
     breaches = 0
     by_exam: dict[str, list[tuple[int, TimeSlot]]] = {}
@@ -119,8 +126,9 @@ def schedule_counts(
                 if separation < gap:
                     breaches += 1
 
+    first_start = picks[0][0]
     return ScheduleCounts(
-        overlaps, breaches, trips, transfers, idle, prev_end - first_start, first_start
+        overlaps, breaches, trips, transfers, idle, last_end - first_start, first_start
     )
 
 
@@ -228,14 +236,14 @@ def idle_minutes(ordered: Sequence[tuple[int, TimeSlot]]) -> int:
 
 def optimal_act_order(
     acts: Sequence[str], rules: Iterable[IncompatibilityRule]
-) -> ActOrder:
+) -> tuple[int, ...]:
     """Order act indices so that rule-implied predecessors come first.
 
     Builds edges i -> j whenever some rule forces act i's exam before act
     j's exam, then topologically sorts with lowest-index tie-breaking.  If
     the rules contradict each other the leftover (cyclic) acts are appended
-    in original request order and the result is flagged; the output is a
-    permutation of all act indices in every case.
+    in original request order; the output is a permutation of all act
+    indices in every case.
     """
     n = len(acts)
     edges: set[tuple[int, int]] = set()
@@ -273,8 +281,6 @@ def optimal_act_order(
         if changed:
             ready.sort()
 
-    has_cycle = len(order) < n
-    if has_cycle:
-        placed = set(order)
-        order.extend(i for i in range(n) if i not in placed)
-    return ActOrder(order=tuple(order), has_cycle=has_cycle)
+    placed = set(order)
+    order.extend(i for i in range(n) if i not in placed)
+    return tuple(order)

@@ -18,15 +18,13 @@ from operator import getitem, mul
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
-from .constraints import TRAVEL_GAP_MINUTES, TRIP_GAP_MINUTES, optimal_act_order
+from .constraints import optimal_act_order, walk_picks
 from .fitness import (
     HARD_VIOLATION_PENALTY,
     MISSING_SLOT_PENALTY,
     PER_TRIP_PENALTY,
     TRAVEL_GAP_PENALTY,
     WAIT_MINUTES_PER_POINT,
-    compute_penalties,
-    fitness,
 )
 from .model import (
     MINUTES_PER_DAY,
@@ -149,7 +147,7 @@ def filter_search_space(
 # A width of 0 would loop for ever, so each caller rules it out first.
 
 
-def uniform_genes(space: SearchSpace, rng: random.Random) -> tuple[int | None, ...]:
+def uniform_genes(space: SearchSpace, rng: random.Random) -> Genes:
     """One independent uniform draw per act block; empty blocks stay unassigned.
 
     Shared by the unordered initializer and the random-choice baseline so
@@ -175,7 +173,7 @@ def _ordered_genes(
     chain: Sequence[tuple[int, Sequence[tuple[int, int, int]]]],
     act_count: int,
     rng: random.Random,
-) -> tuple[int | None, ...]:
+) -> Genes:
     # Walk the chain built by ``_initializer``: each link is an act and its
     # draws ``(lo, width, bits)``, indexed by the previous link's gene (the
     # first link has one draw, at index 0).  The draw is
@@ -198,7 +196,7 @@ def _initializer(
     config: GAConfig,
     order: Sequence[int],
     rng: random.Random,
-) -> Callable[[], tuple[int | None, ...]]:
+) -> Callable[[], Genes]:
     """One genome drawn from the configured variant's initial distribution per call.
 
     The ordered variant walks acts along ``order``, skipping empty blocks,
@@ -230,22 +228,15 @@ def _initializer(
     return lambda: _ordered_genes(chain, act_count, rng)
 
 
-def init_population(
-    space: SearchSpace,
-    config: GAConfig,
-    order: Sequence[int],
-    rng: random.Random | None = None,
-) -> list[Individual]:
-    """Build the initial population for the configured variant.
+def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
+    """The initial population: ``size`` individuals, one ``draw()`` each.
 
-    UNORDERED draws every gene independently; ORDERED samples acts along
-    ``order`` (from ``constraints.optimal_act_order``) so each slot tends to
+    ``draw`` is the configured variant's initializer (``_initializer``):
+    UNORDERED draws every gene independently; ORDERED samples acts along an
+    order from ``constraints.optimal_act_order``, so each slot tends to
     start after the previous act's slot ends.
     """
-    if rng is None:
-        rng = random.Random(config.seed)
-    draw = _initializer(space, config, order, rng)
-    return [Individual(draw()) for _ in range(config.population)]
+    return [Individual(draw()) for _ in range(size)]
 
 
 def decode(
@@ -356,26 +347,21 @@ def make_evaluator(
     """Fitness of an individual, equal (bit for bit) to
     ``fitness(compute_penalties(decode(individual, space, request), request, rules))``.
 
-    The request is compiled once.  Each candidate becomes a tuple
-    ``(rank, start, end, facility)`` whose rank orders picked slots as
+    The request is compiled once.  Each candidate becomes a pick ``(start,
+    rank, end, facility)`` whose rank orders picked slots as
     ``Schedule.sorted_by_start`` does (by start, then id, then act).  Each
     rule becomes one check per ordered pair of acts whose exams it names.
-    A genome is then scored by one sort of its picks and one pass over
-    consecutive picks, which also counts overlaps; breaches are counted,
-    not listed.  It rejects every genome ``decode`` rejects, with
-    ``decode``'s error, and genes that are not ``int`` or ``None``.
+    A genome is then scored by the rule checks, one sort of its picks and
+    ``constraints.walk_picks``, the walk ``schedule_counts`` reads.  It
+    rejects every genome ``decode`` rejects, with ``decode``'s error, and
+    genes that are not ``int`` or ``None``.  A block that mixes exams (only
+    a hand-built space has one) raises ``ValueError``: its rules would
+    depend on the pick.
     """
-    rules = tuple(rules)
     blocks = space.per_act_slots
     exams = [{slot.exam for slot in block} for block in blocks]
     if any(len(block_exams) > 1 for block_exams in exams):
-        # Only hand-built spaces mix exams in a block; rules then depend on
-        # the pick, so score through the reference path.
-        def reference(individual: Individual) -> float:
-            schedule = decode(individual, space, request)
-            return fitness(compute_penalties(schedule, request, rules))
-
-        return reference
+        raise ValueError("every candidate of an act must be of one exam")
 
     keyed = sorted(
         (slot.start, slot.id, act, gene)
@@ -391,7 +377,7 @@ def make_evaluator(
     for rank, (start, _, act, gene) in enumerate(keyed):
         slot = blocks[act][gene]
         facility = facilities.setdefault(slot.facility, len(facilities))
-        tables[act][gene] = (rank, start, slot.end, facility)
+        tables[act][gene] = (start, rank, slot.end, facility)
 
     # (first act, second act, gap, symmetric): broken when the second starts
     # under ``gap`` after the first ends and, for BOTH, also the reverse.
@@ -438,41 +424,17 @@ def make_evaluator(
             if (
                 first is not None
                 and second is not None
-                and second[1] - first[2] < gap
-                and (not symmetric or first[1] - second[2] < gap)
+                and second[0] - first[2] < gap
+                and (not symmetric or first[0] - second[2] < gap)
             ):
                 breaches += 1
-
-        trips, transfers, wait = 1, 0, 0
-        count = len(picks)
-        _, first_start, prev_end, prev_facility = picks[0]
-        for i in range(1, count):
-            _, start, end, facility = picks[i]
-            gap = start - prev_end
-            if gap > 0:
-                wait += gap
-            elif gap < 0:
-                # This pick overlaps the previous one, and so does every later
-                # pick up to the first that starts at or after the previous
-                # end: picks are sorted by start, so none after it can overlap.
-                breaches += 1
-                later = i + 1
-                while later < count and picks[later][1] < prev_end:
-                    breaches += 1
-                    later += 1
-            if facility != prev_facility:
-                trips += 1
-                if gap < TRAVEL_GAP_MINUTES:
-                    transfers += 1
-            elif gap > TRIP_GAP_MINUTES:
-                trips += 1
-            prev_end, prev_facility = end, facility
-        lead = max(0, first_start // MINUTES_PER_DAY - start_day)
+        overlaps, trips, transfers, wait, _ = walk_picks(picks)
+        lead = max(0, picks[0][0] // MINUTES_PER_DAY - start_day)
 
         # Summed in PenaltyBreakdown.total()'s order, so the float matches.
         total = (
             missing
-            + HARD_VIOLATION_PENALTY * breaches
+            + HARD_VIOLATION_PENALTY * (overlaps + breaches)
             + PER_TRIP_PENALTY * trips
             + TRAVEL_GAP_PENALTY * transfers
             + wait / WAIT_MINUTES_PER_POINT
@@ -484,7 +446,7 @@ def make_evaluator(
 
 
 def _replace_duplicates(
-    children: list[Individual], draw: Callable[[], tuple[int | None, ...]]
+    children: list[Individual], draw: Callable[[], Genes]
 ) -> None:
     """Redraw, once, each child whose genome is already in the generation.
 
@@ -618,17 +580,17 @@ def evolve(
     rules = tuple(rules)
     rng = random.Random(config.seed)
     if config.variant is Variant.ORDERED:
-        order: Sequence[int] = optimal_act_order(request.acts, rules).order
+        order: Sequence[int] = optimal_act_order(request.acts, rules)
     else:
         order = range(space.act_count)
-    population = init_population(space, config, order, rng)
     draw = _initializer(space, config, order, rng)
+    population = init_population(draw, config.population)
     evaluate = make_evaluator(space, request, rules)
 
     score, polish = _memoised(space, evaluate)
 
     history: list[GenerationStats] = []
-    last_polished: tuple[int | None, ...] | None = None
+    last_polished: Genes | None = None
     fitnesses = score(population)
     best_idx = max(range(len(fitnesses)), key=fitnesses.__getitem__)
     for generation in range(config.generations):

@@ -17,7 +17,14 @@ from .model import IncompatibilityRule, Schedule
 
 @dataclass(frozen=True)
 class SolutionMetrics:
-    """Per-solution summary: journey density, mobility and constraint flags."""
+    """Per-solution summary: journey density, mobility and constraint flags.
+
+    ``itr`` is the idle time ratio: idle minutes between consecutive
+    appointments over the journey span, None for fewer than two
+    assignments.  Overlapping slots count as zero idle, so the ratio stays
+    computable for baseline outputs.  ``trips`` counts facility changes and
+    breaks over two hours, plus the first trip; an empty schedule has none.
+    """
 
     itr: float | None
     trips: int
@@ -25,26 +32,6 @@ class SolutionMetrics:
     compatibility_ok: bool
     travel_ok: bool
     fully_scheduled: bool
-
-
-def idle_time_ratio(schedule: Schedule) -> float | None:
-    """Idle minutes between consecutive appointments over the journey span.
-
-    Undefined (None) for fewer than two assignments.  Negative gaps from
-    overlapping slots count as zero idle so the ratio stays computable for
-    baseline outputs.
-    """
-    if len(schedule) < 2:
-        return None
-    counts = schedule_counts(schedule, ())
-    return counts.idle / counts.span
-
-
-def trip_count(schedule: Schedule) -> int:
-    """Number of trips (facility changes or >2h breaks) in the journey."""
-    if not schedule.assignments:
-        raise ValueError("cannot count the trips of an empty schedule")
-    return schedule_counts(schedule, ()).trips
 
 
 def solution_metrics(

@@ -49,15 +49,6 @@ def instant_label(minutes: int) -> str:
     return f"{minutes // MINUTES_PER_DAY}T{minutes % MINUTES_PER_DAY}"
 
 
-def parse_instant_label(label: str) -> int:
-    """Inverse of :func:`instant_label`."""
-    day_part, _, minute_part = label.partition("T")
-    day, minute = int(day_part), int(minute_part)
-    if not 0 <= minute < MINUTES_PER_DAY:
-        raise ValueError(f"minute-of-day out of range in label {label!r}")
-    return day * MINUTES_PER_DAY + minute
-
-
 def _dump_json(document: dict[str, Any], path: Path) -> None:
     path.write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -44,7 +44,7 @@ from medsched.ga import (
     filter_search_space,
     next_generation,
 )
-from medsched.metrics import idle_time_ratio, mann_whitney_u
+from medsched.metrics import mann_whitney_u, solution_metrics
 from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
@@ -401,7 +401,7 @@ def property_itr_in_unit_interval(minutes):
         make_slot(id=f"S{i}", start=i * MINUTES_PER_DAY + 540 + m, duration=30)
         for i, m in enumerate(sorted(minutes))
     ]
-    ratio = idle_time_ratio(make_schedule(*slots))
+    ratio = solution_metrics(make_schedule(*slots), (), len(slots)).itr
     assert 0 <= ratio < 1
 
 

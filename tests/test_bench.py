@@ -27,6 +27,7 @@ from medsched.bench import (
 )
 from medsched.datagen import WorldConfig, generate_world
 from medsched.ga import GAConfig
+from medsched.model import ScheduleRequest
 
 SMALL_WORLD_CONFIG = WorldConfig(
     seed=5, horizon_days=6, facilities=2, rooms_per_facility=2, rule_count=8
@@ -190,6 +191,19 @@ class TestRunBench:
         assert result.ok_records_for(FCFS) == [
             r for r in result.records_for(FCFS) if r.error is None
         ]
+
+    def test_unschedulable_request_fails_every_cell(self, small_world, monkeypatch):
+        # No slot lies on or after the horizon's end, so every block is empty.
+        exams = tuple(exam.id for exam in small_world.exams[:2])
+        request = ScheduleRequest(acts=exams, start_day=SMALL_WORLD_CONFIG.horizon_days)
+        monkeypatch.setattr(bench, "generate_request", lambda *args, **kwargs: request)
+        result = run_bench(BenchConfig(world=SMALL_WORLD_CONFIG, trials=1, ga=SMALL_GA), small_world)
+        assert [r.algorithm for r in result.records] == list(ALL_ALGORITHMS)
+        for record in result.records:
+            assert record.error == (
+                f"UnschedulableError: no candidate slots for any act of {list(exams)}"
+            )
+            assert record.schedule is None and record.metrics is None
 
 
 class TestAggregationRows:

@@ -10,6 +10,9 @@ REMOVED = {
     "gap_minutes",
     "ConstraintFlags",
     "constraint_fulfillment",
+    "ActOrder",
+    "idle_time_ratio",
+    "trip_count",
 }
 
 

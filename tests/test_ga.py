@@ -45,6 +45,13 @@ from medsched.worldio import load_world, save_world
 from conftest import make_slot
 
 
+def initial_population(space, config, order, rng=None):
+    """``init_population`` drawing from the configured variant's initializer."""
+    if rng is None:
+        rng = random.Random(config.seed)
+    return init_population(ga._initializer(space, config, order, rng), config.population)
+
+
 def block(exam, day_minutes, facility="F1", duration=30):
     """Candidate slots for one act, one per (day, minute) pair."""
     return tuple(
@@ -297,7 +304,7 @@ class TestInitPopulation:
         space = toy_space()
         for variant in Variant:
             config = GAConfig(population=37, variant=variant, seed=3)
-            population = init_population(space, config, range(space.act_count))
+            population = initial_population(space, config, range(space.act_count))
             assert len(population) == 37
 
     def test_unordered_draws_uniformly(self):
@@ -306,7 +313,7 @@ class TestInitPopulation:
             per_act_slots=(block("E01", [(d, 540) for d in range(5)]),)
         )
         config = GAConfig(population=10_000, variant=Variant.UNORDERED, seed=11)
-        population = init_population(space, config, range(1))
+        population = initial_population(space, config, range(1))
         counts = [0] * 5
         for individual in population:
             counts[individual.genes[0]] += 1
@@ -328,10 +335,10 @@ class TestInitPopulation:
                 first="E01", second="E02", logic=RuleLogic.BEFORE, gap_minutes=30
             )
         ]
-        order = optimal_act_order(("E01", "E02"), rules).order
+        order = optimal_act_order(("E01", "E02"), rules)
         assert order == (0, 1)
         config = GAConfig(population=200, seed=5)
-        for individual in init_population(space, config, order):
+        for individual in initial_population(space, config, order):
             first = space.per_act_slots[0][individual.genes[0]]
             second = space.per_act_slots[1][individual.genes[1]]
             assert second.start >= first.end
@@ -347,7 +354,7 @@ class TestInitPopulation:
         )
         order = (0, 1)
         config = GAConfig(population=50, seed=6)
-        for individual in init_population(space, config, order):
+        for individual in initial_population(space, config, order):
             assert individual.genes[0] == 0
             assert individual.genes[1] in (0, 1)
 
@@ -355,7 +362,7 @@ class TestInitPopulation:
         space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]), ()))
         for variant in Variant:
             config = GAConfig(population=10, variant=variant, seed=1)
-            for individual in init_population(space, config, range(2)):
+            for individual in initial_population(space, config, range(2)):
                 assert individual.genes[1] is None
 
 
@@ -551,7 +558,7 @@ class TestNextGeneration:
         space = toy_space()
         config = GAConfig(population=21, tournament_k=5, seed=2)
         rng = random.Random(config.seed)
-        population = init_population(space, config, range(3), rng)
+        population = initial_population(space, config, range(3), rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         children = next_generation(population, fitnesses, space, config, rng)
@@ -563,7 +570,7 @@ class TestNextGeneration:
         space = toy_space()
         config = GAConfig(population=30, seed=8)
         rng = random.Random(config.seed)
-        population = init_population(space, config, range(3), rng)
+        population = initial_population(space, config, range(3), rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         for _ in range(5):
             fitnesses = [evaluate(individual) for individual in population]
@@ -585,8 +592,8 @@ class TestEvolve:
         assert result.history == ()
         # Reconstruct the initial population with the same stream.
         rng = random.Random(config.seed)
-        order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES).order
-        population = init_population(space, config, order, rng)
+        order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES)
+        population = initial_population(space, config, order, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         best = population[max(range(len(population)), key=fitnesses.__getitem__)]
@@ -599,8 +606,8 @@ class TestEvolve:
         assert len(result.history) == 12
         assert [stats.generation for stats in result.history] == list(range(12))
         rng = random.Random(config.seed)
-        order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES).order
-        population = init_population(space, config, order, rng)
+        order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES)
+        population = initial_population(space, config, order, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         assert result.history[0].best_fitness == pytest.approx(max(fitnesses))
@@ -984,7 +991,7 @@ class TestBreedingReplaysRandrange:
         order = data.draw(st.permutations(range(space.act_count)))
         config = GAConfig(population=size, tournament_k=1, variant=variant)
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert init_population(space, config, order, ours) == oracle_init_population(
+        assert initial_population(space, config, order, ours) == oracle_init_population(
             space, config, order, theirs
         )
         assert uniform_genes(space, ours) == oracle_uniform_genes(space, theirs)
@@ -1018,7 +1025,7 @@ class TestBreedingReplaysRandrange:
         config = GAConfig(population=50, tournament_k=1)
         for seed in range(20):
             ours, theirs = random.Random(seed), random.Random(seed)
-            assert init_population(space, config, order, ours) == oracle_init_population(
+            assert initial_population(space, config, order, ours) == oracle_init_population(
                 space, config, order, theirs
             )
             assert ours.getstate() == theirs.getstate()

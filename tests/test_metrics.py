@@ -5,12 +5,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsched.metrics import (
-    idle_time_ratio,
-    mann_whitney_u,
-    solution_metrics,
-    trip_count,
-)
+from medsched.metrics import mann_whitney_u, solution_metrics
 from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
@@ -21,13 +16,21 @@ from medsched.model import (
 from conftest import make_schedule, make_slot
 
 
+def itr_of(schedule):
+    return solution_metrics(schedule, (), len(schedule)).itr
+
+
+def trips_of(schedule):
+    return solution_metrics(schedule, (), len(schedule)).trips
+
+
 class TestIdleTimeRatio:
     def test_back_to_back_is_zero(self):
         schedule = make_schedule(
             make_slot(id="A", start=540, duration=60),
             make_slot(id="B", start=600, duration=60),
         )
-        assert idle_time_ratio(schedule) == 0.0
+        assert itr_of(schedule) == 0.0
 
     def test_worked_example_one_third(self):
         # [09:00,10:00) then [11:00,12:00): 60 idle over a 180-minute span.
@@ -35,12 +38,12 @@ class TestIdleTimeRatio:
             make_slot(id="A", start=540, duration=60),
             make_slot(id="B", start=660, duration=60),
         )
-        assert idle_time_ratio(schedule) == pytest.approx(60 / 180)
+        assert itr_of(schedule) == pytest.approx(60 / 180)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_undefined_below_two_assignments(self, count):
         slots = [make_slot(id="A", start=540)][:count]
-        assert idle_time_ratio(make_schedule(*slots)) is None
+        assert itr_of(make_schedule(*slots)) is None
 
     def test_overlap_gaps_clamp_to_zero(self):
         schedule = make_schedule(
@@ -49,7 +52,7 @@ class TestIdleTimeRatio:
             make_slot(id="C", start=690, duration=30),  # 60 after B
         )
         # Span 09:00-12:00 = 180; only the positive 60-minute gap counts.
-        assert idle_time_ratio(schedule) == pytest.approx(60 / 180)
+        assert itr_of(schedule) == pytest.approx(60 / 180)
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -65,7 +68,7 @@ class TestIdleTimeRatio:
             make_slot(id=f"S{i}", start=i * MINUTES_PER_DAY + 540 + m, duration=duration)
             for i, m in enumerate(minutes)
         ]
-        ratio = idle_time_ratio(make_schedule(*slots))
+        ratio = itr_of(make_schedule(*slots))
         assert 0 <= ratio < 1
 
 
@@ -75,7 +78,7 @@ class TestTripCount:
             make_slot(id="A", start=540, duration=30),
             make_slot(id="B", start=600, duration=30),
         )
-        assert trip_count(schedule) == 1
+        assert trips_of(schedule) == 1
 
     def test_facility_round_trip(self):
         schedule = make_schedule(
@@ -83,18 +86,17 @@ class TestTripCount:
             make_slot(id="B", facility="F2", start=600, duration=30),
             make_slot(id="C", facility="F1", start=660, duration=30),
         )
-        assert trip_count(schedule) == 3
+        assert trips_of(schedule) == 3
 
     def test_four_hour_gap_splits_trip(self):
         schedule = make_schedule(
             make_slot(id="A", start=540, duration=30),
             make_slot(id="B", start=540 + 30 + 240, duration=30),
         )
-        assert trip_count(schedule) == 2
+        assert trips_of(schedule) == 2
 
-    def test_empty_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            trip_count(Schedule(assignments=()))
+    def test_empty_schedule_has_no_trips(self):
+        assert trips_of(Schedule(assignments=())) == 0
 
 
 def flags(schedule, rules, act_count):

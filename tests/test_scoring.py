@@ -215,8 +215,8 @@ class TestMatchesReference:
         for gene in range(len(space.per_act_slots[0])):
             assert_exact(space, request, (), (gene,))
 
-    def test_block_with_mixed_exams(self):
-        # Only hand-built spaces mix exams in a block; rules apply per pick.
+    def test_block_with_mixed_exams_rejected(self):
+        # Only hand-built spaces mix exams in a block; rules would apply per pick.
         space = SearchSpace(
             per_act_slots=(
                 (make_slot("A", exam="E01", start=540), make_slot("B", exam="E03", start=540)),
@@ -225,8 +225,8 @@ class TestMatchesReference:
         )
         request = ScheduleRequest(acts=("E01", "E02"))
         rules = (rule("E01", "E02", RuleLogic.BEFORE, 60),)
-        for genes in ((0, 0), (1, 0)):
-            assert_exact(space, request, rules, genes)
+        with pytest.raises(ValueError, match="one exam"):
+            make_evaluator(space, request, rules)
 
 
 def assert_pass_matches_oracle(schedule, request, rules):
