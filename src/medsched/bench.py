@@ -18,7 +18,14 @@ from typing import Any, Iterable, Sequence
 from .baselines import fcfs_schedule, random_schedule
 from .datagen import World, WorldConfig, generate_request, generate_world
 from .fitness import PenaltyBreakdown, compute_penalties, fitness
-from .ga import GAConfig, GenerationStats, UnschedulableError, Variant, evolve, filter_search_space
+from .ga import (
+    GAConfig,
+    GenerationStats,
+    Variant,
+    evolve,
+    filter_search_space,
+    require_candidates,
+)
 from .metrics import SolutionMetrics, mann_whitney_u, solution_metrics
 from .model import IncompatibilityRule, Schedule, ScheduleRequest
 from .worldio import write_csv
@@ -113,8 +120,7 @@ def run_algorithm(
     candidate slot.
     """
     space = filter_search_space(world.slots, request)
-    if all(not block for block in space.per_act_slots):
-        raise UnschedulableError(f"no candidate slots for any act of {list(request.acts)}")
+    require_candidates(space, request)
     if algorithm in GA_VARIANTS:
         config = replace(ga, variant=GA_VARIANTS[algorithm], seed=ga_seed)
         result = evolve(space, request, world.rules, config)

@@ -41,8 +41,8 @@ class ScheduleCounts(NamedTuple):
 
 def walk_picks(
     picks: Sequence[tuple[int, Any, int, Any]],
-) -> tuple[int, int, int, int, int]:
-    """Overlaps, trips, transfers, idle minutes and last end of a pick sequence.
+) -> tuple[int, int, int, int]:
+    """Overlaps, trips, transfers and idle minutes of a pick sequence.
 
     This is the one walk over consecutive picks.  Each pick is ``(start,
     tiebreak, end, facility)``, ``picks`` is non-empty and sorted by start,
@@ -51,8 +51,7 @@ def walk_picks(
     that also starts before that end counts as one more overlap.  A trip
     starts at the first pick, on a facility change, and on a gap over
     ``TRIP_GAP_MINUTES``; a facility change under ``TRAVEL_GAP_MINUTES`` is
-    a transfer.  Idle minutes sum the positive gaps.  The last end is the
-    end of the last pick in the sequence.
+    a transfer.  Idle minutes sum the positive gaps.
     """
     overlaps = transfers = idle = 0
     trips = 1
@@ -78,7 +77,7 @@ def walk_picks(
         elif gap > TRIP_GAP_MINUTES:
             trips += 1
         prev_end, prev_facility = end, facility
-    return overlaps, trips, transfers, idle, prev_end
+    return overlaps, trips, transfers, idle
 
 
 def schedule_counts(
@@ -101,7 +100,7 @@ def schedule_counts(
     picks.sort(key=_START_ID)
     if not picks:
         return ScheduleCounts(0, 0, 0, 0, 0, 0, 0)
-    overlaps, trips, transfers, idle, last_end = walk_picks(picks)
+    overlaps, trips, transfers, idle = walk_picks(picks)
 
     breaches = 0
     by_exam: dict[str, list[tuple[int, TimeSlot]]] = {}
@@ -128,7 +127,7 @@ def schedule_counts(
 
     first_start = picks[0][0]
     return ScheduleCounts(
-        overlaps, breaches, trips, transfers, idle, last_end - first_start, first_start
+        overlaps, breaches, trips, transfers, idle, picks[-1][2] - first_start, first_start
     )
 
 

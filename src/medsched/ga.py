@@ -137,6 +137,12 @@ def filter_search_space(
     return SearchSpace(per_act_slots=tuple(blocks[exam] for exam in request.acts))
 
 
+def require_candidates(space: SearchSpace, request: ScheduleRequest) -> None:
+    """Raise ``UnschedulableError`` unless some act has a candidate slot."""
+    if all(not block for block in space.per_act_slots):
+        raise UnschedulableError(f"no candidate slots for any act of {list(request.acts)}")
+
+
 # Every uniform integer draw in this module is ``rng.randrange(width)``
 # written out.  On CPython that is ``_randbelow_with_getrandbits``: draw
 # ``width.bit_length()`` bits (one bit even when ``width`` is 1) and redraw
@@ -428,7 +434,7 @@ def make_evaluator(
                 and (not symmetric or first[0] - second[2] < gap)
             ):
                 breaches += 1
-        overlaps, trips, transfers, wait, _ = walk_picks(picks)
+        overlaps, trips, transfers, wait = walk_picks(picks)
         lead = max(0, picks[0][0] // MINUTES_PER_DAY - start_day)
 
         # Summed in PenaltyBreakdown.total()'s order, so the float matches.
@@ -575,8 +581,7 @@ def evolve(
     genomes, and every random draw comes from one
     ``random.Random(config.seed)``, so a run is deterministic.
     """
-    if all(not block for block in space.per_act_slots):
-        raise UnschedulableError("no candidate slots for any requested act")
+    require_candidates(space, request)
     rules = tuple(rules)
     rng = random.Random(config.seed)
     if config.variant is Variant.ORDERED:

@@ -582,7 +582,9 @@ class TestNextGeneration:
 class TestEvolve:
     def test_unschedulable_space_rejected(self):
         space = SearchSpace(per_act_slots=((), ()))
-        with pytest.raises(UnschedulableError):
+        # The message is the one ``bench.run_algorithm`` and ``solve`` give.
+        message = r"^no candidate slots for any act of \['E01', 'E02'\]$"
+        with pytest.raises(UnschedulableError, match=message):
             evolve(space, ScheduleRequest(acts=("E01", "E02")), (), GAConfig())
 
     def test_zero_generations_returns_best_of_init(self):
