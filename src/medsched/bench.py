@@ -18,14 +18,7 @@ from typing import Any, Iterable, Sequence
 from .baselines import fcfs_schedule, random_schedule
 from .datagen import World, WorldConfig, generate_request, generate_world
 from .fitness import PenaltyBreakdown, compute_penalties, fitness
-from .ga import (
-    GAConfig,
-    GenerationStats,
-    Variant,
-    evolve,
-    filter_search_space,
-    require_candidates,
-)
+from .ga import GAConfig, GenerationStats, Variant, evolve, filter_search_space, require_candidates
 from .metrics import SolutionMetrics, mann_whitney_u, solution_metrics
 from .model import IncompatibilityRule, Schedule, ScheduleRequest
 from .worldio import write_csv
