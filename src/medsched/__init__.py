@@ -9,13 +9,7 @@ evaluation metrics, and a CSV benchmark harness.
 
 from .baselines import fcfs_schedule, random_schedule
 from .bench import ALL_ALGORITHMS, BenchConfig, BenchResult, run_bench, write_bench_csvs
-from .constraints import (
-    check_incompatibilities,
-    check_travel_gaps,
-    find_overlaps,
-    optimal_act_order,
-    segment_trips,
-)
+from .constraints import optimal_act_order
 from .datagen import World, WorldConfig, generate_request, generate_world
 from .fitness import PenaltyBreakdown, compute_penalties, fitness
 from .ga import (
@@ -39,7 +33,6 @@ from .model import (
     ScheduleRequest,
     Specialty,
     TimeSlot,
-    slots_overlap,
 )
 from .worldio import load_request, load_world, save_request, save_world
 
@@ -68,13 +61,10 @@ __all__ = [
     "Variant",
     "World",
     "WorldConfig",
-    "check_incompatibilities",
-    "check_travel_gaps",
     "compute_penalties",
     "evolve",
     "fcfs_schedule",
     "filter_search_space",
-    "find_overlaps",
     "fitness",
     "generate_request",
     "generate_world",
@@ -86,8 +76,6 @@ __all__ = [
     "run_bench",
     "save_request",
     "save_world",
-    "segment_trips",
-    "slots_overlap",
     "solution_metrics",
     "write_bench_csvs",
 ]

@@ -1,9 +1,11 @@
-"""Feasibility checks: overlaps, incompatibility rules, trips and travel gaps.
+"""Scoring: overlaps, incompatibility rules, trips, travel gaps and act order.
 
 ``schedule_counts`` is the one scoring pass: fitness and metrics read its
-counts.  Its walk over consecutive picks, ``walk_picks``, is also the GA
-evaluator's, so the two cannot count differently.  The checkers below list
-what the pass counts, one concern each; they are the tests' reference for it.
+counts.  ``rule_checks`` is the one place rules become breach checks, and
+``walk_picks``, the one walk over consecutive picks, is the one place they
+are applied.  The GA's evaluator calls both too, so it cannot count
+differently.  The tests hold these counts equal to an oracle with one
+checker per concern, ``tests/oracle.py``.
 
 Gap conventions, fixed once here and reused by fitness, metrics and the GA:
 a rule's separation is measured from the earlier slot's end to the later
@@ -17,7 +19,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .model import IncompatibilityRule, RuleLogic, Schedule, TimeSlot, slots_overlap
+from .model import IncompatibilityRule, RuleLogic, Schedule
 
 TRIP_GAP_MINUTES = 120
 TRAVEL_GAP_MINUTES = 180
@@ -25,6 +27,11 @@ TRAVEL_GAP_MINUTES = 180
 # A pick's (start, id), ``sorted_by_start``'s key, read by position so
 # ``schedule_counts`` sorts at C speed and keeps equal keys in input order.
 _START_ID = itemgetter(0, 1)
+
+# A pick: (start, tiebreak, end, facility).
+Pick = tuple[int, Any, int, Any]
+# A breach check over pick positions: (i, j, gap, symmetric); see rule_checks.
+Check = tuple[int, int, int, bool]
 
 
 class ScheduleCounts(NamedTuple):
@@ -39,20 +46,67 @@ class ScheduleCounts(NamedTuple):
     first_start: int
 
 
-def walk_picks(
-    picks: Sequence[tuple[int, Any, int, Any]],
-) -> tuple[int, int, int, int]:
-    """Overlaps, trips, transfers and idle minutes of a pick sequence.
+def rule_checks(
+    rules: Iterable[IncompatibilityRule],
+    acts: Sequence[int],
+    positions: dict[str, list[int]],
+) -> list[Check]:
+    """Each rule as breach checks ``(i, j, gap, symmetric)`` over pick positions.
 
-    This is the one walk over consecutive picks.  Each pick is ``(start,
-    tiebreak, end, facility)``, ``picks`` is non-empty and sorted by start,
-    and only ``start``, ``end`` and ``facility`` are read.  A pick overlaps
-    the previous one when it starts before that one ends; every later pick
-    that also starts before that end counts as one more overlap.  A trip
-    starts at the first pick, on a facility change, and on a gap over
-    ``TRIP_GAP_MINUTES``; a facility change under ``TRAVEL_GAP_MINUTES`` is
-    a transfer.  Idle minutes sum the positive gaps.
+    ``acts[p]`` is position ``p``'s act index and ``positions`` maps each
+    exam to its positions.  A rule gives one check per pair of a position
+    of its first exam and one of its second, except a pair of one act
+    index.  A check is broken when position ``j`` starts under ``gap``
+    minutes after position ``i`` ends and, when ``symmetric`` (BOTH), also
+    ``i`` under ``gap`` after ``j``.  AFTER is BEFORE with the positions
+    swapped.  Durations are positive, so for BOTH this equals measuring
+    from the earlier slot's end.
     """
+    checks: list[Check] = []
+    for rule in rules:
+        firsts = positions.get(rule.first)
+        seconds = positions.get(rule.second) if firsts else None
+        if not seconds:
+            continue
+        gap, logic = rule.gap_minutes, rule.logic
+        after, symmetric = logic is RuleLogic.AFTER, logic is RuleLogic.BOTH
+        for i in firsts:
+            for j in seconds:
+                if acts[i] != acts[j]:
+                    checks.append((j, i, gap, False) if after else (i, j, gap, symmetric))
+    return checks
+
+
+def walk_picks(
+    picks: Sequence[Pick],
+    checks: Iterable[Check],
+    by_position: Sequence[Pick | None],
+) -> tuple[int, int, int, int, int]:
+    """Overlaps, rule breaches, trips, transfers and idle minutes of a pick sequence.
+
+    This is the one walk over consecutive picks, and the one place rule
+    checks are applied.  ``picks`` is non-empty and sorted by start, and of
+    a pick only ``start``, ``end`` and ``facility`` are read.  ``checks``
+    come from ``rule_checks`` and index ``by_position``, the same picks by
+    position, where ``None`` (an unbooked act) breaks no check.  A pick
+    overlaps the previous one when it starts before that one ends; every
+    later pick that also starts before that end counts as one more overlap.
+    A trip starts at the first pick, on a facility change, and on a gap
+    over ``TRIP_GAP_MINUTES``; a facility change under
+    ``TRAVEL_GAP_MINUTES`` is a transfer.  Idle minutes sum the positive
+    gaps.
+    """
+    breaches = 0
+    for i, j, gap, symmetric in checks:
+        first, second = by_position[i], by_position[j]
+        if (
+            first is not None
+            and second is not None
+            and second[0] - first[2] < gap
+            and (not symmetric or first[0] - second[2] < gap)
+        ):
+            breaches += 1
+
     overlaps = transfers = idle = 0
     trips = 1
     count = len(picks)
@@ -77,7 +131,7 @@ def walk_picks(
         elif gap > TRIP_GAP_MINUTES:
             trips += 1
         prev_end, prev_facility = end, facility
-    return overlaps, trips, transfers, idle
+    return overlaps, breaches, trips, transfers, idle
 
 
 def schedule_counts(
@@ -85,152 +139,32 @@ def schedule_counts(
 ) -> ScheduleCounts:
     """Every count fitness and metrics read, from one sort and one walk.
 
-    The counts equal the checkers': ``overlaps``, ``breaches``, ``trips``
-    and ``transfers`` are the lengths of ``find_overlaps``,
-    ``check_incompatibilities``, ``segment_trips`` and
+    One pass over the assignments builds the picks and the rules' checks.
+    The counts equal the oracle's in ``tests/oracle.py``: ``overlaps``,
+    ``breaches``, ``trips`` and ``transfers`` are the lengths of
+    ``find_overlaps``, ``check_incompatibilities``, ``segment_trips`` and
     ``check_travel_gaps``, and ``idle`` is ``idle_minutes`` of the start
     order.  ``span`` runs from the first start to the end of the last pick
     in start order, ``first_start`` is the first start, and an empty
     schedule counts all zeros.
     """
-    picks = [
-        (slot.start, slot.id, slot.start + slot.duration_minutes, slot.facility)
-        for _, slot in schedule.assignments
-    ]
-    picks.sort(key=_START_ID)
-    if not picks:
+    acts: list[int] = []
+    positions: dict[str, list[int]] = {}
+    by_position: list[Pick] = []
+    for position, (act, slot) in enumerate(schedule.assignments):
+        slot_id, exam, facility, _, _, start, duration = slot
+        acts.append(act)
+        positions.setdefault(exam, []).append(position)
+        by_position.append((start, slot_id, start + duration, facility))
+    if not by_position:
         return ScheduleCounts(0, 0, 0, 0, 0, 0, 0)
-    overlaps, trips, transfers, idle = walk_picks(picks)
-
-    breaches = 0
-    by_exam: dict[str, list[tuple[int, TimeSlot]]] = {}
-    for pair in schedule.assignments:
-        by_exam.setdefault(pair[1].exam, []).append(pair)
-    for rule in rules:
-        firsts = by_exam.get(rule.first)
-        seconds = by_exam.get(rule.second) if firsts else None
-        if not seconds:
-            continue
-        logic, gap = rule.logic, rule.gap_minutes
-        for act_1, slot_1 in firsts:
-            for act_2, slot_2 in seconds:
-                if act_1 == act_2:
-                    continue
-                if logic is RuleLogic.BEFORE:
-                    separation = slot_2.start - slot_1.end
-                elif logic is RuleLogic.AFTER:
-                    separation = slot_1.start - slot_2.end
-                else:
-                    separation = _separation(slot_1, slot_2)
-                if separation < gap:
-                    breaches += 1
-
+    picks = sorted(by_position, key=_START_ID)
+    checks = rule_checks(rules, acts, positions)
+    overlaps, breaches, trips, transfers, idle = walk_picks(picks, checks, by_position)
     first_start = picks[0][0]
     return ScheduleCounts(
         overlaps, breaches, trips, transfers, idle, picks[-1][2] - first_start, first_start
     )
-
-
-def find_overlaps(schedule: Schedule) -> list[tuple[int, int]]:
-    """The act pair of each unordered pair of assignments whose slots overlap."""
-    pairs = schedule.sorted_by_start()
-    violations = []
-    for i in range(len(pairs)):
-        act_i, slot_i = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            act_j, slot_j = pairs[j]
-            if slot_j.start >= slot_i.end:
-                break  # starts are sorted: nothing later overlaps slot_i
-            if slots_overlap(slot_i, slot_j):
-                violations.append((act_i, act_j))
-    return violations
-
-
-def _separation(a: TimeSlot, b: TimeSlot) -> int:
-    """Minutes from the earlier slot's end to the later slot's start (may be < 0)."""
-    earlier, later = (a, b) if (a.start, a.end) <= (b.start, b.end) else (b, a)
-    return later.start - earlier.end
-
-
-def check_incompatibilities(
-    schedule: Schedule, rules: Iterable[IncompatibilityRule]
-) -> list[tuple[int, int]]:
-    """The act pair of each (rule, assignment pair) whose separation breaks the rule.
-
-    BEFORE and AFTER also fail when the pair is scheduled in the wrong order,
-    not merely when the gap is too small.
-    """
-    by_exam: dict[str, list[tuple[int, TimeSlot]]] = {}
-    for act, slot in schedule.assignments:
-        by_exam.setdefault(slot.exam, []).append((act, slot))
-    violations = []
-    for rule in rules:
-        firsts = by_exam.get(rule.first)
-        seconds = by_exam.get(rule.second)
-        if not firsts or not seconds:
-            continue
-        for act_1, slot_1 in firsts:
-            for act_2, slot_2 in seconds:
-                if act_1 == act_2:
-                    continue
-                if rule.logic is RuleLogic.BEFORE:
-                    ok = slot_2.start - slot_1.end >= rule.gap_minutes
-                elif rule.logic is RuleLogic.AFTER:
-                    ok = slot_1.start - slot_2.end >= rule.gap_minutes
-                else:
-                    ok = _separation(slot_1, slot_2) >= rule.gap_minutes
-                if not ok:
-                    violations.append((act_1, act_2))
-    return violations
-
-
-def segment_trips(schedule: Schedule) -> tuple[tuple[tuple[int, TimeSlot], ...], ...]:
-    """Split the chronological assignment sequence into trips.
-
-    Each trip is a maximal run of (act, slot) pairs at one facility.  A new
-    trip starts on a facility change or on an idle gap strictly greater than
-    two hours.
-    """
-    if not schedule.assignments:
-        raise ValueError("cannot segment an empty schedule")
-    ordered = schedule.sorted_by_start()
-    segments = []
-    run = [ordered[0]]
-    for prev, cur in zip(ordered, ordered[1:]):
-        facility_change = cur[1].facility != prev[1].facility
-        gap = cur[1].start - prev[1].end
-        if facility_change or gap > TRIP_GAP_MINUTES:
-            segments.append(tuple(run))
-            run = [cur]
-        else:
-            run.append(cur)
-    segments.append(tuple(run))
-    return tuple(segments)
-
-
-def check_travel_gaps(schedule: Schedule) -> list[tuple[int, int]]:
-    """The act pair of each consecutive pair at different facilities under 3h apart."""
-    ordered = schedule.sorted_by_start()
-    violations = []
-    for (act_a, slot_a), (act_b, slot_b) in zip(ordered, ordered[1:]):
-        if slot_a.facility == slot_b.facility:
-            continue
-        if slot_b.start - slot_a.end < TRAVEL_GAP_MINUTES:
-            violations.append((act_a, act_b))
-    return violations
-
-
-def idle_minutes(ordered: Sequence[tuple[int, TimeSlot]]) -> int:
-    """Idle minutes between consecutive assignments of a start-sorted schedule.
-
-    Only positive gaps count: overlapping slots add no idle time.
-    """
-    idle = 0
-    for (_, slot_a), (_, slot_b) in zip(ordered, ordered[1:]):
-        gap = slot_b.start - slot_a.end
-        if gap > 0:
-            idle += gap
-    return idle
 
 
 def optimal_act_order(

@@ -18,7 +18,7 @@ from operator import getitem, mul
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
 
-from .constraints import optimal_act_order, walk_picks
+from .constraints import optimal_act_order, rule_checks, walk_picks
 from .fitness import (
     HARD_VIOLATION_PENALTY,
     MISSING_SLOT_PENALTY,
@@ -29,7 +29,6 @@ from .fitness import (
 from .model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
-    RuleLogic,
     Schedule,
     ScheduleRequest,
     SlotTable,
@@ -355,10 +354,11 @@ def make_evaluator(
 
     The request is compiled once.  Each candidate becomes a pick ``(start,
     rank, end, facility)`` whose rank orders picked slots as
-    ``Schedule.sorted_by_start`` does (by start, then id, then act).  Each
-    rule becomes one check per ordered pair of acts whose exams it names.
-    A genome is then scored by the rule checks, one sort of its picks and
-    ``constraints.walk_picks``, the walk ``schedule_counts`` reads.  It
+    ``Schedule.sorted_by_start`` does (by start, then id, then act).  The
+    rules become breach checks over act positions by
+    ``constraints.rule_checks``, as ``schedule_counts`` compiles them.  A
+    genome is then scored by one sort of its picks and one call of
+    ``constraints.walk_picks``, the walk ``schedule_counts`` makes.  It
     rejects every genome ``decode`` rejects, with ``decode``'s error, and
     genes that are not ``int`` or ``None``.  A block that mixes exams (only
     a hand-built space has one) raises ``ValueError``: its rules would
@@ -385,23 +385,12 @@ def make_evaluator(
         facility = facilities.setdefault(slot.facility, len(facilities))
         tables[act][gene] = (start, rank, slot.end, facility)
 
-    # (first act, second act, gap, symmetric): broken when the second starts
-    # under ``gap`` after the first ends and, for BOTH, also the reverse.
-    # With positive durations and gaps that equals the reference's
-    # earlier-slot rule; AFTER is BEFORE with the acts swapped.
-    act_exams = [next(iter(block_exams), None) for block_exams in exams]
-    checks: list[tuple[int, int, int, bool]] = []
-    for rule in rules:
-        for act_1, exam_1 in enumerate(act_exams):
-            for act_2, exam_2 in enumerate(act_exams):
-                if act_1 == act_2 or exam_1 != rule.first or exam_2 != rule.second:
-                    continue
-                if rule.logic is RuleLogic.AFTER:
-                    checks.append((act_2, act_1, rule.gap_minutes, False))
-                else:
-                    checks.append(
-                        (act_1, act_2, rule.gap_minutes, rule.logic is RuleLogic.BOTH)
-                    )
+    # An act's position is its index, and an empty block names no exam.
+    positions: dict[str, list[int]] = {}
+    for act, block_exams in enumerate(exams):
+        for exam in block_exams:
+            positions.setdefault(exam, []).append(act)
+    checks = rule_checks(rules, range(len(blocks)), positions)
 
     act_count = len(blocks)
     gene_types = [(int, type(None))] * act_count
@@ -424,17 +413,7 @@ def make_evaluator(
         if not picks:
             return 1.0 / (1.0 + missing)
 
-        breaches = 0
-        for act_1, act_2, gap, symmetric in checks:
-            first, second = by_act[act_1], by_act[act_2]
-            if (
-                first is not None
-                and second is not None
-                and second[0] - first[2] < gap
-                and (not symmetric or first[0] - second[2] < gap)
-            ):
-                breaches += 1
-        overlaps, trips, transfers, wait = walk_picks(picks)
+        overlaps, breaches, trips, transfers, wait = walk_picks(picks, checks, by_act)
         lead = max(0, picks[0][0] // MINUTES_PER_DAY - start_day)
 
         # Summed in PenaltyBreakdown.total()'s order, so the float matches.

@@ -210,7 +210,3 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.assignments)
 
-
-def slots_overlap(a: TimeSlot, b: TimeSlot) -> bool:
-    """True iff the half-open intervals of the two slots intersect."""
-    return a.start < b.end and b.start < a.end

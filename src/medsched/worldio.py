@@ -214,10 +214,6 @@ def _head_to_dict(world: World) -> dict[str, Any]:
     }
 
 
-def world_to_dict(world: World) -> dict[str, Any]:
-    return {**_head_to_dict(world), "slots": [_slot_to_dict(s) for s in world.slots]}
-
-
 def _exam_from_dict(entry: dict[str, Any]) -> ExamType:
     return ExamType(
         id=_typed(entry["id"], str, "id"),
@@ -319,13 +315,14 @@ def world_from_dict(document: dict[str, Any]) -> World:
 
 
 def save_world(world: World, path: Path) -> None:
-    """Write ``json.dumps(world_to_dict(world), indent=2, sort_keys=True)``
-    and a newline.
+    """Write the world document: its head sections and its ``slots``, each
+    slot's fields plus ``start_label``.
 
-    The bytes are the same, but each slot is one ``%`` format: ``json.dumps``
-    runs its pure-Python encoder whenever ``indent`` is set, and ``slots``
-    is nearly all of the document.  A slot is a tuple, so its fields are
-    unpacked in one step rather than read one getter at a time.
+    The bytes are ``json.dumps(document, indent=2, sort_keys=True)`` and a
+    newline, but each slot is one ``%`` format: ``json.dumps`` runs its
+    pure-Python encoder whenever ``indent`` is set, and ``slots`` is nearly
+    all of the document.  A slot is a tuple, so its fields are unpacked in
+    one step rather than read one getter at a time.
     """
     head = json.dumps(_head_to_dict(world), indent=2, sort_keys=True)
     enc = encode_basestring_ascii

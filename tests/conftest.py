@@ -4,13 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from medsched.constraints import (
-    check_incompatibilities,
-    check_travel_gaps,
-    find_overlaps,
-    idle_minutes,
-    segment_trips,
-)
 from medsched.datagen import WorldConfig, generate_world
 from medsched.fitness import (
     HARD_VIOLATION_PENALTY,
@@ -22,6 +15,14 @@ from medsched.fitness import (
 )
 from medsched.metrics import SolutionMetrics
 from medsched.model import MINUTES_PER_DAY, Schedule, TimeSlot
+
+from oracle import (
+    check_incompatibilities,
+    check_travel_gaps,
+    find_overlaps,
+    idle_minutes,
+    segment_trips,
+)
 
 DAY = 1440
 
@@ -58,8 +59,9 @@ def default_world():
     return generate_world(WorldConfig())
 
 
-# The scoring oracle: penalties and metrics composed from the checkers, one
-# concern per checker, independent of ``constraints.schedule_counts``.
+# The scoring oracle: penalties and metrics composed from the checkers in
+# ``oracle``, one concern per checker, independent of
+# ``constraints.schedule_counts``.
 
 
 def reference_penalties(schedule, request, rules):

@@ -26,12 +26,6 @@ from medsched.bench import (
     metric_samples,
     run_bench,
 )
-from medsched.constraints import (
-    check_incompatibilities,
-    check_travel_gaps,
-    find_overlaps,
-    segment_trips,
-)
 from medsched.datagen import generate_request
 from medsched.fitness import PenaltyBreakdown, compute_penalties, fitness
 from medsched.ga import (
@@ -50,10 +44,16 @@ from medsched.model import (
     IncompatibilityRule,
     RuleLogic,
     ScheduleRequest,
-    slots_overlap,
 )
 
 from conftest import make_schedule, make_slot
+from oracle import (
+    check_incompatibilities,
+    check_travel_gaps,
+    find_overlaps,
+    segment_trips,
+    slots_overlap,
+)
 
 BENCH_TIME_BUDGET_SECONDS = 300.0
 

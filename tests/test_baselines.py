@@ -3,11 +3,11 @@
 import random
 
 from medsched.baselines import fcfs_schedule, random_schedule
-from medsched.constraints import find_overlaps
 from medsched.ga import Individual, SearchSpace, decode, uniform_genes
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 
 from conftest import make_slot
+from oracle import find_overlaps
 
 
 def block(exam, specs):

@@ -1,4 +1,4 @@
-"""Feasibility checks against hand-evaluated cases and a brute-force oracle."""
+"""The oracle's checkers against hand-evaluated cases and brute force, and act ordering."""
 
 import graphlib
 
@@ -6,25 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsched.constraints import (
-    TRAVEL_GAP_MINUTES,
-    TRIP_GAP_MINUTES,
+from medsched.constraints import TRAVEL_GAP_MINUTES, TRIP_GAP_MINUTES, optimal_act_order
+from medsched.model import MINUTES_PER_DAY, IncompatibilityRule, RuleLogic, Schedule
+
+from conftest import make_schedule, make_slot
+from oracle import (
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
     idle_minutes,
-    optimal_act_order,
     segment_trips,
-)
-from medsched.model import (
-    MINUTES_PER_DAY,
-    IncompatibilityRule,
-    RuleLogic,
-    Schedule,
     slots_overlap,
 )
-
-from conftest import make_schedule, make_slot
 
 
 def rule(first, second, logic, gap):

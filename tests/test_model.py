@@ -15,10 +15,10 @@ from medsched.model import (
     ScheduleRequest,
     Specialty,
     TimeSlot,
-    slots_overlap,
 )
 
 from conftest import make_schedule, make_slot
+from oracle import slots_overlap
 
 @st.composite
 def valid_slots(draw):

@@ -3,18 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medsched import ga
-from medsched.constraints import (
-    check_incompatibilities,
-    check_travel_gaps,
-    find_overlaps,
-    idle_minutes,
-    schedule_counts,
-    segment_trips,
-)
+from medsched.constraints import schedule_counts
 from medsched.datagen import WorldConfig, generate_request
 from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
@@ -37,6 +30,13 @@ from medsched.model import (
 )
 
 from conftest import make_slot, reference_metrics, reference_penalties
+from oracle import (
+    check_incompatibilities,
+    check_travel_gaps,
+    find_overlaps,
+    idle_minutes,
+    segment_trips,
+)
 
 EXAMS = ("E01", "E02", "E03")
 
@@ -249,6 +249,58 @@ def assert_pass_matches_oracle(schedule, request, rules):
     assert solution_metrics(schedule, rules, act_count) == reference_metrics(schedule, rules, act_count)
 
 
+@st.composite
+def hand_built_cases(draw):
+    # Schedules ``decode`` never builds: an act index listed twice, possibly
+    # with different exams, and a slot shared by two acts.  Few starts, so
+    # equal starts are common; rules may repeat.
+    pool = [
+        make_slot(
+            f"S{i}",
+            exam=draw(st.sampled_from(EXAMS)),
+            start=draw(st.sampled_from((0, MINUTES_PER_DAY))) + 30 * draw(st.integers(18, 22)),
+            duration=draw(st.sampled_from((30, 60, 90))),
+            facility=draw(st.sampled_from(("F1", "F2"))),
+        )
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    assignments = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from(pool)), max_size=6)
+    )
+    pairs = [(a, b) for a in EXAMS for b in EXAMS if a != b]
+    rules = draw(
+        st.lists(
+            st.builds(
+                lambda pair, logic, gap: rule(*pair, logic, gap),
+                st.sampled_from(pairs),
+                st.sampled_from(list(RuleLogic)),
+                st.sampled_from((30, 60, 120, 1440)),
+            ),
+            max_size=3,
+        )
+    )
+    if rules:
+        rules += draw(st.lists(st.sampled_from(rules), max_size=2))
+    request = ScheduleRequest(
+        acts=EXAMS[: draw(st.integers(1, 3))], start_day=draw(st.integers(0, 2))
+    )
+    return Schedule(assignments=tuple(assignments)), request, tuple(rules)
+
+
+# BOTH rules over two acts with one start: run on every test run.  The
+# other hand-built cases have their own tests below, with exact counts.
+BOTH_EQUAL_STARTS = (
+    Schedule(
+        assignments=(
+            (0, make_slot("A", exam="E01", facility="F1", start=600, duration=30)),
+            (1, make_slot("B", exam="E02", facility="F2", start=600, duration=60)),
+        )
+    ),
+    ScheduleRequest(acts=("E01", "E02")),
+    (rule("E02", "E01", RuleLogic.BOTH, 30), rule("E01", "E02", RuleLogic.BOTH, 30)),
+)
+
+
 class TestPassMatchesOracle:
     """``schedule_counts`` and its callers equal the checkers composed."""
 
@@ -258,6 +310,12 @@ class TestPassMatchesOracle:
         space, request, rules, genes = case
         schedule = decode(Individual(tuple(genes)), space, request)
         assert_pass_matches_oracle(schedule, request, rules)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(hand_built_cases())
+    @example(BOTH_EQUAL_STARTS)
+    def test_hand_built_property(self, case):
+        assert_pass_matches_oracle(*case)
 
     def test_empty_schedule(self):
         rules = (rule("E01", "E02", RuleLogic.BOTH, 1440),)

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,6 @@ from medsched.worldio import (
     save_world,
     solution_to_dict,
     world_from_dict,
-    world_to_dict,
     write_csv,
 )
 
@@ -243,6 +243,29 @@ class TestWorldPersistence:
         path = tmp_path / "world.json"
         save_world(generate_world(config), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def world_to_dict(world):
+    """The world document ``save_world`` renders, built field by field."""
+    return {
+        "config": {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(world.config).items()
+        },
+        "exams": [
+            {"id": e.id, "name": e.name, "specialty": e.specialty.value} for e in world.exams
+        ],
+        "rules": [
+            {"first": r.first, "second": r.second, "logic": r.logic.value, "gap_minutes": r.gap_minutes}
+            for r in world.rules
+        ],
+        "facilities": [
+            {"id": f.id, "name": f.name, "rooms": list(f.rooms)} for f in world.facilities
+        ],
+        "slots": [
+            {**slot._asdict(), "start_label": instant_label(slot.start)} for slot in world.slots
+        ],
+    }
 
 
 def reference_bytes(world):
