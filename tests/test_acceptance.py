@@ -26,6 +26,7 @@ from medsched.bench import (
     metric_samples,
     run_bench,
 )
+from medsched.constraints import schedule_counts
 from medsched.datagen import generate_request
 from medsched.fitness import PenaltyBreakdown, compute_penalties, fitness
 from medsched.ga import (
@@ -327,8 +328,10 @@ def disjoint_slot_pairs(draw):
 @given(pair=disjoint_slot_pairs())
 def property_overlap_symmetry(pair):
     a, b = pair
+    overlap = max(a.start, b.start) < min(a.end, b.end)
     assert slots_overlap(a, b) == slots_overlap(b, a)
-    assert slots_overlap(a, b) == (max(a.start, b.start) < min(a.end, b.end))
+    assert slots_overlap(a, b) == overlap
+    assert schedule_counts(make_schedule(a, b), ()).overlaps == overlap
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
@@ -347,12 +350,15 @@ def property_trip_and_travel_boundaries(gap, same_facility):
         ),
     )
     segments = len(segment_trips(schedule))
+    counts = schedule_counts(schedule, ())
     if same_facility:
-        assert segments == (1 if gap <= 120 else 2)
+        assert segments == counts.trips == (1 if gap <= 120 else 2)
         assert check_travel_gaps(schedule) == []
+        assert counts.transfers == 0
     else:
-        assert segments == 2
+        assert segments == counts.trips == 2
         assert bool(check_travel_gaps(schedule)) == (gap < 180)
+        assert counts.transfers == (gap < 180)
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
@@ -497,6 +503,11 @@ def property_checkers_match_brute_force(case):
         if a[1].facility != b[1].facility and b[1].start - a[1].end < 180
     ]
     assert check_travel_gaps(schedule) == expected_travel
+
+    counts = schedule_counts(schedule, rules)
+    assert counts.overlaps == len(expected_overlaps)
+    assert counts.breaches == len(expected_incompat)
+    assert counts.transfers == len(expected_travel)
 
 
 def test_criterion_8_property_suites():

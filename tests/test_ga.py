@@ -27,7 +27,6 @@ from medsched.ga import (
     decode,
     evolve,
     filter_search_space,
-    genome_key,
     init_population,
     make_evaluator,
     next_generation,
@@ -1034,9 +1033,10 @@ class TestBreedingReplaysRandrange:
 
 
 # The fitness memo's ``score`` as it was before it scored whole populations,
-# and the one-gene polish as it was before it moved to key arithmetic: the
-# oracles the shared memo's ``score`` and ``polish`` must replay, evaluator
-# call for evaluator call.
+# keyed by a mixed-radix integer rather than the gene tuple, and the one-gene
+# polish as a plain scan over that scorer: independent oracles the shared
+# memo's ``score`` and ``polish`` must replay, evaluator call for evaluator
+# call.
 
 
 def oracle_scorer(space, evaluate, limit):
@@ -1119,18 +1119,6 @@ class TestPopulationScorerReplaysOracle:
         # Each miss evaluates the population's own individual.
         assert all(any(i is p for p in pool) for i in evaluated)
 
-    @settings(max_examples=500, deadline=None)
-    @given(data=st.data())
-    def test_genome_key_equals_mixed_radix_loop(self, data):
-        space = data.draw(spaces())
-        _, key_of = oracle_scorer(space, None, 1)
-        places = ga._key_places(space)
-        for _ in range(5):
-            genes = genomes(data.draw, space).genes
-            assert genome_key(genes, places) == key_of(genes)
-        # Every block unassigned, empty blocks included, is key 0.
-        assert genome_key((None,) * space.act_count, places) == 0
-
 
 class TestPolishReplaysOracle:
     @settings(max_examples=500, deadline=None)
@@ -1157,6 +1145,22 @@ class TestPolishReplaysOracle:
                 )
             assert score([Individual(g) for g in warm]) == [oracle_score(g) for g in warm]
         assert calls == oracle_calls
+
+
+def test_memo_scores_each_genome_as_itself():
+    # On a one-candidate act, gene 0 and an unassigned gene are distinct
+    # genomes; each is evaluated and scored as itself.
+    space = SearchSpace(per_act_slots=((make_slot(),),))
+    evaluated = []
+
+    def evaluate(individual):
+        evaluated.append(individual.genes)
+        return 0.5 if individual.genes == (0,) else 0.1
+
+    score, _ = ga._memoised(space, evaluate)
+    assert score([Individual((0,)), Individual((None,))]) == [0.5, 0.1]
+    assert score([Individual((None,)), Individual((0,))]) == [0.1, 0.5]
+    assert evaluated == [(0,), (None,)]
 
 
 def evolve_digest(result):
