@@ -42,7 +42,7 @@ from .model import (
 # memo, and its tracemalloc peak is 0.6-1.2 MB lower (about 1.1 against 2.1 MB).
 MEMO_LIMIT = 8192
 
-# A genome's genes, as ``Individual.genes`` holds them.
+# A genome's genes, one per act; an ``Individual`` is one.
 Genes = tuple[int | None, ...]
 
 
@@ -66,11 +66,18 @@ class SearchSpace:
         return len(self.per_act_slots)
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One gene per act: the selected position in that act's candidate block."""
+class Individual(Genes):
+    """One gene per act: the selected position in that act's candidate block.
 
-    genes: tuple[int | None, ...]
+    An individual is the tuple of its genes, built in one C call, and it
+    hashes and compares equal to that tuple.  ``genes`` is the individual.
+    """
+
+    __slots__ = ()
+
+    @property
+    def genes(self) -> Genes:
+        return self
 
 
 @dataclass(frozen=True)
@@ -246,15 +253,15 @@ def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
 
 
 def decode(
-    individual: Individual, space: SearchSpace, request: ScheduleRequest
+    individual: Genes, space: SearchSpace, request: ScheduleRequest
 ) -> Schedule:
     """Map genes to slots; unassigned genes produce no assignment."""
-    if len(individual.genes) != space.act_count:
+    if len(individual) != space.act_count:
         raise ValueError(
-            f"individual has {len(individual.genes)} genes for {space.act_count} acts"
+            f"individual has {len(individual)} genes for {space.act_count} acts"
         )
     assignments = []
-    for act, gene in enumerate(individual.genes):
+    for act, gene in enumerate(individual):
         if gene is None:
             continue
         block = space.per_act_slots[act]
@@ -299,7 +306,6 @@ def next_generation(
     act_bits = act_count.bit_length()
     cut_width = act_count - 1
     cut_bits = cut_width.bit_length()
-    genomes = [individual.genes for individual in population]
 
     children: list[Individual] = []
     for _ in range(config.population // 2):
@@ -316,7 +322,7 @@ def next_generation(
                 value = fitnesses[idx]
                 if value > best or (value == best and idx < best_idx):
                     best_idx, best = idx, value
-            parents.append(genomes[best_idx])
+            parents.append(population[best_idx])
         genes_a, genes_b = parents
         if cut_width > 0:
             cut = getrandbits(cut_bits)
@@ -341,7 +347,7 @@ def next_generation(
                     genes = genes[:act] + (gene,) + genes[act + 1 :]
             children.append(Individual(genes))
     del children[config.population - 1 :]
-    children.append(population[max(range(n), key=fitnesses.__getitem__)])
+    children.append(population[fitnesses.index(max(fitnesses))])
     return children
 
 
@@ -349,7 +355,7 @@ def make_evaluator(
     space: SearchSpace,
     request: ScheduleRequest,
     rules: Iterable[IncompatibilityRule],
-) -> Callable[[Individual], float]:
+) -> Callable[[Genes], float]:
     """Fitness of an individual, equal (bit for bit) to
     ``fitness(compute_penalties(decode(individual, space, request), request, rules))``.
 
@@ -398,8 +404,7 @@ def make_evaluator(
     requested = len(request.acts)
     start_day = request.start_day
 
-    def evaluate(individual: Individual) -> float:
-        genes = individual.genes
+    def evaluate(genes: Genes) -> float:
         try:
             by_act = list(map(getitem, tables, genes))
             # A dict finds 1.0 under 1, so the gene types are checked too.
@@ -407,7 +412,7 @@ def make_evaluator(
         except (KeyError, TypeError):
             valid = False
         if not valid:
-            decode(individual, space, request)  # raises the reference's error
+            decode(genes, space, request)  # raises the reference's error
             raise TypeError(f"genes must be ints or None, got {genes!r}")
         picks = sorted(filter(None, by_act))
         missing = MISSING_SLOT_PENALTY if len(picks) != requested else 0
@@ -439,11 +444,11 @@ def _replace_duplicates(
     The elite (last) is kept; earlier children are checked in order against
     it and each other, and a repeat is replaced by one fresh ``draw()``.
     """
-    seen = {children[-1].genes}
+    seen = {children[-1]}
     for i, child in enumerate(children[:-1]):
-        if child.genes in seen:
+        if child in seen:
             child = children[i] = Individual(draw())
-        seen.add(child.genes)
+        seen.add(child)
 
 
 def _memoised(
@@ -454,8 +459,8 @@ def _memoised(
 ]:
     """``score(population)`` and ``polish(genes, value)``, sharing one fitness memo.
 
-    The memo maps a genome's genes to ``evaluate``'s fitness and is emptied
-    when it holds ``MEMO_LIMIT`` genomes.  ``score`` returns each
+    The memo maps a genome, an individual or its equal gene tuple, to
+    ``evaluate``'s fitness and is emptied when it holds ``MEMO_LIMIT`` genomes.  ``score`` returns each
     individual's fitness in order, evaluating the individual itself on a
     miss.
 
@@ -471,13 +476,13 @@ def _memoised(
     def fill(individual: Individual) -> float:
         if len(memo) >= MEMO_LIMIT:
             memo.clear()
-        value = memo[individual.genes] = evaluate(individual)
+        value = memo[individual] = evaluate(individual)
         return value
 
     def score(population: Sequence[Individual]) -> list[float]:
         values = []
         for individual in population:
-            value = memo.get(individual.genes)
+            value = memo.get(individual)
             values.append(fill(individual) if value is None else value)
         return values
 
@@ -493,6 +498,7 @@ def _memoised(
                     candidate = head + (gene,) + tail
                     candidate_value = memo.get(candidate)
                     if candidate_value is None:
+                        # An evaluator may read ``.genes``: hand it an individual.
                         candidate_value = fill(Individual(candidate))
                     if candidate_value > value:
                         genes, value, improved = candidate, candidate_value, True
@@ -544,7 +550,7 @@ def evolve(
     history: list[GenerationStats] = []
     last_polished: Genes | None = None
     fitnesses = score(population)
-    best_idx = max(range(len(fitnesses)), key=fitnesses.__getitem__)
+    best_idx = fitnesses.index(max(fitnesses))
     for generation in range(config.generations):
         history.append(
             GenerationStats(
@@ -555,16 +561,14 @@ def evolve(
         )
         if generation + 1 == config.generations:
             break
-        best_genes = population[best_idx].genes
-        if best_genes != last_polished:
-            last_polished, fitnesses[best_idx] = polish(
-                best_genes, fitnesses[best_idx]
-            )
+        best = population[best_idx]
+        if best != last_polished:
+            last_polished, fitnesses[best_idx] = polish(best, fitnesses[best_idx])
             population[best_idx] = Individual(last_polished)
         population = next_generation(population, fitnesses, space, config, rng)
         _replace_duplicates(population, draw)
         fitnesses = score(population)
-        best_idx = max(range(len(fitnesses)), key=fitnesses.__getitem__)
+        best_idx = fitnesses.index(max(fitnesses))
 
     return EvolveResult(
         best=decode(population[best_idx], space, request), history=tuple(history)

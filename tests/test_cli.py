@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary directories."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,23 @@ def fast_solve_args(world_dir, out, *extra):
 
 def read_solution(out):
     return json.loads((out / "solution.json").read_text())
+
+
+# sha256 of what ``medsched solve --seed 42`` writes at default GA flags on
+# the default world (``WorldConfig``'s seed is 42).  A change meant to keep
+# every output byte-identical keeps these.
+SOLVE_DIGESTS = {
+    "ga-ordered": {
+        "request.json": "762e7bc01bd9c53004111fc4562f767f6b33e53ca14c90a38754cf785c26671e",
+        "solution.json": "443b3a664716e81bae4fcd0c0f120cfccdf8de793952035fa7cd39b989e87611",
+        "convergence.csv": "268134634d30c19a8d126bc12d1142bdfd87b8debe2d7e74bda0cdea71a30bdd",
+    },
+    "ga-unordered": {
+        "request.json": "762e7bc01bd9c53004111fc4562f767f6b33e53ca14c90a38754cf785c26671e",
+        "solution.json": "35956887b6980b4489d4d973f1608416223ef1acb3aa95984085d4b4c2061e50",
+        "convergence.csv": "f3c33b741371f607521dea42b3f4a1435469e0de8d40f0374a7e7da2fd9cf3bc",
+    },
+}
 
 
 class TestGenWorld:
@@ -102,6 +120,15 @@ class TestSolve:
         assert metrics["compatibility_ok"]
         assert metrics["travel_ok"]
         assert metrics["fully_scheduled"]
+
+    @pytest.mark.parametrize("algo", list(SOLVE_DIGESTS))
+    def test_default_solve_writes_recorded_bytes(self, algo, tmp_path):
+        assert main(["solve", "--seed", "42", "--algo", algo, "--out", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SOLVE_DIGESTS[algo]
+        }
+        assert digests == SOLVE_DIGESTS[algo]
 
     def test_variant_flag_selects_unordered(self, world_dir, tmp_path):
         out = tmp_path / "out"

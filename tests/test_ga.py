@@ -1163,6 +1163,57 @@ def test_memo_scores_each_genome_as_itself():
     assert evaluated == [(0,), (None,)]
 
 
+class TestIndividualIsItsGeneTuple:
+    GENES = (2, None, 0)
+
+    def test_equals_and_hashes_as_its_genes(self):
+        individual = Individual(self.GENES)
+        assert individual == self.GENES
+        assert hash(individual) == hash(self.GENES)
+        assert individual.genes == self.GENES
+        assert individual.genes is individual
+
+    def test_immutable(self):
+        individual = Individual(self.GENES)
+        with pytest.raises(AttributeError):
+            individual.genes = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            individual.fitness = 0.5
+        with pytest.raises(TypeError):
+            individual[0] = 1
+        assert individual == self.GENES
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        restored = pickle.loads(pickle.dumps(Individual(self.GENES), protocol))
+        assert type(restored) is Individual
+        assert restored == self.GENES
+        assert restored.genes == self.GENES
+
+    def test_memo_entry_shared_with_plain_tuple_neighbour(self):
+        # ``polish`` looks its neighbours up as plain tuples.  The neighbour
+        # (1, 0) hits the entry that scoring Individual((1, 0)) filled, so it
+        # is evaluated once; only the genomes not scored before are new.
+        space = SearchSpace(
+            per_act_slots=(
+                (make_slot("A"), make_slot("B", start=600)),
+                (make_slot("C", exam="E01", start=700),),
+            )
+        )
+        evaluated = []
+
+        def evaluate(individual):
+            evaluated.append(individual.genes)
+            return 0.5 if individual.genes == (1, 0) else 0.1
+
+        score, polish = ga._memoised(space, evaluate)
+        assert score([Individual((1, 0))]) == [0.5]
+        assert polish((0, 0), 0.1) == ((1, 0), 0.5)
+        assert evaluated == [(1, 0), (0, 0)]
+        assert score([Individual((0, 0)), Individual((1, 0))]) == [0.1, 0.5]
+        assert evaluated == [(1, 0), (0, 0)]
+
+
 def evolve_digest(result):
     """sha256 of ``best`` and every history row, floats written exactly."""
     document = repr(
