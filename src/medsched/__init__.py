@@ -19,7 +19,6 @@ from .ga import (
     Individual,
     SearchSpace,
     UnschedulableError,
-    Variant,
     evolve,
     filter_search_space,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Specialty",
     "TimeSlot",
     "UnschedulableError",
-    "Variant",
     "World",
     "WorldConfig",
     "compute_penalties",

@@ -10,35 +10,39 @@ pairwise rank-sum comparisons.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean
 from typing import Any, Iterable, Sequence
 
 from .baselines import fcfs_schedule, random_schedule
-from .datagen import World, WorldConfig, generate_request, generate_world
+from .datagen import World, generate_request
 from .fitness import PenaltyBreakdown, compute_penalties, fitness
-from .ga import GAConfig, GenerationStats, Variant, evolve, filter_search_space, require_candidates
+from .ga import (
+    GA_ORDERED,
+    GA_UNORDERED,
+    GAConfig,
+    GenerationStats,
+    evolve,
+    filter_search_space,
+    require_candidates,
+)
 from .metrics import SolutionMetrics, mann_whitney_u, solution_metrics
 from .model import IncompatibilityRule, Schedule, ScheduleRequest
 from .worldio import write_csv
 
-GA_ORDERED = "ga-ordered"
-GA_UNORDERED = "ga-unordered"
 FCFS = "fcfs"
 RANDOM = "random"
-ALL_ALGORITHMS = (GA_ORDERED, GA_UNORDERED, FCFS, RANDOM)
-GA_VARIANTS = {GA_ORDERED: Variant.ORDERED, GA_UNORDERED: Variant.UNORDERED}
-GA_ALGORITHMS = tuple(GA_VARIANTS)
+GA_ALGORITHMS = (GA_ORDERED, GA_UNORDERED)
+ALL_ALGORITHMS = (*GA_ALGORITHMS, FCFS, RANDOM)
 CONSTRAINT_NAMES = ("overlap", "incompatibility", "travel_gap")
 STATS_HEADER = ("metric", "algo_a", "algo_b", "u", "p")
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One benchmark run: world knobs, trial protocol and algorithm roster."""
+    """One benchmark run on a given world: trial protocol and algorithm roster."""
 
-    world: WorldConfig = field(default_factory=WorldConfig)
     trials: int = 25
     acts_per_request: int = 5
     algorithms: tuple[str, ...] = ALL_ALGORITHMS
@@ -77,11 +81,8 @@ class BenchResult:
     requests: tuple[ScheduleRequest, ...]
     records: tuple[TrialRecord, ...]
 
-    def records_for(self, algorithm: str) -> list[TrialRecord]:
-        return [r for r in self.records if r.algorithm == algorithm]
-
     def ok_records_for(self, algorithm: str) -> list[TrialRecord]:
-        return [r for r in self.records_for(algorithm) if r.error is None]
+        return [r for r in self.records if r.algorithm == algorithm and r.error is None]
 
 
 def trial_seeds(base_seed: int, trial: int) -> tuple[int, int, int]:
@@ -114,9 +115,8 @@ def run_algorithm(
     """
     space = filter_search_space(world.slots, request)
     require_candidates(space, request)
-    if algorithm in GA_VARIANTS:
-        config = replace(ga, variant=GA_VARIANTS[algorithm], seed=ga_seed)
-        result = evolve(space, request, world.rules, config)
+    if algorithm in GA_ALGORITHMS:
+        result = evolve(space, request, world.rules, ga, algorithm, ga_seed)
         return result.best, result.history
     if algorithm == FCFS:
         return fcfs_schedule(space, request), None
@@ -125,10 +125,8 @@ def run_algorithm(
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def run_bench(config: BenchConfig, world: World | None = None) -> BenchResult:
-    """Run the full trial grid; per-cell failures are recorded, not raised."""
-    if world is None:
-        world = generate_world(config.world)
+def run_bench(config: BenchConfig, world: World) -> BenchResult:
+    """Run the full trial grid on ``world``; per-cell failures are recorded, not raised."""
     rules = world.rules
     requests: list[ScheduleRequest] = []
     records: list[TrialRecord] = []

@@ -29,7 +29,7 @@ from .bench import (
 )
 from .datagen import WorldConfig, generate_request, generate_world
 from .fitness import compute_penalties, fitness
-from .ga import GAConfig, UnschedulableError
+from .ga import GA_ORDERED, GAConfig, UnschedulableError
 from .metrics import solution_metrics
 from .worldio import (
     RequestError,
@@ -55,15 +55,18 @@ def _seed(args: argparse.Namespace) -> int:
     return args.seed if args.seed is not None else _env_seed()
 
 
-def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--generations", type=int, default=200)
-    parser.add_argument("--population", type=int, default=100)
-    parser.add_argument("--tournament-k", type=int, default=7)
-    parser.add_argument("--mutation-rate", type=float, default=0.10)
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``solve`` and ``bench`` share, defaulting to the configs' own."""
+    parser.add_argument(
+        "--acts", type=int, default=BenchConfig.acts_per_request, help="acts per request"
+    )
+    parser.add_argument("--generations", type=int, default=GAConfig.generations)
+    parser.add_argument("--population", type=int, default=GAConfig.population)
+    parser.add_argument("--tournament-k", type=int, default=GAConfig.tournament_k)
+    parser.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
 
 
 def _add_request_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--acts", type=int, default=5, help="acts per request")
     parser.add_argument("--start-day", type=int, default=None)
     parser.add_argument(
         "--prefer-facility", action="append", default=None, metavar="ID"
@@ -73,13 +76,12 @@ def _add_request_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _ga_config(args: argparse.Namespace, seed: int) -> GAConfig:
+def _ga_config(args: argparse.Namespace) -> GAConfig:
     return GAConfig(
         population=args.population,
         generations=args.generations,
         tournament_k=args.tournament_k,
         mutation_rate=args.mutation_rate,
-        seed=seed,
     )
 
 
@@ -108,16 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=".", help="output directory")
     p_solve.add_argument("--world", default=None, help="world.json path")
     p_solve.add_argument("--request", default=None, help="request.json path")
-    p_solve.add_argument("--algo", choices=ALL_ALGORITHMS, default="ga-ordered")
+    p_solve.add_argument("--algo", choices=ALL_ALGORITHMS, default=GA_ORDERED)
     _add_request_flags(p_solve)
-    _add_ga_flags(p_solve)
+    _add_run_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run the batch benchmark")
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", default=".", help="output directory")
     p_bench.add_argument("--world", default=None, help="world.json path")
-    p_bench.add_argument("--trials", type=int, default=25)
+    p_bench.add_argument("--trials", type=int, default=BenchConfig.trials)
     p_bench.add_argument(
         "--algo",
         action="append",
@@ -125,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="repeatable; default: all algorithms",
     )
-    p_bench.add_argument("--acts", type=int, default=5, help="acts per request")
-    _add_ga_flags(p_bench)
+    _add_run_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_stats = sub.add_parser(
@@ -181,9 +182,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             request, preferred_practitioners=frozenset(args.prefer_practitioner)
         )
 
-    ga = _ga_config(args, seed)
     schedule, history = run_algorithm(
-        args.algo, world, request, ga, ga_seed=seed, random_seed=seed
+        args.algo, world, request, _ga_config(args), ga_seed=seed, random_seed=seed
     )
     penalties = compute_penalties(schedule, request, world.rules)
     score = fitness(penalties)
@@ -214,13 +214,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seed = _seed(args)
     world = _load_or_generate_world(args, seed)
     algorithms = tuple(args.algo) if args.algo else ALL_ALGORITHMS
-    ga = _ga_config(args, seed)
     config = BenchConfig(
-        world=world.config,
         trials=args.trials,
         acts_per_request=args.acts,
         algorithms=algorithms,
-        ga=ga,
+        ga=_ga_config(args),
     )
     result = run_bench(config, world)
     out_dir = Path(args.out)

@@ -52,8 +52,6 @@ def compute_penalties(
 ) -> PenaltyBreakdown:
     """Score one schedule against its request and the world's rules."""
     missing = MISSING_SLOT_PENALTY if len(schedule) != len(request.acts) else 0
-    if not schedule.assignments:
-        return PenaltyBreakdown(missing, 0, 0, 0, 0.0, 0)
     counts = schedule_counts(schedule, rules)
     return PenaltyBreakdown(
         missing,

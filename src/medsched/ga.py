@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
 from operator import getitem
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
@@ -45,14 +45,13 @@ MEMO_LIMIT = 8192
 # A genome's genes, one per act; an ``Individual`` is one.
 Genes = tuple[int | None, ...]
 
+# The two GA variants, by the names ``evolve`` and the bench take.
+GA_ORDERED = "ga-ordered"
+GA_UNORDERED = "ga-unordered"
+
 
 class UnschedulableError(Exception):
     """No act in the request has a single candidate slot."""
-
-
-class Variant(str, Enum):
-    ORDERED = "ordered"
-    UNORDERED = "unordered"
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,6 @@ class GAConfig:
     generations: int = 200
     tournament_k: int = 7
     mutation_rate: float = 0.10
-    variant: Variant = Variant.ORDERED
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population < 1:
@@ -205,22 +202,16 @@ def _ordered_genes(
 
 
 def _initializer(
-    space: SearchSpace,
-    config: GAConfig,
-    order: Sequence[int],
-    rng: random.Random,
+    space: SearchSpace, order: Sequence[int], rng: random.Random
 ) -> Callable[[], Genes]:
-    """One genome drawn from the configured variant's initial distribution per call.
+    """One genome drawn from the ordered variant's initial distribution per call.
 
-    The ordered variant walks acts along ``order``, skipping empty blocks,
-    and prefers the candidates that start at or after the previous pick's
-    end, falling back to the whole block when there are none.  That choice
-    depends only on the previous pick, so it is tabulated here once: for
-    each act, one ``(lo, width, bits)`` draw per gene of the previous
-    non-empty act.
+    It walks acts along ``order``, skipping empty blocks, and prefers the
+    candidates that start at or after the previous pick's end, falling back
+    to the whole block when there are none.  That choice depends only on
+    the previous pick, so it is tabulated here once: for each act, one
+    ``(lo, width, bits)`` draw per gene of the previous non-empty act.
     """
-    if config.variant is Variant.UNORDERED:
-        return lambda: uniform_genes(space, rng)
     blocks = space.per_act_slots
     chain: list[tuple[int, list[tuple[int, int, int]]]] = []
     prev_block: Sequence[TimeSlot] = ()
@@ -244,10 +235,10 @@ def _initializer(
 def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
     """The initial population: ``size`` individuals, one ``draw()`` each.
 
-    ``draw`` is the configured variant's initializer (``_initializer``):
-    UNORDERED draws every gene independently; ORDERED samples acts along an
-    order from ``constraints.optimal_act_order``, so each slot tends to
-    start after the previous act's slot ends.
+    ``draw`` is the variant's initializer: ga-unordered's ``uniform_genes``
+    draws every gene independently; ga-ordered's ``_initializer`` samples
+    acts along an order from ``constraints.optimal_act_order``, so each slot
+    tends to start after the previous act's slot ends.
     """
     return [Individual(draw()) for _ in range(size)]
 
@@ -512,8 +503,11 @@ def evolve(
     request: ScheduleRequest,
     rules: Iterable[IncompatibilityRule],
     config: GAConfig,
+    algorithm: str,
+    seed: int,
 ) -> EvolveResult:
-    """Run the full generation loop and return the best schedule plus telemetry.
+    """Run ``algorithm`` (``GA_ORDERED`` or ``GA_UNORDERED``) with ``seed``;
+    return the best schedule plus telemetry.
 
     Each iteration scores the population and records its stats, so
     ``history[0]`` describes the initial population.  Then, unless this is
@@ -531,17 +525,18 @@ def evolve(
     Elitism carries the best genome forward, so recorded best fitness never
     decreases and the last generation's best, which is returned, is the best
     seen.  Fitness is memoised per run by genome, up to ``MEMO_LIMIT``
-    genomes, and every random draw comes from one
-    ``random.Random(config.seed)``, so a run is deterministic.
+    genomes, and every random draw comes from one ``random.Random(seed)``,
+    so a run is deterministic.  Any other ``algorithm`` raises ``ValueError``.
     """
     require_candidates(space, request)
     rules = tuple(rules)
-    rng = random.Random(config.seed)
-    if config.variant is Variant.ORDERED:
-        order: Sequence[int] = optimal_act_order(request.acts, rules)
+    rng = random.Random(seed)
+    if algorithm == GA_ORDERED:
+        draw = _initializer(space, optimal_act_order(request.acts, rules), rng)
+    elif algorithm == GA_UNORDERED:
+        draw = partial(uniform_genes, space, rng)
     else:
-        order = range(space.act_count)
-    draw = _initializer(space, config, order, rng)
+        raise ValueError(f"unknown GA algorithm {algorithm!r}")
     population = init_population(draw, config.population)
     evaluate = make_evaluator(space, request, rules)
 

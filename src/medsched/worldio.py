@@ -81,6 +81,8 @@ _SLOT_COLUMNS = (
     ("duration_minutes", int),
 )
 _slot_row = itemgetter(*(name for name, _ in _SLOT_COLUMNS))
+# A slot's facility, room, start and duration, by position.
+_slot_span = itemgetter(2, 3, 5, 6)
 
 # One slot as ``json.dumps(indent=2, sort_keys=True)`` lays it out in the
 # world document's ``slots`` list: keys sorted, strings escaped by the same
@@ -178,6 +180,23 @@ def _slots_from_list(
         rooms=rooms,
     )
     return _entries("slots", items, build)
+
+
+def _check_rooms_free(slots: Sequence[TimeSlot]) -> None:
+    """Raise ``WorldFormatError`` naming the first slot, in (facility, room,
+    start, document) order, that starts before the slot before it in its
+    room ends.  Until then a room's slots are disjoint, so that one ends last.
+    """
+    rooms: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
+    for index, (facility, room, start, duration) in enumerate(map(_slot_span, slots)):
+        rooms.setdefault((facility, room), []).append((start, index, duration))
+    for (facility, room), spans in rooms.items():
+        until = previous = 0
+        for start, index, duration in sorted(spans):
+            if start < until:
+                reason = f"overlaps slots[{previous}] in room {room!r} of facility {facility!r}"
+                raise _format_error(f"slots[{index}]", ValueError(reason))
+            until, previous = start + duration, index
 
 
 # The tuple-valued ``WorldConfig`` fields are JSON lists; every value is an int.
@@ -282,8 +301,9 @@ def world_from_dict(document: dict[str, Any]) -> World:
     are integers (lists of integers for the choices), ids, names and rooms
     are strings, and a gap is an integer, never a float or a bool.  Exam,
     facility and slot ids must each be unique, every exam, facility and
-    room a rule or slot names must be in the world, and each slot's
-    ``start_label`` must be the label of its ``start``.
+    room a rule or slot names must be in the world, each slot's
+    ``start_label`` must be the label of its ``start``, and no two slots of
+    one room may overlap in time.
     """
     entry = "config"
     try:
@@ -305,6 +325,7 @@ def world_from_dict(document: dict[str, Any]) -> World:
         rooms = {(f.id, room) for f in facilities for room in f.rooms}
         entry = "slots"
         slots = _slots_from_list(document[entry], exam_ids, facility_ids, rooms)
+        _check_rooms_free(slots)
     except WorldFormatError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -370,14 +391,6 @@ def request_to_dict(request: ScheduleRequest) -> dict[str, Any]:
     }
 
 
-def _strings(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def request_from_dict(document: dict[str, Any]) -> ScheduleRequest:
     """Build a request, or raise ``RequestError`` naming the first bad field.
 
@@ -387,16 +400,14 @@ def request_from_dict(document: dict[str, Any]) -> ScheduleRequest:
     """
     field = "acts"
     try:
-        request = ScheduleRequest(acts=_strings(document["acts"]))
+        request = ScheduleRequest(acts=_typed_list(document[field], str, field))
         field = "start_day"
-        start_day = document.get(field, 0)
-        if not isinstance(start_day, int) or isinstance(start_day, bool):
-            raise TypeError(f"expected an integer day, got {start_day!r}")
-        request = replace(request, start_day=start_day)
+        request = replace(request, start_day=_typed(document.get(field, 0), int, field))
         for field in ("preferred_facilities", "preferred_practitioners"):
             preferred = document.get(field)
             if preferred is not None:
-                request = replace(request, **{field: frozenset(_strings(preferred))})
+                preferred = frozenset(_typed_list(preferred, str, field))
+                request = replace(request, **{field: preferred})
     except (TypeError, ValueError, KeyError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise RequestError(f"malformed request field {field}: {reason}") from exc

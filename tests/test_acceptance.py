@@ -27,13 +27,12 @@ from medsched.bench import (
     run_bench,
 )
 from medsched.constraints import schedule_counts
-from medsched.datagen import generate_request
+from medsched.datagen import WorldConfig, generate_request, generate_world
 from medsched.fitness import PenaltyBreakdown, compute_penalties, fitness
 from medsched.ga import (
     GAConfig,
     Individual,
     SearchSpace,
-    Variant,
     decode,
     evolve,
     filter_search_space,
@@ -69,7 +68,7 @@ def verdict(number, name, passed, detail):
 @pytest.fixture(scope="module")
 def bench():
     started = time.perf_counter()
-    result = run_bench(BenchConfig())
+    result = run_bench(BenchConfig(), generate_world(WorldConfig()))
     elapsed = time.perf_counter() - started
     return result, elapsed
 
@@ -217,15 +216,10 @@ def test_criterion_6_ordered_init_head_start(bench):
     for request, seed in requests:
         space = filter_search_space(world.slots, request)
         initial_means = {}
-        for variant in Variant:
-            run = evolve(
-                space,
-                request,
-                world.rules,
-                GAConfig(generations=1, variant=variant, seed=seed),
-            )
-            initial_means[variant] = run.history[0].mean_fitness
-        if initial_means[Variant.ORDERED] >= initial_means[Variant.UNORDERED]:
+        for algorithm in GA_ALGORITHMS:
+            run = evolve(space, request, world.rules, GAConfig(generations=1), algorithm, seed)
+            initial_means[algorithm] = run.history[0].mean_fitness
+        if initial_means[GA_ORDERED] >= initial_means[GA_UNORDERED]:
             wins += 1
     verdict(
         6,
@@ -262,11 +256,9 @@ def test_criterion_7_small_instance_optimality(bench):
         assert all(1 <= len(block) <= 8 for block in space.per_act_slots)
         optimum = enumerate_optimum(space, request, world.rules)
         best_scores = {}
-        for variant in Variant:
-            run = evolve(
-                space, request, world.rules, GAConfig(variant=variant, seed=ga_seed)
-            )
-            best_scores[variant.value] = fitness(
+        for algorithm in GA_ALGORITHMS:
+            run = evolve(space, request, world.rules, GAConfig(), algorithm, ga_seed)
+            best_scores[algorithm] = fitness(
                 compute_penalties(run.best, request, world.rules)
             )
         if any(abs(score - optimum) <= 1e-12 for score in best_scores.values()):

@@ -1,6 +1,7 @@
 """Benchmark harness: trial grid, seed streams, aggregation tables."""
 
 import csv
+from dataclasses import fields
 
 import pytest
 
@@ -25,17 +26,15 @@ from medsched.bench import (
     value_rows,
     write_bench_csvs,
 )
-from medsched.datagen import WorldConfig, generate_world
-from medsched.ga import GAConfig
+from medsched.datagen import WorldConfig, generate_request, generate_world
+from medsched.ga import GAConfig, evolve, filter_search_space
 from medsched.model import ScheduleRequest
 
 SMALL_WORLD_CONFIG = WorldConfig(
     seed=5, horizon_days=6, facilities=2, rooms_per_facility=2, rule_count=8
 )
-SMALL_GA = GAConfig(population=12, generations=4, tournament_k=3, seed=0)
-SMALL_BENCH = BenchConfig(
-    world=SMALL_WORLD_CONFIG, trials=3, acts_per_request=4, ga=SMALL_GA
-)
+SMALL_GA = GAConfig(population=12, generations=4, tournament_k=3)
+SMALL_BENCH = BenchConfig(trials=3, acts_per_request=4, ga=SMALL_GA)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +67,11 @@ class TestBenchConfig:
         assert config.acts_per_request == 5
         assert config.algorithms == ALL_ALGORITHMS
 
+    def test_fields_have_no_world(self):
+        # ``run_bench`` takes the world it benchmarks as an argument.
+        names = [entry.name for entry in fields(BenchConfig)]
+        assert names == ["trials", "acts_per_request", "algorithms", "ga"]
+
 
 class TestTrialSeeds:
     def test_deterministic_per_trial(self):
@@ -87,15 +91,11 @@ class TestTrialSeeds:
 
 class TestRunAlgorithm:
     def test_unknown_algorithm_rejected(self, small_world):
-        from medsched.datagen import generate_request
-
         request = generate_request(list(small_world.exams), SMALL_WORLD_CONFIG, 3, seed=1)
         with pytest.raises(ValueError):
             run_algorithm("tabu", small_world, request, SMALL_GA, 0, 0)
 
     def test_ga_returns_history_baselines_do_not(self, small_world):
-        from medsched.datagen import generate_request
-
         request = generate_request(list(small_world.exams), SMALL_WORLD_CONFIG, 3, seed=1)
         for algorithm in GA_ALGORITHMS:
             schedule, history = run_algorithm(
@@ -110,14 +110,24 @@ class TestRunAlgorithm:
             assert history is None
             assert len(schedule) >= 1
 
+    def test_ga_cell_is_evolve_with_the_cell_seed(self, small_world):
+        request = generate_request(list(small_world.exams), SMALL_WORLD_CONFIG, 3, seed=1)
+        space = filter_search_space(small_world.slots, request)
+        for algorithm in GA_ALGORITHMS:
+            result = evolve(space, request, small_world.rules, SMALL_GA, algorithm, 7)
+            assert run_algorithm(algorithm, small_world, request, SMALL_GA, 7, 0) == (
+                result.best,
+                result.history,
+            )
+
 
 class TestRunBench:
     def test_grid_shape(self, small_result):
         assert len(small_result.requests) == 3
         assert len(small_result.records) == 3 * 4
         for algorithm in ALL_ALGORITHMS:
-            records = small_result.records_for(algorithm)
-            assert [r.trial for r in records] == [0, 1, 2]
+            trials = [r.trial for r in small_result.records if r.algorithm == algorithm]
+            assert trials == [0, 1, 2]
 
     def test_all_cells_succeed_and_carry_scores(self, small_result):
         for record in small_result.records:
@@ -132,24 +142,12 @@ class TestRunBench:
     def test_reuses_given_world(self, small_world, small_result):
         assert small_result.world is small_world
 
-    def test_generates_world_when_absent(self):
-        config = BenchConfig(
-            world=SMALL_WORLD_CONFIG,
-            trials=1,
-            acts_per_request=2,
-            algorithms=(FCFS,),
-            ga=SMALL_GA,
-        )
-        result = run_bench(config)
-        assert result.world == generate_world(SMALL_WORLD_CONFIG)
+    def test_requires_a_world(self):
+        with pytest.raises(TypeError):
+            run_bench(SMALL_BENCH)
 
     def test_deterministic(self, small_world):
-        config = BenchConfig(
-            world=SMALL_WORLD_CONFIG,
-            trials=2,
-            acts_per_request=3,
-            ga=SMALL_GA,
-        )
+        config = BenchConfig(trials=2, acts_per_request=3, ga=SMALL_GA)
         assert run_bench(config, world=small_world) == run_bench(config, world=small_world)
 
     def test_requests_paired_across_algorithms(self, small_result):
@@ -188,16 +186,14 @@ class TestRunBench:
         assert failed[0].schedule is None and failed[0].fitness is None
         ok = [r for r in result.records if r.error is None]
         assert len(ok) == 3 * 4 - 1
-        assert result.ok_records_for(FCFS) == [
-            r for r in result.records_for(FCFS) if r.error is None
-        ]
+        assert result.ok_records_for(FCFS) == [r for r in ok if r.algorithm == FCFS]
 
     def test_unschedulable_request_fails_every_cell(self, small_world, monkeypatch):
         # No slot lies on or after the horizon's end, so every block is empty.
         exams = tuple(exam.id for exam in small_world.exams[:2])
         request = ScheduleRequest(acts=exams, start_day=SMALL_WORLD_CONFIG.horizon_days)
         monkeypatch.setattr(bench, "generate_request", lambda *args, **kwargs: request)
-        result = run_bench(BenchConfig(world=SMALL_WORLD_CONFIG, trials=1, ga=SMALL_GA), small_world)
+        result = run_bench(BenchConfig(trials=1, ga=SMALL_GA), small_world)
         assert [r.algorithm for r in result.records] == list(ALL_ALGORITHMS)
         for record in result.records:
             assert record.error == (
@@ -232,7 +228,6 @@ class TestAggregationRows:
 
     def test_baselines_get_one_row_when_generations_zero(self, small_world):
         config = BenchConfig(
-            world=SMALL_WORLD_CONFIG,
             trials=1,
             acts_per_request=2,
             algorithms=(FCFS, RANDOM),
@@ -270,7 +265,6 @@ class TestAggregationRows:
 
     def test_undefined_itr_becomes_blank_cell(self, small_world):
         config = BenchConfig(
-            world=SMALL_WORLD_CONFIG,
             trials=2,
             acts_per_request=1,  # single-assignment schedules: ITR undefined
             algorithms=(FCFS, RANDOM),
@@ -322,9 +316,7 @@ class TestWriteBenchCsvs:
             assert all(len(row) == len(rows[0]) for row in rows)
 
     def test_byte_identical_across_runs(self, small_world, tmp_path):
-        config = BenchConfig(
-            world=SMALL_WORLD_CONFIG, trials=2, acts_per_request=3, ga=SMALL_GA
-        )
+        config = BenchConfig(trials=2, acts_per_request=3, ga=SMALL_GA)
         first = write_bench_csvs(run_bench(config, world=small_world), tmp_path / "a")
         second = write_bench_csvs(run_bench(config, world=small_world), tmp_path / "b")
         for path_a, path_b in zip(first, second):

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from medsched.cli import main
+from medsched.bench import BenchConfig
+from medsched.cli import _ga_config, build_parser, main
+from medsched.ga import GAConfig
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 from medsched.worldio import save_request
 
@@ -373,6 +375,18 @@ class TestStats:
         path = tmp_path / "bad.csv"
         path.write_text("x\n")
         assert main(["stats", str(path)]) == 1
+
+
+class TestFlagDefaults:
+    # The CLI's defaults are the config classes' own, not a second copy.
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_no_flags_give_the_config_defaults(self, command):
+        args = build_parser().parse_args([command])
+        assert _ga_config(args) == GAConfig()
+        assert args.acts == BenchConfig().acts_per_request
+
+    def test_bench_trials_default(self):
+        assert build_parser().parse_args(["bench"]).trials == BenchConfig().trials
 
 
 class TestExitCodes:

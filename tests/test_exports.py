@@ -1,7 +1,18 @@
-"""The package's public names: every exported name resolves, no removed one returns."""
+"""The package's public surface: every exported name resolves, no removed one
+returns, the README's library example runs, and only the standard library is
+imported."""
+
+import ast
+import importlib
+import pkgutil
+import re
+import sys
+from pathlib import Path
 
 import medsched
 from medsched import constraints, model, worldio
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
     "Trip",
@@ -19,6 +30,8 @@ REMOVED = {
     "segment_trips",
     "check_travel_gaps",
     "slots_overlap",
+    "Variant",
+    "GA_VARIANTS",
 }
 
 # Names that moved to the tests' oracle (``tests/oracle.py``) or beside the
@@ -42,11 +55,40 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def package_modules():
+    return [
+        importlib.import_module(f"medsched.{info.name}")
+        for info in pkgutil.iter_modules(medsched.__path__)
+    ]
+
+
 def test_removed_names_stay_removed():
     assert REMOVED.isdisjoint(medsched.__all__)
-    assert not any(hasattr(medsched, name) for name in REMOVED)
+    for module in [medsched, *package_modules()]:
+        assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
 
 
 def test_moved_names_are_not_defined_in_the_package():
     for module, names in MOVED.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    score = float(capsys.readouterr().out)
+    assert 0.0 < score <= 1.0
+
+
+def test_package_imports_only_the_standard_library():
+    imported = set()
+    for path in sorted((ROOT / "src" / "medsched").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported, "no imports found"
+    assert sorted(imported - sys.stdlib_module_names) == []

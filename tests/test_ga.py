@@ -6,7 +6,8 @@ import itertools
 import pickle
 import random
 from bisect import bisect_left
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -14,16 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medsched import ga, model
+from medsched.bench import GA_ALGORITHMS
 from medsched.constraints import optimal_act_order
 from medsched.datagen import WorldConfig, generate_request, generate_world
 from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
+    GA_ORDERED,
+    GA_UNORDERED,
     EvolveResult,
     GAConfig,
     Individual,
     SearchSpace,
     UnschedulableError,
-    Variant,
     decode,
     evolve,
     filter_search_space,
@@ -44,11 +47,13 @@ from medsched.worldio import load_world, save_world
 from conftest import make_slot
 
 
-def initial_population(space, config, order, rng=None):
-    """``init_population`` drawing from the configured variant's initializer."""
-    if rng is None:
-        rng = random.Random(config.seed)
-    return init_population(ga._initializer(space, config, order, rng), config.population)
+def initial_population(space, algorithm, order, size, rng):
+    """``init_population`` drawing from ``algorithm``'s initializer, as ``evolve`` does."""
+    if algorithm == GA_ORDERED:
+        draw = ga._initializer(space, order, rng)
+    else:
+        draw = partial(uniform_genes, space, rng)
+    return init_population(draw, size)
 
 
 def block(exam, day_minutes, facility="F1", duration=30):
@@ -295,15 +300,19 @@ class TestGAConfig:
         assert config.generations == 200
         assert config.tournament_k == 7
         assert config.mutation_rate == pytest.approx(0.10)
-        assert config.variant is Variant.ORDERED
+
+    def test_fields_are_the_search_knobs(self):
+        # The variant and the seed are ``evolve``'s arguments, not config.
+        names = [entry.name for entry in fields(GAConfig)]
+        assert names == ["population", "generations", "tournament_k", "mutation_rate"]
 
 
 class TestInitPopulation:
     def test_population_size_both_variants(self):
         space = toy_space()
-        for variant in Variant:
-            config = GAConfig(population=37, variant=variant, seed=3)
-            population = initial_population(space, config, range(space.act_count))
+        for algorithm in GA_ALGORITHMS:
+            order = range(space.act_count)
+            population = initial_population(space, algorithm, order, 37, random.Random(3))
             assert len(population) == 37
 
     def test_unordered_draws_uniformly(self):
@@ -311,8 +320,7 @@ class TestInitPopulation:
         space = SearchSpace(
             per_act_slots=(block("E01", [(d, 540) for d in range(5)]),)
         )
-        config = GAConfig(population=10_000, variant=Variant.UNORDERED, seed=11)
-        population = initial_population(space, config, range(1))
+        population = initial_population(space, GA_UNORDERED, range(1), 10_000, random.Random(11))
         counts = [0] * 5
         for individual in population:
             counts[individual.genes[0]] += 1
@@ -336,8 +344,7 @@ class TestInitPopulation:
         ]
         order = optimal_act_order(("E01", "E02"), rules)
         assert order == (0, 1)
-        config = GAConfig(population=200, seed=5)
-        for individual in initial_population(space, config, order):
+        for individual in initial_population(space, GA_ORDERED, order, 200, random.Random(5)):
             first = space.per_act_slots[0][individual.genes[0]]
             second = space.per_act_slots[1][individual.genes[1]]
             assert second.start >= first.end
@@ -352,16 +359,14 @@ class TestInitPopulation:
             )
         )
         order = (0, 1)
-        config = GAConfig(population=50, seed=6)
-        for individual in initial_population(space, config, order):
+        for individual in initial_population(space, GA_ORDERED, order, 50, random.Random(6)):
             assert individual.genes[0] == 0
             assert individual.genes[1] in (0, 1)
 
     def test_empty_block_stays_unassigned(self):
         space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]), ()))
-        for variant in Variant:
-            config = GAConfig(population=10, variant=variant, seed=1)
-            for individual in initial_population(space, config, range(2)):
+        for algorithm in GA_ALGORITHMS:
+            for individual in initial_population(space, algorithm, range(2), 10, random.Random(1)):
                 assert individual.genes[1] is None
 
 
@@ -555,9 +560,9 @@ class TestMutate:
 class TestNextGeneration:
     def test_size_fixed_and_elite_appended(self):
         space = toy_space()
-        config = GAConfig(population=21, tournament_k=5, seed=2)
-        rng = random.Random(config.seed)
-        population = initial_population(space, config, range(3), rng)
+        config = GAConfig(population=21, tournament_k=5)
+        rng = random.Random(2)
+        population = initial_population(space, GA_ORDERED, range(3), config.population, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         children = next_generation(population, fitnesses, space, config, rng)
@@ -567,9 +572,9 @@ class TestNextGeneration:
 
     def test_children_always_decode(self):
         space = toy_space()
-        config = GAConfig(population=30, seed=8)
-        rng = random.Random(config.seed)
-        population = initial_population(space, config, range(3), rng)
+        config = GAConfig(population=30)
+        rng = random.Random(8)
+        population = initial_population(space, GA_ORDERED, range(3), config.population, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         for _ in range(5):
             fitnesses = [evaluate(individual) for individual in population]
@@ -584,17 +589,22 @@ class TestEvolve:
         # The message is the one ``bench.run_algorithm`` and ``solve`` give.
         message = r"^no candidate slots for any act of \['E01', 'E02'\]$"
         with pytest.raises(UnschedulableError, match=message):
-            evolve(space, ScheduleRequest(acts=("E01", "E02")), (), GAConfig())
+            evolve(space, ScheduleRequest(acts=("E01", "E02")), (), GAConfig(), GA_ORDERED, 0)
+
+    @pytest.mark.parametrize("algorithm", ["fcfs", "random", "ordered", "GA-ORDERED"])
+    def test_rejects_a_name_that_is_not_a_ga_variant(self, algorithm):
+        with pytest.raises(ValueError, match=f"unknown GA algorithm '{algorithm}'"):
+            evolve(toy_space(), TOY_REQUEST, TOY_RULES, GAConfig(), algorithm, 0)
 
     def test_zero_generations_returns_best_of_init(self):
         space = toy_space()
-        config = GAConfig(population=40, generations=0, seed=13)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config)
+        config = GAConfig(population=40, generations=0)
+        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 13)
         assert result.history == ()
         # Reconstruct the initial population with the same stream.
-        rng = random.Random(config.seed)
+        rng = random.Random(13)
         order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES)
-        population = initial_population(space, config, order, rng)
+        population = initial_population(space, GA_ORDERED, order, config.population, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         best = population[max(range(len(population)), key=fitnesses.__getitem__)]
@@ -602,13 +612,13 @@ class TestEvolve:
 
     def test_history_shape_and_initial_row(self):
         space = toy_space()
-        config = GAConfig(population=25, generations=12, seed=4)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config)
+        config = GAConfig(population=25, generations=12)
+        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 4)
         assert len(result.history) == 12
         assert [stats.generation for stats in result.history] == list(range(12))
-        rng = random.Random(config.seed)
+        rng = random.Random(4)
         order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES)
-        population = initial_population(space, config, order, rng)
+        population = initial_population(space, GA_ORDERED, order, config.population, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         assert result.history[0].best_fitness == pytest.approx(max(fitnesses))
@@ -616,45 +626,44 @@ class TestEvolve:
             sum(fitnesses) / len(fitnesses)
         )
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_best_fitness_nondecreasing(self, variant):
+    @pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
+    def test_best_fitness_nondecreasing(self, algorithm):
         space = toy_space()
-        config = GAConfig(population=30, generations=25, variant=variant, seed=21)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config)
+        config = GAConfig(population=30, generations=25)
+        result = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 21)
         series = [stats.best_fitness for stats in result.history]
         assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_best_at_least_mean_each_generation(self):
         space = toy_space()
-        config = GAConfig(population=30, generations=25, seed=22)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config)
+        config = GAConfig(population=30, generations=25)
+        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 22)
         for stats in result.history:
             assert stats.best_fitness >= stats.mean_fitness
 
     def test_returned_best_matches_history_peak(self):
         space = toy_space()
-        config = GAConfig(population=30, generations=25, seed=23)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config)
+        config = GAConfig(population=30, generations=25)
+        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 23)
         best_score = fitness(compute_penalties(result.best, TOY_REQUEST, TOY_RULES))
         assert best_score == pytest.approx(
             max(stats.best_fitness for stats in result.history)
         )
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_deterministic_given_config(self, variant):
+    @pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
+    def test_deterministic_given_config(self, algorithm):
         space = toy_space()
-        config = GAConfig(population=20, generations=10, variant=variant, seed=31)
-        first = evolve(space, TOY_REQUEST, TOY_RULES, config)
-        second = evolve(space, TOY_REQUEST, TOY_RULES, config)
+        config = GAConfig(population=20, generations=10)
+        first = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 31)
+        second = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 31)
         assert first == second
         assert isinstance(first, EvolveResult)
 
     def test_seed_changes_trajectory(self):
         space = toy_space()
-        base = GAConfig(population=20, generations=10, seed=31)
-        other = GAConfig(population=20, generations=10, seed=32)
-        assert evolve(space, TOY_REQUEST, TOY_RULES, base) != evolve(
-            space, TOY_REQUEST, TOY_RULES, other
+        config = GAConfig(population=20, generations=10)
+        assert evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 31) != evolve(
+            space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 32
         )
 
     def test_partial_space_optimizes_remaining_acts(self):
@@ -662,13 +671,13 @@ class TestEvolve:
             per_act_slots=(block("E01", [(0, 540), (1, 540)]), ())
         )
         request = ScheduleRequest(acts=("E01", "E02"))
-        result = evolve(space, request, (), GAConfig(population=10, generations=5))
+        result = evolve(space, request, (), GAConfig(population=10, generations=5), GA_ORDERED, 0)
         assert len(result.best) == 1
         breakdown = compute_penalties(result.best, request, ())
         assert breakdown.missing_slot == 1000
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_escapes_one_gene_local_optimum(self, variant):
+    @pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
+    def test_escapes_one_gene_local_optimum(self, algorithm):
         # Each act has hourly slots on day 0 and one slot on day 1.  Three
         # consecutive hours on day 0 score one trip plus two 30-minute waits
         # (penalty 106); the back-to-back day-1 chain scores one trip plus one
@@ -696,7 +705,7 @@ class TestEvolve:
         ]
         assert max(scores[genes] for genes in neighbours) == scores[trap]
 
-        result = evolve(space, TOY_REQUEST, (), GAConfig(variant=variant))
+        result = evolve(space, TOY_REQUEST, (), GAConfig(), algorithm, 0)
         assert result.best == decode(Individual(optimum), space, TOY_REQUEST)
 
     def test_polished_best_is_next_elite(self):
@@ -708,7 +717,7 @@ class TestEvolve:
         )
         request = ScheduleRequest(acts=("E01",))
         config = GAConfig(population=2, generations=2, tournament_k=2)
-        result = evolve(space, request, (), config)
+        result = evolve(space, request, (), config, GA_ORDERED, 0)
         first, second = result.history
         assert first.best_fitness < second.best_fitness
         assert result.best == decode(Individual((0,)), space, request)
@@ -801,13 +810,13 @@ def oracle_ordered_genes(space, order, block_starts, rng):
     return tuple(genes)
 
 
-def oracle_init_population(space, config, order, rng):
-    if config.variant is Variant.UNORDERED:
-        return [Individual(oracle_uniform_genes(space, rng)) for _ in range(config.population)]
+def oracle_init_population(space, algorithm, order, size, rng):
+    if algorithm == GA_UNORDERED:
+        return [Individual(oracle_uniform_genes(space, rng)) for _ in range(size)]
     block_starts = [[slot.start for slot in block] for block in space.per_act_slots]
     return [
         Individual(oracle_ordered_genes(space, order, block_starts, rng))
-        for _ in range(config.population)
+        for _ in range(size)
     ]
 
 
@@ -983,17 +992,16 @@ class TestBreedingReplaysRandrange:
     @settings(max_examples=1000, deadline=None)
     @given(
         data=st.data(),
-        variant=st.sampled_from(list(Variant)),
+        algorithm=st.sampled_from(GA_ALGORITHMS),
         size=st.integers(min_value=1, max_value=6),
         seed=SEEDS,
     )
-    def test_init_population_and_uniform_genes(self, data, variant, size, seed):
+    def test_init_population_and_uniform_genes(self, data, algorithm, size, seed):
         space = data.draw(spaces())
         order = data.draw(st.permutations(range(space.act_count)))
-        config = GAConfig(population=size, tournament_k=1, variant=variant)
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert initial_population(space, config, order, ours) == oracle_init_population(
-            space, config, order, theirs
+        assert initial_population(space, algorithm, order, size, ours) == oracle_init_population(
+            space, algorithm, order, size, theirs
         )
         assert uniform_genes(space, ours) == oracle_uniform_genes(space, theirs)
         assert ours.getstate() == theirs.getstate()
@@ -1023,11 +1031,10 @@ class TestBreedingReplaysRandrange:
     )
     def test_ordered_init_empty_blocks_and_fallback(self, order):
         space = self.EDGE_SPACE
-        config = GAConfig(population=50, tournament_k=1)
         for seed in range(20):
             ours, theirs = random.Random(seed), random.Random(seed)
-            assert initial_population(space, config, order, ours) == oracle_init_population(
-                space, config, order, theirs
+            assert initial_population(space, GA_ORDERED, order, 50, ours) == oracle_init_population(
+                space, GA_ORDERED, order, 50, theirs
             )
             assert ours.getstate() == theirs.getstate()
 
@@ -1231,20 +1238,20 @@ def evolve_digest(result):
 # Recorded with the ``randrange``-drawing operators above, one default-sized
 # run per (variant, seed) on the default world's seed-``seed`` request.
 EVOLVE_DIGESTS = {
-    (Variant.ORDERED, 0): "9588c59ec11c0b4fb2759aa9834ec5c46b072f94d6248d4f8c3471a6056199d3",
-    (Variant.ORDERED, 1): "ad3d91f35811a2e836c286b8e8ef7195c19816c7a15de92d3622e4a8841171d2",
-    (Variant.ORDERED, 2): "fa18ea91459c46a3092a73615a903ac550fa42c546d8077f6410929e382d40d9",
-    (Variant.UNORDERED, 0): "784709082b5eee37760ba612d84a456e15d931b7bf48ed82ec706848f14145eb",
-    (Variant.UNORDERED, 1): "e1de90af55307addb088faf34099159c4e7a73506eb49afee9256e8bb256d40f",
-    (Variant.UNORDERED, 2): "6f94d8d535878e68ae34ac0df479b0b12c8ba217169b67c74c31b2981142db5f",
+    (GA_ORDERED, 0): "9588c59ec11c0b4fb2759aa9834ec5c46b072f94d6248d4f8c3471a6056199d3",
+    (GA_ORDERED, 1): "ad3d91f35811a2e836c286b8e8ef7195c19816c7a15de92d3622e4a8841171d2",
+    (GA_ORDERED, 2): "fa18ea91459c46a3092a73615a903ac550fa42c546d8077f6410929e382d40d9",
+    (GA_UNORDERED, 0): "784709082b5eee37760ba612d84a456e15d931b7bf48ed82ec706848f14145eb",
+    (GA_UNORDERED, 1): "e1de90af55307addb088faf34099159c4e7a73506eb49afee9256e8bb256d40f",
+    (GA_UNORDERED, 2): "6f94d8d535878e68ae34ac0df479b0b12c8ba217169b67c74c31b2981142db5f",
 }
 
 
-@pytest.mark.parametrize(("variant", "seed"), list(EVOLVE_DIGESTS))
-def test_evolve_matches_recorded_digest(default_world, variant, seed):
+@pytest.mark.parametrize(("algorithm", "seed"), list(EVOLVE_DIGESTS))
+def test_evolve_matches_recorded_digest(default_world, algorithm, seed):
     request = generate_request(
         list(default_world.exams), default_world.config, 5, seed=seed
     )
     space = filter_search_space(default_world.slots, request)
-    result = evolve(space, request, default_world.rules, GAConfig(variant=variant, seed=seed))
-    assert evolve_digest(result) == EVOLVE_DIGESTS[variant, seed]
+    result = evolve(space, request, default_world.rules, GAConfig(), algorithm, seed)
+    assert evolve_digest(result) == EVOLVE_DIGESTS[algorithm, seed]

@@ -10,11 +10,11 @@ from medsched import ga
 from medsched.constraints import schedule_counts
 from medsched.datagen import WorldConfig, generate_request
 from medsched.fitness import compute_penalties, fitness
+from medsched.bench import GA_ALGORITHMS
 from medsched.ga import (
     GAConfig,
     Individual,
     SearchSpace,
-    Variant,
     decode,
     evolve,
     filter_search_space,
@@ -428,16 +428,15 @@ class TestInputGuard:
             evaluate(individual)
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-def test_evolve_unchanged_by_compiled_evaluator(default_world, monkeypatch, variant):
+@pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
+def test_evolve_unchanged_by_compiled_evaluator(default_world, monkeypatch, algorithm):
     assert default_world.config == WorldConfig()
     request = generate_request(
         list(default_world.exams), default_world.config, 5, seed=7
     )
     space = filter_search_space(default_world.slots, request)
-    config = GAConfig(variant=variant, seed=11)
-    compiled = evolve(space, request, default_world.rules, config)
+    compiled = evolve(space, request, default_world.rules, GAConfig(), algorithm, 11)
     monkeypatch.setattr(ga, "make_evaluator", reference_evaluator)
-    reference = evolve(space, request, default_world.rules, config)
+    reference = evolve(space, request, default_world.rules, GAConfig(), algorithm, 11)
     assert compiled.best == reference.best
     assert compiled.history == reference.history

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,43 @@ class TestWorldPersistence:
         with pytest.raises(WorldFormatError, match=r"slots\[9\]: duplicate slot id"):
             world_from_dict(document)
 
+    def test_overlapping_slots_of_one_room_raise_naming_later_entry(self, default_world):
+        document = world_to_dict(default_world)
+        first, second = document["slots"][:2]
+        assert {(slot["facility"], slot["room"]) for slot in (first, second)} == {("F1", "F1-R1")}
+        second["start"], second["start_label"] = first["start"], first["start_label"]
+        with pytest.raises(
+            WorldFormatError,
+            match=r"slots\[1\]: overlaps slots\[0\] in room 'F1-R1' of facility 'F1'$",
+        ):
+            world_from_dict(document)
+
+    def test_overlap_is_checked_per_room_in_start_order(self):
+        # slots[0] starts one minute before slots[2] ends, in room R1 of F1;
+        # room R1 of F2 is another room.  The later start is the one named.
+        slots = (
+            make_slot(id="c", facility="F1", room="R1", start=599, duration=30),
+            make_slot(id="b", facility="F2", room="R1", start=540, duration=30),
+            make_slot(id="a", facility="F1", room="R1", start=540, duration=60),
+        )
+        document = world_to_dict(
+            World(
+                config=WorldConfig(),
+                exams=(ExamType(slots[0].exam, "x", Specialty.RADIOLOGY),),
+                rules=(),
+                facilities=(Facility("F1", "one", ("R1",)), Facility("F2", "two", ("R1",))),
+                slots=slots,
+            )
+        )
+        with pytest.raises(
+            WorldFormatError,
+            match=r"slots\[0\]: overlaps slots\[2\] in room 'R1' of facility 'F1'$",
+        ):
+            world_from_dict(document)
+        # Back to back is not an overlap.
+        document["slots"][0].update(start=600, start_label=instant_label(600))
+        assert world_from_dict(document).slots == (slots[0]._replace(start=600), *slots[1:])
+
     def test_example_world_saves_byte_for_byte(self, tmp_path):
         example = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
         path = tmp_path / "world.json"
@@ -403,7 +441,7 @@ def mutated_documents(draw):
     kind = draw(
         st.sampled_from(
             ["drop_key", "wrong_type", "head_type", "duplicate_id", "unknown_reference",
-             "relabel", "drop_entry", "duplicate_entry"]
+             "relabel", "overlap", "drop_entry", "duplicate_entry"]
         )
     )
     if kind in ("drop_key", "wrong_type"):
@@ -459,6 +497,16 @@ def mutated_documents(draw):
                 st.text(max_size=6),
             )
         )
+    elif kind == "overlap":
+        # Move a slot onto the start of another slot of its room: the later
+        # of the two in (room, start, document) order overlaps the earlier.
+        entries, index, _ = entry_of("slots")
+        place = itemgetter("facility", "room")
+        others = [i for i, slot in enumerate(entries) if i != index and place(slot) == place(entries[index])]
+        other = draw(st.sampled_from(others))
+        for key in ("start", "start_label"):
+            entries[index][key] = entries[other][key]
+        rejected = f"slots[{max(index, other)}]"
     else:
         entries, index, _ = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
         if kind == "drop_entry":
@@ -520,9 +568,12 @@ class TestRequestPersistence:
             ({"acts": []}, "acts"),
             ({"acts": "E01"}, "acts"),
             ({"acts": ["E01", 7]}, "acts"),
+            ({"acts": ["E01", True]}, "acts"),
             ({"acts": ["E01"], "start_day": -1}, "start_day"),
             ({"acts": ["E01"], "start_day": "3"}, "start_day"),
             ({"acts": ["E01"], "start_day": 1.5}, "start_day"),
+            ({"acts": ["E01"], "start_day": 1.0}, "start_day"),
+            ({"acts": ["E01"], "start_day": True}, "start_day"),
             ({"acts": ["E01"], "preferred_facilities": 5}, "preferred_facilities"),
             ({"acts": ["E01"], "preferred_facilities": "F1"}, "preferred_facilities"),
             ({"acts": ["E01"], "preferred_practitioners": ["P1", 2]}, "preferred_practitioners"),
