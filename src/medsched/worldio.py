@@ -81,8 +81,6 @@ _SLOT_COLUMNS = (
     ("duration_minutes", int),
 )
 _slot_row = itemgetter(*(name for name, _ in _SLOT_COLUMNS))
-# A slot's facility, room, start and duration, by position.
-_slot_span = itemgetter(2, 3, 5, 6)
 
 # One slot as ``json.dumps(indent=2, sort_keys=True)`` lays it out in the
 # world document's ``slots`` list: keys sorted, strings escaped by the same
@@ -183,12 +181,15 @@ def _slots_from_list(
 
 
 def _check_rooms_free(slots: Sequence[TimeSlot]) -> None:
-    """Raise ``WorldFormatError`` naming the first slot, in (facility, room,
-    start, document) order, that starts before the slot before it in its
-    room ends.  Until then a room's slots are disjoint, so that one ends last.
+    """Raise ``WorldFormatError`` unless each room's slots are disjoint in time.
+
+    Each room's slots, rooms in the order they first appear, are sorted by
+    start, ties in document order.  Until the first overlap they are
+    disjoint, so the slot before ends last; the error names the slot that
+    starts before it ends, that slot, and the room.
     """
     rooms: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
-    for index, (facility, room, start, duration) in enumerate(map(_slot_span, slots)):
+    for index, (_, _, facility, room, _, start, duration) in enumerate(slots):
         rooms.setdefault((facility, room), []).append((start, index, duration))
     for (facility, room), spans in rooms.items():
         until = previous = 0
