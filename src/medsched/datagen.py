@@ -20,6 +20,7 @@ from .model import (
     SlotTable,
     Specialty,
     TimeSlot,
+    collector_paused,
 )
 
 _SPECIALTIES = tuple(Specialty)
@@ -254,10 +255,11 @@ def generate_request(
 def generate_world(config: WorldConfig) -> World:
     """Catalog, rules, facilities and slots bundled as one reproducible instance."""
     catalog = generate_catalog(config)
-    return World(
-        config=config,
-        exams=tuple(catalog),
-        rules=tuple(generate_rules(catalog, config)),
-        facilities=tuple(generate_facilities(config)),
-        slots=SlotTable(generate_slots(catalog, config)),
-    )
+    with collector_paused():
+        return World(
+            config=config,
+            exams=tuple(catalog),
+            rules=tuple(generate_rules(catalog, config)),
+            facilities=tuple(generate_facilities(config)),
+            slots=SlotTable(generate_slots(catalog, config)),
+        )

@@ -8,11 +8,14 @@ boundary do not overlap.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict, namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Any, Iterable
+from itertools import repeat
+from operator import add, itemgetter, mod
+from typing import Any, Iterable, Iterator, Sequence
 
 MINUTES_PER_DAY = 1440
 
@@ -86,7 +89,7 @@ class TimeSlot(
     tens of thousands.  Its hash is the hash of that tuple, and it equals
     the plain tuple of its fields.  Every way of making one, positional,
     keyword, ``_make``, ``_replace``, ``pickle`` and ``copy``, goes through
-    ``__new__`` and its range checks.
+    ``__new__`` and its range checks; ``SlotTable.from_columns`` runs them per column.
     """
 
     __slots__ = ()
@@ -170,6 +173,31 @@ class SlotTable(tuple):
 
     def __reduce__(self) -> tuple[type, tuple[tuple[TimeSlot, ...]]]:
         return type(self), (tuple(self),)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[Any]]) -> SlotTable:
+        """The slots whose seven fields, in order, are ``columns``, of checked types.
+
+        ``TimeSlot``'s range checks run per column and ``__new__`` is skipped;
+        if a check fails, ``TimeSlot`` itself names the first bad row.
+        """
+        *_, starts, durations = columns
+        day_ends = map(add, map(mod, starts, repeat(MINUTES_PER_DAY)), durations)
+        if starts and (min(starts) < 0 or min(durations) <= 0 or max(day_ends) > MINUTES_PER_DAY):
+            return cls(map(TimeSlot, *columns))
+        return cls(map(tuple.__new__, repeat(TimeSlot), zip(*columns)))
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for a bulk build of str/int tuples and dicts: no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ import csv
 import json
 from dataclasses import asdict, fields, replace
 from functools import partial
+from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import add, eq, ge, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -33,6 +34,7 @@ from .model import (
     SlotTable,
     Specialty,
     TimeSlot,
+    collector_paused,
 )
 
 
@@ -155,19 +157,18 @@ def _slots_from_list(
     _typed(items, list, "slots")  # a list: walked once per column, and again on failure
     try:
         columns = [list(map(itemgetter(name), items)) for name, _ in _SLOT_COLUMNS]
-        ids, exams, facilities, room_names, _, starts = columns[:6]
-        if (
-            all(
-                set(map(type, column)) <= {kind}
-                for column, (_, kind) in zip(columns, _SLOT_COLUMNS)
-            )
-            and list(map(itemgetter("start_label"), items))
-            == list(map(instant_label, starts))
-            and len(set(ids)) == len(items)
-            and set(exams) <= exam_ids
-            and set(zip(facilities, room_names)) <= rooms
-        ):
-            return SlotTable(map(TimeSlot, *columns))
+        if all(set(map(type, c)) <= {kind} for c, (_, kind) in zip(columns, _SLOT_COLUMNS)):
+            memo: dict[str, str] = {}  # one object per repeated string value
+            columns[1:5] = [list(map(memo.setdefault, c, c)) for c in columns[1:5]]
+            ids, exams, facilities, room_names, _, starts = columns[:6]
+            labels = {start: instant_label(start) for start in set(starts)}
+            if (
+                list(map(itemgetter("start_label"), items)) == list(map(labels.get, starts))
+                and len(set(ids)) == len(items)
+                and set(exams) <= exam_ids
+                and set(zip(facilities, room_names)) <= rooms
+            ):
+                return SlotTable.from_columns(columns)
     except (TypeError, ValueError, KeyError):
         pass
     build = partial(
@@ -183,11 +184,19 @@ def _slots_from_list(
 def _check_rooms_free(slots: Sequence[TimeSlot]) -> None:
     """Raise ``WorldFormatError`` unless each room's slots are disjoint in time.
 
-    Each room's slots, rooms in the order they first appear, are sorted by
-    start, ties in document order.  Until the first overlap they are
-    disjoint, so the slot before ends last; the error names the slot that
-    starts before it ends, that slot, and the room.
+    A world that lists each room's slots together, in time order, passes
+    column-wise.  Otherwise each room's slots, rooms in first-appearance
+    order, are sorted by start, ties in document order.  Until the first
+    overlap they are disjoint, so the slot before ends last; the error names
+    the slot that starts before it ends, that slot, and the room.
     """
+    places = list(map(itemgetter(2, 3), slots))  # (facility, room); start is 5, duration 6
+    starts = list(map(itemgetter(5), slots))
+    same_room = list(map(eq, places, places[1:]))
+    if len(places) - sum(same_room) == len(set(places)) and all(
+        compress(map(ge, starts[1:], map(add, starts, map(itemgetter(6), slots))), same_room)
+    ):
+        return
     rooms: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
     for index, (_, _, facility, room, _, start, duration) in enumerate(slots):
         rooms.setdefault((facility, room), []).append((start, index, duration))
@@ -372,7 +381,8 @@ def save_world(world: World, path: Path) -> None:
 
 
 def load_world(path: Path) -> World:
-    return world_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    with collector_paused():
+        return world_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def request_to_dict(request: ScheduleRequest) -> dict[str, Any]:

@@ -13,6 +13,7 @@ from medsched.model import (
     RuleLogic,
     Schedule,
     ScheduleRequest,
+    SlotTable,
     Specialty,
     TimeSlot,
 )
@@ -122,6 +123,85 @@ class TestTimeSlotContract:
             "TimeSlot(id='S7', exam='E00', facility='F1', room='F1-R1', "
             "practitioner='P1', start=600, duration_minutes=45)"
         )
+
+
+def columns_of(rows):
+    """The seven field columns of ``rows``, as lists."""
+    return [list(column) for column in zip(*rows)] or [[] for _ in FIELD_NAMES]
+
+
+# Rows whose start and duration may break any of the range checks.
+slot_rows = st.lists(
+    st.tuples(
+        st.text("AB", min_size=1, max_size=3),
+        st.just("E00"),
+        st.just("F1"),
+        st.just("F1-R1"),
+        st.just("P1"),
+        st.integers(-30, 3 * MINUTES_PER_DAY),
+        st.integers(-5, 120),
+    ),
+    max_size=12,
+)
+
+
+class TestSlotTableFromColumns:
+    """``from_columns`` builds around ``__new__``, with its checks run per column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(slots=st.lists(valid_slots(), max_size=12))
+    def test_equals_slot_by_slot_table(self, slots):
+        table = SlotTable.from_columns(columns_of(slots))
+        assert type(table) is SlotTable
+        assert table == SlotTable(slots)
+        assert [type(slot) for slot in table] == [TimeSlot] * len(slots)
+
+    @pytest.mark.parametrize(("fields", "message"), BAD_SLOT_FIELDS)
+    def test_each_range_check_raises_timeslots_message(self, fields, message):
+        good = tuple(make_slot(id="S1"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SlotTable.from_columns(columns_of([good, fields, good]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=slot_rows)
+    def test_rejects_the_rows_timeslot_rejects(self, rows):
+        try:
+            expected = SlotTable(TimeSlot(*row) for row in rows)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                SlotTable.from_columns(columns_of(rows))
+        else:
+            assert SlotTable.from_columns(columns_of(rows)) == expected
+
+    def test_valid_columns_are_built_around_new(self, monkeypatch):
+        # Each at the edge of one range check: epoch, flush to midnight, one minute.
+        edges = [(0, 30), (MINUTES_PER_DAY - 30, 30), (MINUTES_PER_DAY, 1)]
+        rows = [tuple(make_slot(id=f"S{start}", start=start, duration=d)) for start, d in edges]
+        monkeypatch.setattr(TimeSlot, "__new__", staticmethod(pytest.fail))
+        assert SlotTable.from_columns(columns_of(rows)) == tuple(rows)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda slot: pickle.loads(pickle.dumps(slot)), id="pickle"),
+            pytest.param(copy.copy, id="copy"),
+            pytest.param(copy.deepcopy, id="deepcopy"),
+            pytest.param(TimeSlot._make, id="make"),
+        ],
+    )
+    def test_other_construction_paths_still_call_new(self, monkeypatch, build):
+        (slot,) = SlotTable.from_columns(columns_of([tuple(make_slot(id="S7"))]))
+        calls = []
+        checked_new = TimeSlot.__new__
+
+        def spy(cls, *fields):
+            calls.append(fields)
+            return checked_new(cls, *fields)
+
+        monkeypatch.setattr(TimeSlot, "__new__", staticmethod(spy))
+        rebuilt = build(slot)
+        assert type(rebuilt) is TimeSlot and rebuilt == slot
+        assert calls == [tuple(slot)]
 
 
 class TestSlotsOverlap:

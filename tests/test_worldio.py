@@ -1,6 +1,7 @@
 """JSON and CSV persistence: round-trips, byte determinism, instant labels."""
 
 import copy
+import gc
 import hashlib
 import json
 from dataclasses import asdict
@@ -254,6 +255,35 @@ class TestWorldPersistence:
         document["slots"][0].update(start=600, start_label=instant_label(600))
         assert world_from_dict(document).slots == (slots[0]._replace(start=600), *slots[1:])
 
+    def test_loaded_slots_share_their_strings(self, default_world, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(default_world, path)
+        slots = load_world(path).slots
+        for name in ("exam", "facility", "room", "practitioner"):
+            values = [getattr(slot, name) for slot in slots]
+            assert len(set(map(id, values))) <= len(set(values)), name
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, tmp_path, enabled):
+        config = WorldConfig(horizon_days=2)
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_world(generate_world(config), good)
+        document = json.loads(good.read_text())
+        document["slots"][3]["duration_minutes"] = 0
+        bad.write_text(json.dumps(document))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_world(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(WorldFormatError, match=r"slots\[3\]: slot .* non-positive duration"):
+                load_world(bad)
+            assert gc.isenabled() is enabled
+            generate_world(config)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_example_world_saves_byte_for_byte(self, tmp_path):
         example = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
         path = tmp_path / "world.json"
@@ -403,11 +433,10 @@ class TestWorldWriter:
         assert world_path.read_bytes() == reference_bytes(world)
 
 
-SMALL_DOCUMENT = world_to_dict(
-    generate_world(
-        WorldConfig(seed=11, horizon_days=1, facilities=2, rooms_per_facility=2, rule_count=4)
-    )
+SMALL_WORLD = generate_world(
+    WorldConfig(seed=11, horizon_days=1, facilities=2, rooms_per_facility=2, rule_count=4)
 )
+SMALL_DOCUMENT = world_to_dict(SMALL_WORLD)
 WRONG_VALUES = [None, True, 1.5, -1, 0, "x", [], {}, ["x"], {"x": 1}]
 # Head-section values that a loose loader would take: a string or a dict
 # iterates as rooms, and a float, a bool or a number in a string compares or
@@ -427,11 +456,13 @@ HEAD_FAULTS = [
 def mutated_documents(draw):
     """A small world document with one fault of the kinds a hand edit makes.
 
-    Returns (document, entry): ``entry`` is the entry the loader must reject
-    by name, or None where the fault may be harmless.
+    Returns (document, entry, slots): ``entry`` is the entry the loader must
+    reject by name, or None where the fault may be harmless; ``slots`` is
+    what the document must load as, or None where that is not known.
     """
     document = copy.deepcopy(SMALL_DOCUMENT)
-    rejected = None
+    rejected = loads_as = None
+    place = itemgetter("facility", "room")
 
     def entry_of(section):
         entries = document[section]
@@ -441,7 +472,8 @@ def mutated_documents(draw):
     kind = draw(
         st.sampled_from(
             ["drop_key", "wrong_type", "head_type", "duplicate_id", "unknown_reference",
-             "relabel", "overlap", "drop_entry", "duplicate_entry"]
+             "relabel", "overlap", "shuffle", "retime", "zero_duration", "drop_entry",
+             "duplicate_entry"]
         )
     )
     if kind in ("drop_key", "wrong_type"):
@@ -501,32 +533,65 @@ def mutated_documents(draw):
         # Move a slot onto the start of another slot of its room: the later
         # of the two in (room, start, document) order overlaps the earlier.
         entries, index, _ = entry_of("slots")
-        place = itemgetter("facility", "room")
         others = [i for i, slot in enumerate(entries) if i != index and place(slot) == place(entries[index])]
         other = draw(st.sampled_from(others))
         for key in ("start", "start_label"):
             entries[index][key] = entries[other][key]
         rejected = f"slots[{max(index, other)}]"
+    elif kind == "shuffle":
+        # Each room's slots may no longer run together, so the column proof
+        # may not apply: the sorted check must then accept them.
+        order = draw(st.permutations(range(len(document["slots"]))))
+        document["slots"] = [document["slots"][i] for i in order]
+        loads_as = tuple(SMALL_WORLD.slots[i] for i in order)
+    elif kind == "retime":
+        # A start, labelled to match, that crosses midnight, is negative, or
+        # lies inside another slot of the room, past that slot's start.
+        entries, index, rejected = entry_of("slots")
+        slot = entries[index]
+        others = [other for other in entries if other is not slot and place(other) == place(slot)]
+        start = draw(
+            st.one_of(
+                st.builds(
+                    lambda day, before: (day + 1) * MINUTES_PER_DAY - before,
+                    st.integers(0, 2),
+                    st.integers(1, slot["duration_minutes"] - 1),
+                ),
+                st.integers(-2 * MINUTES_PER_DAY, -1),
+                st.sampled_from(others).flatmap(
+                    lambda other: st.integers(
+                        other["start"] + 1, other["start"] + other["duration_minutes"] - 1
+                    )
+                ),
+            )
+        )
+        slot.update(start=start, start_label=instant_label(start))
+    elif kind == "zero_duration":
+        entries, index, rejected = entry_of("slots")
+        entries[index]["duration_minutes"] = 0
     else:
         entries, index, _ = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
         if kind == "drop_entry":
             del entries[index]
         else:
             entries.insert(index, copy.deepcopy(entries[index]))
-    return document, rejected
+    return document, rejected, loads_as
 
 
 class TestWorldLoadFuzz:
     @settings(max_examples=500, deadline=None)
     @given(case=mutated_documents())
     def test_loads_and_round_trips_or_raises_format_error(self, world_path, case):
-        document, rejected = case
+        document, rejected, loads_as = case
         try:
             world = world_from_dict(document)
         except WorldFormatError as error:
+            assert loads_as is None, f"rejected a valid document: {error}"
             assert rejected is None or f"entry {rejected}: " in str(error)
             return
         assert rejected is None, f"loaded a document with a fault in {rejected}"
+        if loads_as is not None:
+            assert world.slots == loads_as
         save_world(world, world_path)
         # Equality alone would pass 5940.0 for 5940 and True for 1.
         assert world_path.read_bytes() == reference_bytes(world)
