@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .ga import SearchSpace, uniform_genes
+from .ga import SearchSpace, decode, uniform_genes
 from .model import Schedule, ScheduleRequest
 
 
@@ -35,8 +35,4 @@ def random_schedule(
     space: SearchSpace, request: ScheduleRequest, rng: random.Random
 ) -> Schedule:
     """Control baseline: one uniform draw per act, exactly like unordered GA init."""
-    assignments = []
-    for act, gene in enumerate(uniform_genes(space, rng)):
-        if gene is not None:
-            assignments.append((act, space.per_act_slots[act][gene]))
-    return Schedule(assignments=tuple(assignments))
+    return decode(uniform_genes(space, rng), space, request)

@@ -1,11 +1,12 @@
 """Scoring: overlaps, incompatibility rules, trips, travel gaps and act order.
 
 ``schedule_counts`` is the one scoring pass: fitness and metrics read its
-counts.  ``rule_checks`` is the one place rules become breach checks, and
-``walk_picks``, the one walk over consecutive picks, is the one place they
-are applied.  The GA's evaluator calls both too, so it cannot count
-differently.  The tests hold these counts equal to an oracle with one
-checker per concern, ``tests/oracle.py``.
+counts.  ``rule_checks`` is the one place rules become breach checks, for
+scoring and for ``optimal_act_order``, and ``walk_picks``, the one walk
+over consecutive picks, is the one place they are applied.  The GA's
+evaluator calls both too, so it cannot count differently.  The tests hold
+these counts equal to an oracle with one checker per concern,
+``tests/oracle.py``.
 
 Gap conventions, fixed once here and reused by fitness, metrics and the GA:
 a rule's separation is measured from the earlier slot's end to the later
@@ -16,6 +17,7 @@ slot's start; trip boundaries trigger on a gap strictly greater than
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -49,19 +51,25 @@ class ScheduleCounts(NamedTuple):
 def rule_checks(
     rules: Iterable[IncompatibilityRule],
     acts: Sequence[int],
-    positions: dict[str, list[int]],
+    exams: Sequence[str | None],
 ) -> list[Check]:
     """Each rule as breach checks ``(i, j, gap, symmetric)`` over pick positions.
 
-    ``acts[p]`` is position ``p``'s act index and ``positions`` maps each
-    exam to its positions.  A rule gives one check per pair of a position
-    of its first exam and one of its second, except a pair of one act
-    index.  A check is broken when position ``j`` starts under ``gap``
+    This is the one reader of a rule's logic.  ``acts[p]`` is position
+    ``p``'s act index and ``exams[p]`` its exam, ``None`` when it has none
+    (such a position gets no check).  A rule gives one check per pair of a
+    position of its first exam and one of its second, except a pair of one
+    act index.  A check is broken when position ``j`` starts under ``gap``
     minutes after position ``i`` ends and, when ``symmetric`` (BOTH), also
     ``i`` under ``gap`` after ``j``.  AFTER is BEFORE with the positions
-    swapped.  Durations are positive, so for BOTH this equals measuring
-    from the earlier slot's end.
+    swapped, so a non-symmetric check puts ``i`` before ``j``.  Durations
+    are positive, so for BOTH this equals measuring from the earlier slot's
+    end.
     """
+    positions: dict[str, list[int]] = {}
+    for position, exam in enumerate(exams):
+        if exam is not None:
+            positions.setdefault(exam, []).append(position)
     checks: list[Check] = []
     for rule in rules:
         firsts = positions.get(rule.first)
@@ -149,17 +157,16 @@ def schedule_counts(
     schedule counts all zeros.
     """
     acts: list[int] = []
-    positions: dict[str, list[int]] = {}
+    exams: list[str] = []
     by_position: list[Pick] = []
-    for position, (act, slot) in enumerate(schedule.assignments):
-        slot_id, exam, facility, _, _, start, duration = slot
+    for act, (slot_id, exam, facility, _, _, start, duration) in schedule.assignments:
         acts.append(act)
-        positions.setdefault(exam, []).append(position)
+        exams.append(exam)
         by_position.append((start, slot_id, start + duration, facility))
     if not by_position:
         return ScheduleCounts(0, 0, 0, 0, 0, 0, 0)
     picks = sorted(by_position, key=_START_ID)
-    checks = rule_checks(rules, acts, positions)
+    checks = rule_checks(rules, acts, exams)
     overlaps, breaches, trips, transfers, idle = walk_picks(picks, checks, by_position)
     first_start = picks[0][0]
     return ScheduleCounts(
@@ -172,28 +179,16 @@ def optimal_act_order(
 ) -> tuple[int, ...]:
     """Order act indices so that rule-implied predecessors come first.
 
-    Builds edges i -> j whenever some rule forces act i's exam before act
-    j's exam, then topologically sorts with lowest-index tie-breaking.  If
-    the rules contradict each other the leftover (cyclic) acts are appended
-    in original request order; the output is a permutation of all act
-    indices in every case.
+    ``acts`` holds each act's exam.  The edges are the non-symmetric checks
+    ``(i, j)`` of ``rule_checks(rules, range(n), acts)``, the checks the GA
+    scores, each putting act ``i`` before act ``j``; BOTH constrains the
+    gap, not the order.  Kahn's topological sort then places the
+    lowest-index ready act first.  If the rules contradict each other the
+    leftover (cyclic) acts are appended in request order; the output is a
+    permutation of all act indices in every case.
     """
     n = len(acts)
-    edges: set[tuple[int, int]] = set()
-    for rule in rules:
-        if rule.logic is RuleLogic.BEFORE:
-            pred_exam, succ_exam = rule.first, rule.second
-        elif rule.logic is RuleLogic.AFTER:
-            pred_exam, succ_exam = rule.second, rule.first
-        else:
-            continue  # BOTH constrains the gap, not the order
-        for i in range(n):
-            if acts[i] != pred_exam:
-                continue
-            for j in range(n):
-                if i != j and acts[j] == succ_exam:
-                    edges.add((i, j))
-
+    edges = {(i, j) for i, j, _, symmetric in rule_checks(rules, range(n), acts) if not symmetric}
     indegree = [0] * n
     successors: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
@@ -201,19 +196,14 @@ def optimal_act_order(
         indegree[j] += 1
 
     order: list[int] = []
-    ready = sorted(i for i in range(n) if indegree[i] == 0)
+    ready = [i for i in range(n) if not indegree[i]]  # sorted, so a heap
     while ready:
-        node = ready.pop(0)
+        node = heappop(ready)
         order.append(node)
-        changed = False
         for succ in successors[node]:
             indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-                changed = True
-        if changed:
-            ready.sort()
-
-    placed = set(order)
-    order.extend(i for i in range(n) if i not in placed)
+            if not indegree[succ]:
+                heappush(ready, succ)
+    # An act is left over exactly when some predecessor never was placed.
+    order.extend(i for i in range(n) if indegree[i])
     return tuple(order)

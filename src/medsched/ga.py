@@ -363,8 +363,7 @@ def make_evaluator(
     depend on the pick.
     """
     blocks = space.per_act_slots
-    exams = [{slot.exam for slot in block} for block in blocks]
-    if any(len(block_exams) > 1 for block_exams in exams):
+    if any(len({slot.exam for slot in block}) > 1 for block in blocks):
         raise ValueError("every candidate of an act must be of one exam")
 
     keyed = sorted(
@@ -384,11 +383,8 @@ def make_evaluator(
         tables[act][gene] = (start, rank, slot.end, facility)
 
     # An act's position is its index, and an empty block names no exam.
-    positions: dict[str, list[int]] = {}
-    for act, block_exams in enumerate(exams):
-        for exam in block_exams:
-            positions.setdefault(exam, []).append(act)
-    checks = rule_checks(rules, range(len(blocks)), positions)
+    exams = [block[0].exam if block else None for block in blocks]
+    checks = rule_checks(rules, range(len(blocks)), exams)
 
     act_count = len(blocks)
     gene_types = [(int, type(None))] * act_count

@@ -14,9 +14,8 @@ import csv
 import json
 from dataclasses import asdict, fields, replace
 from functools import partial
-from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import add, eq, ge, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -184,19 +183,12 @@ def _slots_from_list(
 def _check_rooms_free(slots: Sequence[TimeSlot]) -> None:
     """Raise ``WorldFormatError`` unless each room's slots are disjoint in time.
 
-    A world that lists each room's slots together, in time order, passes
-    column-wise.  Otherwise each room's slots, rooms in first-appearance
-    order, are sorted by start, ties in document order.  Until the first
-    overlap they are disjoint, so the slot before ends last; the error names
-    the slot that starts before it ends, that slot, and the room.
+    This is the one room-overlap check, one sort per room.  Each room's
+    slots, rooms in first-appearance order, are sorted by start, ties in
+    document order.  Until the first overlap they are disjoint, so the slot
+    before ends last; the error names the slot that starts before it ends,
+    that slot, and the room.
     """
-    places = list(map(itemgetter(2, 3), slots))  # (facility, room); start is 5, duration 6
-    starts = list(map(itemgetter(5), slots))
-    same_room = list(map(eq, places, places[1:]))
-    if len(places) - sum(same_room) == len(set(places)) and all(
-        compress(map(ge, starts[1:], map(add, starts, map(itemgetter(6), slots))), same_room)
-    ):
-        return
     rooms: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
     for index, (_, _, facility, room, _, start, duration) in enumerate(slots):
         rooms.setdefault((facility, room), []).append((start, index, duration))

@@ -4,7 +4,10 @@ Each checker lists what ``constraints.schedule_counts`` counts for one
 concern: overlapping pairs, rule breaches, trips, under-3h transfers and
 idle minutes.  ``conftest.reference_penalties`` and ``reference_metrics``
 compose them, and the tests hold the package's one scoring pass, and the
-GA's evaluator, equal to that composition.
+GA's evaluator, equal to that composition.  ``reference_act_order``
+orders acts by its own edge loops over the rules' logic, and the tests
+hold ``constraints.optimal_act_order``, which takes its edges from
+``rule_checks``, equal to it.
 """
 
 from __future__ import annotations
@@ -120,3 +123,55 @@ def idle_minutes(ordered: Sequence[tuple[int, TimeSlot]]) -> int:
         if gap > 0:
             idle += gap
     return idle
+
+
+def reference_act_order(
+    acts: Sequence[str], rules: Iterable[IncompatibilityRule]
+) -> tuple[int, ...]:
+    """Order act indices so that rule-implied predecessors come first.
+
+    Builds edges i -> j whenever some rule forces act i's exam before act
+    j's exam, then topologically sorts with lowest-index tie-breaking.  If
+    the rules contradict each other the leftover (cyclic) acts are appended
+    in original request order; the output is a permutation of all act
+    indices in every case.
+    """
+    n = len(acts)
+    edges: set[tuple[int, int]] = set()
+    for rule in rules:
+        if rule.logic is RuleLogic.BEFORE:
+            pred_exam, succ_exam = rule.first, rule.second
+        elif rule.logic is RuleLogic.AFTER:
+            pred_exam, succ_exam = rule.second, rule.first
+        else:
+            continue  # BOTH constrains the gap, not the order
+        for i in range(n):
+            if acts[i] != pred_exam:
+                continue
+            for j in range(n):
+                if i != j and acts[j] == succ_exam:
+                    edges.add((i, j))
+
+    indegree = [0] * n
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        successors[i].append(j)
+        indegree[j] += 1
+
+    order: list[int] = []
+    ready = sorted(i for i in range(n) if indegree[i] == 0)
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        changed = False
+        for succ in successors[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+                changed = True
+        if changed:
+            ready.sort()
+
+    placed = set(order)
+    order.extend(i for i in range(n) if i not in placed)
+    return tuple(order)

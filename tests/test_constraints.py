@@ -3,10 +3,15 @@
 import graphlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from medsched.constraints import TRAVEL_GAP_MINUTES, TRIP_GAP_MINUTES, optimal_act_order
+from medsched.constraints import (
+    TRAVEL_GAP_MINUTES,
+    TRIP_GAP_MINUTES,
+    optimal_act_order,
+    rule_checks,
+)
 from medsched.model import MINUTES_PER_DAY, IncompatibilityRule, RuleLogic, Schedule
 
 from conftest import make_schedule, make_slot
@@ -15,6 +20,7 @@ from oracle import (
     check_travel_gaps,
     find_overlaps,
     idle_minutes,
+    reference_act_order,
     segment_trips,
     slots_overlap,
 )
@@ -323,6 +329,76 @@ class TestOptimalActOrder:
             position = {act: k for k, act in enumerate(order)}
             for i, j in precedence_edges(acts, rules):
                 assert position[i] < position[j]
+
+
+REQUEST_EXAMS = ["E01", "E02", "E03", "E04"]
+# E05 is never requested, so a rule naming it reaches outside the request.
+request_acts = st.lists(st.sampled_from(REQUEST_EXAMS), max_size=6)
+request_rules = st.lists(
+    st.tuples(
+        st.sampled_from([*REQUEST_EXAMS, "E05"]),
+        st.sampled_from([*REQUEST_EXAMS, "E05"]),
+        st.sampled_from(list(RuleLogic)),
+    )
+    .filter(lambda entry: entry[0] != entry[1])
+    .map(lambda entry: rule(*entry, 30)),
+    max_size=6,
+)
+
+
+class TestActOrderReadsRuleChecks:
+    """``optimal_act_order`` takes its edges from ``rule_checks``, the one
+    reader of a rule's logic, and orders acts as the reference's own edge
+    loops did."""
+
+    @settings(max_examples=1000, deadline=None)
+    # Repeated exams, a contradiction that leaves a cycle, and acts placed
+    # before the cyclic leftovers.
+    @example(
+        acts=["E03", "E01", "E02", "E01", "E04"],
+        rules=[
+            rule("E01", "E02", RuleLogic.BEFORE, 30),
+            rule("E01", "E02", RuleLogic.AFTER, 30),
+            rule("E04", "E03", RuleLogic.BEFORE, 30),
+        ],
+    )
+    # All three logics, and rules naming an exam outside the request.
+    @example(
+        acts=["E02", "E01", "E03", "E02"],
+        rules=[
+            rule("E05", "E01", RuleLogic.BEFORE, 30),
+            rule("E02", "E05", RuleLogic.AFTER, 30),
+            rule("E01", "E02", RuleLogic.BOTH, 30),
+            rule("E03", "E01", RuleLogic.AFTER, 30),
+            rule("E02", "E03", RuleLogic.BEFORE, 30),
+        ],
+    )
+    @given(acts=request_acts, rules=request_rules)
+    def test_equals_the_reference(self, acts, rules):
+        assert optimal_act_order(acts, rules) == reference_act_order(acts, rules)
+
+    @settings(max_examples=500, deadline=None)
+    @given(acts=request_acts, rules=request_rules)
+    def test_acyclic_order_puts_each_check_first_position_first(self, acts, rules):
+        assume(not has_cycle(acts, rules))
+        position = {act: k for k, act in enumerate(optimal_act_order(acts, rules))}
+        for i, j, _, symmetric in rule_checks(rules, range(len(acts)), acts):
+            if not symmetric:
+                assert position[i] < position[j]
+
+    @settings(max_examples=500, deadline=None)
+    @example(
+        exams=["E01", None, "E02", None],
+        rules=[rule("E01", "E02", logic, 30) for logic in RuleLogic],
+    )
+    @given(
+        exams=st.lists(st.sampled_from([None, *REQUEST_EXAMS]), max_size=6),
+        rules=request_rules,
+    )
+    def test_a_position_without_an_exam_gets_no_check(self, exams, rules):
+        # The evaluator's empty block: an act with no candidate names no exam.
+        for i, j, _, _ in rule_checks(rules, range(len(exams)), exams):
+            assert exams[i] is not None and exams[j] is not None
 
 
 # Brute-force re-derivations used as oracles for random schedules.

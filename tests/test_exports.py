@@ -92,3 +92,24 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert imported, "no imports found"
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+def test_rule_logic_is_read_only_by_rule_checks_and_datagen():
+    # One reader of a rule's logic: ``constraints.rule_checks`` compiles the
+    # rules for scoring and for the act order; ``datagen._LOGICS`` draws them.
+    readers = set()
+    for path in sorted((ROOT / "src" / "medsched").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, ast.Assign):
+                name = getattr(statement.targets[0], "id", None)
+            else:
+                name = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "RuleLogic"
+                    and node.attr in {"BEFORE", "AFTER", "BOTH"}
+                ):
+                    readers.add((path.stem, name))
+    assert readers == {("constraints", "rule_checks"), ("datagen", "_LOGICS")}

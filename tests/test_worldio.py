@@ -539,8 +539,8 @@ def mutated_documents(draw):
             entries[index][key] = entries[other][key]
         rejected = f"slots[{max(index, other)}]"
     elif kind == "shuffle":
-        # Each room's slots may no longer run together, so the column proof
-        # may not apply: the sorted check must then accept them.
+        # Each room's slots may no longer run together or in time order;
+        # they are still disjoint, so the room check's sort must accept them.
         order = draw(st.permutations(range(len(document["slots"]))))
         document["slots"] = [document["slots"][i] for i in order]
         loads_as = tuple(SMALL_WORLD.slots[i] for i in order)
