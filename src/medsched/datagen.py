@@ -75,10 +75,11 @@ class World:
     """A fully generated instance: catalog, rules, facilities and slot inventory.
 
     ``slots`` is always a ``SlotTable``, so every request filtered against
-    one world shares that world's per-exam index.  ``generate_world`` and
-    ``worldio.world_from_dict`` build the table directly; any other slot
-    sequence, from a hand-built world or ``dataclasses.replace``, is copied
-    into a new table, which starts with no index.
+    one world shares that world's exam index, built in one pass on the
+    first request.  ``generate_world`` and ``worldio.world_from_dict`` build
+    the table directly, without the index; any other slot sequence, from a
+    hand-built world or ``dataclasses.replace``, is copied into a new table,
+    which starts with no index.
     """
 
     config: WorldConfig

@@ -119,11 +119,11 @@ def filter_search_space(
     of that exam's starts at ``start_day``'s first minute, then a slice of
     its slots, already sorted by (start, id).  The facility and practitioner
     filters run only when the request sets them, and only over that slice.
-    A world's table keeps its per-exam index, so requests after the first
-    never look at other exams' slots; any other iterable is indexed in a
-    throwaway table.  Acts naming the same exam share one block.  Empty
-    blocks are legal; the act then surfaces as a missing-slot penalty
-    downstream rather than an error here.
+    A world's table indexes every exam on the first request and keeps the
+    index, so later requests never look at other exams' slots; any other
+    iterable is indexed in a throwaway table.  Acts naming the same exam
+    share one block.  Empty blocks are legal; the act then surfaces as a
+    missing-slot penalty downstream rather than an error here.
     """
     table = slots if isinstance(slots, SlotTable) else SlotTable(slots)
     facilities = request.preferred_facilities

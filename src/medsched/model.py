@@ -135,11 +135,14 @@ _START = itemgetter(TimeSlot._fields.index("start"))
 _ID = itemgetter(TimeSlot._fields.index("id"))
 
 
-def _index_exam(group: list[TimeSlot]) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
-    """One exam's slots sorted by (start, id), with their starts."""
-    group.sort(key=_ID)
-    group.sort(key=_START)  # stable, so equal starts stay in id order
-    return tuple(map(_START, group)), tuple(group)
+def _exam_index(table: SlotTable) -> dict[str, tuple[tuple[int, ...], tuple[TimeSlot, ...]]]:
+    """Every exam's slots sorted by (start, id), with their starts."""
+    ordered = sorted(table, key=_ID)  # whole-table sorts merge a few long room runs
+    ordered.sort(key=_START)  # stable, so equal starts stay in id order
+    groups: defaultdict[str, list[TimeSlot]] = defaultdict(list)
+    for slot in ordered:
+        groups[slot.exam].append(slot)
+    return {exam: (tuple(map(_START, group)), tuple(group)) for exam, group in groups.items()}
 
 
 class SlotTable(tuple):
@@ -147,11 +150,11 @@ class SlotTable(tuple):
 
     To every reader it is the plain tuple of its slots: ``len``, iteration,
     indexing, equality and hashing are the tuple's.  ``exam_slots`` adds an
-    index, built lazily and kept: the first call groups the slots by exam in
-    one pass, and each exam's group is sorted by (start, id) the first time
-    that exam is asked for.  The index lives in the instance ``__dict__``
-    and is a cache only; ``pickle`` and ``copy`` rebuild the table from its
-    slots, so a copy starts with no index.
+    index, built on its first call and kept: every exam's slots sorted by
+    (start, id) in one pass over the whole table, so each later call is one
+    dict lookup.  The index lives in the instance ``__dict__`` and is a
+    cache only; ``pickle`` and ``copy`` rebuild the table from its slots, so
+    a copy starts with no index.
     """
 
     def exam_slots(self, exam: str) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
@@ -160,16 +163,10 @@ class SlotTable(tuple):
         An exam with no slots gives two empty tuples.
         """
         try:
-            return self._exams[exam]
-        except KeyError:
-            pass
+            index = self._exams
         except AttributeError:
-            groups = self._groups = defaultdict(list)
-            for slot in self:
-                groups[slot.exam].append(slot)
-            self._exams = {}
-        indexed = self._exams[exam] = _index_exam(self._groups.pop(exam, []))
-        return indexed
+            index = self._exams = _exam_index(self)
+        return index.get(exam, ((), ()))
 
     def __reduce__(self) -> tuple[type, tuple[tuple[TimeSlot, ...]]]:
         return type(self), (tuple(self),)

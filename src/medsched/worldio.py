@@ -372,9 +372,18 @@ def save_world(world: World, path: Path) -> None:
     path.write_text(f'{head[:-2]},\n  "slots": {body}\n}}\n', encoding="utf-8")
 
 
+def _read_json(path: Path, error: type[ValueError], kind: str) -> Any:
+    """``path``'s JSON document; text that is not UTF-8 raises ``error`` naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"malformed {kind} file {path}: {exc}") from exc
+    return json.loads(text)
+
+
 def load_world(path: Path) -> World:
     with collector_paused():
-        return world_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return world_from_dict(_read_json(path, WorldFormatError, "world"))
 
 
 def request_to_dict(request: ScheduleRequest) -> dict[str, Any]:
@@ -422,7 +431,7 @@ def save_request(request: ScheduleRequest, path: Path) -> None:
 
 
 def load_request(path: Path) -> ScheduleRequest:
-    return request_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return request_from_dict(_read_json(path, RequestError, "request"))
 
 
 def solution_to_dict(

@@ -7,7 +7,9 @@ compose them, and the tests hold the package's one scoring pass, and the
 GA's evaluator, equal to that composition.  ``reference_act_order``
 orders acts by its own edge loops over the rules' logic, and the tests
 hold ``constraints.optimal_act_order``, which takes its edges from
-``rule_checks``, equal to it.
+``rule_checks``, equal to it.  ``reference_exam_slots`` scans a slot
+table for one exam, and the tests hold ``SlotTable.exam_slots``, which
+indexes every exam in one pass, equal to it.
 """
 
 from __future__ import annotations
@@ -175,3 +177,17 @@ def reference_act_order(
     placed = set(order)
     order.extend(i for i in range(n) if i not in placed)
     return tuple(order)
+
+
+def reference_exam_slots(
+    slots: Iterable[TimeSlot], exam: str
+) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
+    """``exam``'s slots sorted by (start, id) from table order, with their starts.
+
+    ``sorted`` is stable, so slots that tie on (start, id), as a hand-built
+    table with a repeated id can have, keep their table order.
+    """
+    block = tuple(
+        sorted((slot for slot in slots if slot.exam == exam), key=lambda s: (s.start, s.id))
+    )
+    return tuple(slot.start for slot in block), block

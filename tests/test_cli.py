@@ -204,6 +204,21 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_world_file_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "world.json"
+        bad.write_bytes(b"\xff")
+        assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"malformed world file {bad}" in capsys.readouterr().err
+
+    def test_request_file_not_utf8_exits_2(self, world_dir, tmp_path, capsys):
+        request_path = tmp_path / "request.json"
+        request_path.write_bytes(b"\xff")
+        out = tmp_path / "out"
+        code = main(fast_solve_args(world_dir, out, "--request", str(request_path)))
+        assert code == 2
+        assert f"malformed request file {request_path}" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
     def test_incomplete_world_document_exits_2(self, tmp_path):
         bad = tmp_path / "world.json"
         bad.write_text("{}")

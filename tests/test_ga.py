@@ -172,20 +172,19 @@ class TestFilterSearchSpace:
 
 
 class TestWorldSlotIndex:
-    """A world's ``SlotTable`` indexes each exam once and is otherwise a tuple."""
+    """A world's ``SlotTable`` indexes its slots once and is otherwise a tuple."""
 
-    def test_index_built_once_per_exam(self):
+    def test_index_built_once_per_table(self):
         world = generate_world(WorldConfig(seed=11, horizon_days=3))
         requests = [
             generate_request(list(world.exams), world.config, 5, seed=seed)
             for seed in range(30)
         ]
-        exams = {exam for request in requests for exam in request.acts}
-        with patch.object(model, "_index_exam", wraps=model._index_exam) as build:
+        with patch.object(model, "_exam_index", wraps=model._exam_index) as build:
             first = [filter_search_space(world.slots, r) for r in requests]
-            assert build.call_count == len(exams)
+            assert build.call_count == 1
             again = [filter_search_space(world.slots, r) for r in requests]
-            assert build.call_count == len(exams)
+            assert build.call_count == 1
         assert again == first
 
     def test_replaced_slots_get_their_own_index(self):

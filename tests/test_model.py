@@ -2,9 +2,10 @@
 
 import copy
 import pickle
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medsched.model import (
@@ -19,7 +20,7 @@ from medsched.model import (
 )
 
 from conftest import make_schedule, make_slot
-from oracle import slots_overlap
+from oracle import reference_exam_slots, slots_overlap
 
 @st.composite
 def valid_slots(draw):
@@ -202,6 +203,65 @@ class TestSlotTableFromColumns:
         rebuilt = build(slot)
         assert type(rebuilt) is TimeSlot and rebuilt == slot
         assert calls == [tuple(slot)]
+
+
+INDEX_EXAMS = ("E00", "E01", "E02")
+
+
+@st.composite
+def index_slots(draw):
+    """Slots over few ids, exams, rooms and starts, so ids repeat and starts tie."""
+    day = draw(st.integers(min_value=0, max_value=2))
+    return make_slot(
+        id=draw(st.sampled_from(("S1", "S2", "S3"))),
+        exam=draw(st.sampled_from(INDEX_EXAMS)),
+        room=draw(st.sampled_from(("F1-R1", "F1-R2", "F1-R3"))),
+        start=day * MINUTES_PER_DAY + draw(st.sampled_from((540, 600))),
+        duration=draw(st.sampled_from((15, 60))),
+    )
+
+
+# One exam's slots at one start, in three rooms, ids out of room order.
+EQUAL_STARTS = [
+    make_slot(id="C", room="F1-R1"),
+    make_slot(id="A", room="F1-R2"),
+    make_slot(id="B", room="F1-R3"),
+]
+# A hand-built table may repeat an id: equal (start, id) pairs, other rooms.
+DUPLICATE_IDS = [
+    make_slot(id="S1", room="F1-R2"),
+    make_slot(id="S1", room="F1-R1"),
+    make_slot(id="S0", start=600, room="F1-R3"),
+]
+
+
+class TestSlotTableExamIndex:
+    """``exam_slots`` equals a per-exam scan and sort of the table, in any order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slots=st.lists(index_slots(), max_size=30), rng=st.randoms(use_true_random=False))
+    @example(slots=[], rng=random.Random(0))
+    @example(slots=EQUAL_STARTS, rng=random.Random(1))
+    @example(slots=DUPLICATE_IDS, rng=random.Random(2))
+    def test_equals_reference(self, slots, rng):
+        shuffled = list(slots)
+        rng.shuffle(shuffled)
+        for order in (slots, shuffled, slots[::-1]):
+            table = SlotTable(order)
+            for exam in (*INDEX_EXAMS, "E9"):  # no slot has E9
+                assert table.exam_slots(exam) == reference_exam_slots(order, exam)
+            assert table == tuple(order)
+
+    def test_equal_starts_across_rooms_keep_id_order(self):
+        starts, block = SlotTable(EQUAL_STARTS).exam_slots("E00")
+        assert [slot.id for slot in block] == ["A", "B", "C"]
+        assert starts == (540, 540, 540)
+
+    def test_duplicate_ids_keep_table_order(self):
+        for order in (DUPLICATE_IDS, DUPLICATE_IDS[::-1]):
+            _, block = SlotTable(order).exam_slots("E00")
+            tied = [slot for slot in order if slot.id == "S1"]
+            assert block == (*tied, DUPLICATE_IDS[2])
 
 
 class TestSlotsOverlap:
