@@ -33,6 +33,7 @@ from .model import (
     ScheduleRequest,
     SlotTable,
     TimeSlot,
+    _START,
 )
 
 
@@ -115,15 +116,15 @@ def filter_search_space(
 ) -> SearchSpace:
     """Candidate slots per act: exam match, on/after start day, preference filters.
 
-    Each distinct exam's block is read from a ``SlotTable``: one bisection
-    of that exam's starts at ``start_day``'s first minute, then a slice of
-    its slots, already sorted by (start, id).  The facility and practitioner
-    filters run only when the request sets them, and only over that slice.
-    A world's table indexes every exam on the first request and keeps the
-    index, so later requests never look at other exams' slots; any other
-    iterable is indexed in a throwaway table.  Acts naming the same exam
-    share one block.  Empty blocks are legal; the act then surfaces as a
-    missing-slot penalty downstream rather than an error here.
+    Each distinct exam's block is its ``SlotTable`` index tuple, sorted by
+    (start, id), sliced where a bisection by start finds ``start_day``'s
+    first minute; a day-0 slice is the index's own tuple.  The facility and
+    practitioner filters run only when the request sets them, and only over
+    that slice.  A world's table indexes every exam on the first request and
+    keeps the index, so later requests never look at other exams' slots; any
+    other iterable is indexed in a throwaway table.  Acts naming the same
+    exam share one block.  Empty blocks are legal; the act then surfaces as
+    a missing-slot penalty downstream rather than an error here.
     """
     table = slots if isinstance(slots, SlotTable) else SlotTable(slots)
     facilities = request.preferred_facilities
@@ -131,8 +132,8 @@ def filter_search_space(
     earliest = request.start_day * MINUTES_PER_DAY  # a slot's day >= start_day
     blocks: dict[str, tuple[TimeSlot, ...]] = {}
     for exam in dict.fromkeys(request.acts):
-        starts, block = table.exam_slots(exam)
-        block = block[bisect_left(starts, earliest) :]
+        block = table.exam_slots(exam)
+        block = block[bisect_left(block, earliest, key=_START) :]
         if facilities is not None:
             block = tuple([slot for slot in block if slot.facility in facilities])
         if practitioners is not None:
@@ -224,8 +225,7 @@ def _initializer(
         if not chain:
             chain.append((act, [by_lo[0]]))
         else:
-            starts = [slot.start for slot in block]
-            los = (bisect_left(starts, slot.end) for slot in prev_block)
+            los = (bisect_left(block, slot.end, key=_START) for slot in prev_block)
             chain.append((act, [by_lo[lo if lo < size else 0] for lo in los]))
         prev_block = block
     act_count = space.act_count
@@ -512,7 +512,8 @@ def evolve(
     - after the history row is recorded, the generation's best genome is
       polished by a first-improvement one-gene hill climb (``_memoised``)
       and replaces that best, so the polished genome is the next
-      generation's elite;
+      generation's elite; a genome a polish returned is a local optimum,
+      which polishing would return unchanged, so it is never polished again;
     - ``next_generation`` breeds the next population from this one;
     - each bred child whose genome repeats the elite or an earlier child is
       redrawn once from the variant's initializer (``_replace_duplicates``),
@@ -539,7 +540,7 @@ def evolve(
     score, polish = _memoised(space, evaluate)
 
     history: list[GenerationStats] = []
-    last_polished: Genes | None = None
+    polished: set[Genes] = set()  # every genome ``polish`` has returned
     fitnesses = score(population)
     best_idx = fitnesses.index(max(fitnesses))
     for generation in range(config.generations):
@@ -553,9 +554,10 @@ def evolve(
         if generation + 1 == config.generations:
             break
         best = population[best_idx]
-        if best != last_polished:
-            last_polished, fitnesses[best_idx] = polish(best, fitnesses[best_idx])
-            population[best_idx] = Individual(last_polished)
+        if best not in polished:
+            genes, fitnesses[best_idx] = polish(best, fitnesses[best_idx])
+            polished.add(genes)
+            population[best_idx] = Individual(genes)
         population = next_generation(population, fitnesses, space, config, rng)
         _replace_duplicates(population, draw)
         fitnesses = score(population)

@@ -135,14 +135,14 @@ _START = itemgetter(TimeSlot._fields.index("start"))
 _ID = itemgetter(TimeSlot._fields.index("id"))
 
 
-def _exam_index(table: SlotTable) -> dict[str, tuple[tuple[int, ...], tuple[TimeSlot, ...]]]:
-    """Every exam's slots sorted by (start, id), with their starts."""
+def _exam_index(table: SlotTable) -> dict[str, tuple[TimeSlot, ...]]:
+    """Every exam's slots sorted by (start, id)."""
     ordered = sorted(table, key=_ID)  # whole-table sorts merge a few long room runs
     ordered.sort(key=_START)  # stable, so equal starts stay in id order
     groups: defaultdict[str, list[TimeSlot]] = defaultdict(list)
     for slot in ordered:
         groups[slot.exam].append(slot)
-    return {exam: (tuple(map(_START, group)), tuple(group)) for exam, group in groups.items()}
+    return {exam: tuple(group) for exam, group in groups.items()}
 
 
 class SlotTable(tuple):
@@ -150,23 +150,20 @@ class SlotTable(tuple):
 
     To every reader it is the plain tuple of its slots: ``len``, iteration,
     indexing, equality and hashing are the tuple's.  ``exam_slots`` adds an
-    index, built on its first call and kept: every exam's slots sorted by
-    (start, id) in one pass over the whole table, so each later call is one
-    dict lookup.  The index lives in the instance ``__dict__`` and is a
-    cache only; ``pickle`` and ``copy`` rebuild the table from its slots, so
-    a copy starts with no index.
+    index, built on its first call and kept: one tuple per exam of its slots
+    sorted by (start, id), made in one pass over the whole table, so each
+    later call is one dict lookup.  The index lives in the instance
+    ``__dict__`` and is a cache only; ``pickle`` and ``copy`` rebuild the
+    table from its slots, so a copy starts with no index.
     """
 
-    def exam_slots(self, exam: str) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
-        """``exam``'s slots sorted by (start, id), with their starts.
-
-        An exam with no slots gives two empty tuples.
-        """
+    def exam_slots(self, exam: str) -> tuple[TimeSlot, ...]:
+        """``exam``'s slots sorted by (start, id), one tuple kept per exam; ``()`` if none."""
         try:
             index = self._exams
         except AttributeError:
             index = self._exams = _exam_index(self)
-        return index.get(exam, ((), ()))
+        return index.get(exam, ())
 
     def __reduce__(self) -> tuple[type, tuple[tuple[TimeSlot, ...]]]:
         return type(self), (tuple(self),)

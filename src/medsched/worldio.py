@@ -51,7 +51,7 @@ def instant_label(minutes: int) -> str:
 
 
 def _dump_json(document: dict[str, Any], path: Path) -> None:
-    path.write_text(
+    Path(path).write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -369,7 +369,7 @@ def save_world(world: World, path: Path) -> None:
     )
     # "slots" sorts last, so it replaces the head's closing "\n}".
     body = f"[\n{slots}\n  ]" if slots else "[]"
-    path.write_text(f'{head[:-2]},\n  "slots": {body}\n}}\n', encoding="utf-8")
+    Path(path).write_text(f'{head[:-2]},\n  "slots": {body}\n}}\n', encoding="utf-8")
 
 
 def _read_json(path: Path, error: type[ValueError], kind: str) -> Any:

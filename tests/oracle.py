@@ -179,15 +179,12 @@ def reference_act_order(
     return tuple(order)
 
 
-def reference_exam_slots(
-    slots: Iterable[TimeSlot], exam: str
-) -> tuple[tuple[int, ...], tuple[TimeSlot, ...]]:
-    """``exam``'s slots sorted by (start, id) from table order, with their starts.
+def reference_exam_slots(slots: Iterable[TimeSlot], exam: str) -> tuple[TimeSlot, ...]:
+    """``exam``'s slots sorted by (start, id) from table order.
 
     ``sorted`` is stable, so slots that tie on (start, id), as a hand-built
     table with a repeated id can have, keep their table order.
     """
-    block = tuple(
+    return tuple(
         sorted((slot for slot in slots if slot.exam == exam), key=lambda s: (s.start, s.id))
     )
-    return tuple(slot.start for slot in block), block

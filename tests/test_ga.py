@@ -187,6 +187,13 @@ class TestWorldSlotIndex:
             assert build.call_count == 1
         assert again == first
 
+    def test_day_zero_request_shares_the_index_tuple(self, default_world):
+        request = ScheduleRequest(acts=("E03", "E01", "E03"))
+        space = filter_search_space(default_world.slots, request)
+        for exam, block in zip(request.acts, space.per_act_slots):
+            assert block  # every exam has slots in the default world
+            assert block is default_world.slots.exam_slots(exam)
+
     def test_replaced_slots_get_their_own_index(self):
         world = generate_world(WorldConfig(seed=11, horizon_days=3))
         request = generate_request(list(world.exams), world.config, 5, seed=1)
@@ -720,6 +727,33 @@ class TestEvolve:
         first, second = result.history
         assert first.best_fitness < second.best_fitness
         assert result.best == decode(Individual((0,)), space, request)
+
+    def test_never_polishes_a_genome_twice(self, default_world, monkeypatch):
+        # On the default world's seed-7 request two tied local optima take
+        # turns as the best genome.  A polish that starts from a genome an
+        # earlier polish started from or returned would return it unchanged.
+        calls = []
+
+        def counting(space, evaluate):
+            score, polish = memoised(space, evaluate)
+
+            def counted(genes, value):
+                result = polish(genes, value)
+                calls.append((genes, result[0]))
+                return result
+
+            return score, counted
+
+        memoised = ga._memoised
+        monkeypatch.setattr(ga, "_memoised", counting)
+        request = generate_request(list(default_world.exams), default_world.config, 5, seed=7)
+        space = filter_search_space(default_world.slots, request)
+        evolve(space, request, default_world.rules, GAConfig(), GA_ORDERED, 7)
+        assert len(calls) > 1
+        seen = set()
+        for start, end in calls:
+            assert start not in seen
+            seen.update((start, end))
 
 
 class TestUniformGenes:

@@ -253,15 +253,19 @@ class TestSlotTableExamIndex:
             assert table == tuple(order)
 
     def test_equal_starts_across_rooms_keep_id_order(self):
-        starts, block = SlotTable(EQUAL_STARTS).exam_slots("E00")
+        block = SlotTable(EQUAL_STARTS).exam_slots("E00")
         assert [slot.id for slot in block] == ["A", "B", "C"]
-        assert starts == (540, 540, 540)
+        assert [slot.start for slot in block] == [540, 540, 540]
 
     def test_duplicate_ids_keep_table_order(self):
         for order in (DUPLICATE_IDS, DUPLICATE_IDS[::-1]):
-            _, block = SlotTable(order).exam_slots("E00")
+            block = SlotTable(order).exam_slots("E00")
             tied = [slot for slot in order if slot.id == "S1"]
             assert block == (*tied, DUPLICATE_IDS[2])
+
+    def test_absent_exam_gives_empty_tuple(self):
+        for slots in ((), EQUAL_STARTS):
+            assert SlotTable(slots).exam_slots("E9") == ()
 
 
 class TestSlotsOverlap:

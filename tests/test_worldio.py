@@ -690,6 +690,22 @@ class TestSolutionDocument:
         assert json.loads(path.read_text()) == document
 
 
+def test_savers_take_str_paths_as_loaders_do(default_world, tmp_path):
+    request = ScheduleRequest(acts=("E02", "E01"), preferred_facilities=frozenset({"F1"}))
+    document = {"algorithm": "fcfs", "assignments": []}
+    for name, save, value in (
+        ("world.json", save_world, default_world),
+        ("request.json", save_request, request),
+        ("solution.json", save_solution, document),
+    ):
+        save(value, tmp_path / f"path-{name}")
+        save(value, str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"path-{name}").read_bytes()
+    assert load_world(str(tmp_path / "world.json")) == default_world
+    assert load_request(str(tmp_path / "request.json")) == request
+    assert json.loads((tmp_path / "solution.json").read_text()) == document
+
+
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "table.csv"
