@@ -25,7 +25,6 @@ from .ga import (
     GenerationStats,
     evolve,
     filter_search_space,
-    require_candidates,
 )
 from .metrics import SolutionMetrics, mann_whitney_u, solution_metrics
 from .model import IncompatibilityRule, Schedule, ScheduleRequest
@@ -110,11 +109,10 @@ def run_algorithm(
 ) -> tuple[Schedule, tuple[GenerationStats, ...] | None]:
     """One solve; returns the schedule and, for evolutionary runs, the telemetry.
 
-    Raises ``UnschedulableError`` for every algorithm when no act has a
-    candidate slot.
+    Any act without a candidate after filtering raises ``UnschedulableError``,
+    naming the acts and filters, for every algorithm; bench records a failed cell.
     """
     space = filter_search_space(world.slots, request)
-    require_candidates(space, request)
     if algorithm in GA_ALGORITHMS:
         result = evolve(space, request, world.rules, ga, algorithm, ga_seed)
         return result.best, result.history

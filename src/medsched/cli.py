@@ -1,10 +1,10 @@
 """Command-line harness: world generation, single solves, batch benchmarks.
 
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
-failure (unschedulable request, a request naming exams the world lacks,
-unreadable or malformed files).  The
-``MEDSCHED_SEED`` environment variable supplies the default seed wherever
-``--seed`` is omitted.
+failure (a request naming exams the world lacks, unreadable or malformed
+files, or an unschedulable request: any act without a candidate slot after
+filtering, named with the filters set).  The ``MEDSCHED_SEED`` environment
+variable supplies the default seed wherever ``--seed`` is omitted.
 """
 
 from __future__ import annotations

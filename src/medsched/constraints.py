@@ -51,25 +51,25 @@ class ScheduleCounts(NamedTuple):
 def rule_checks(
     rules: Iterable[IncompatibilityRule],
     acts: Sequence[int],
-    exams: Sequence[str | None],
+    exams: Sequence[str],
 ) -> list[Check]:
     """Each rule as breach checks ``(i, j, gap, symmetric)`` over pick positions.
 
     This is the one reader of a rule's logic.  ``acts[p]`` is position
-    ``p``'s act index and ``exams[p]`` its exam, ``None`` when it has none
-    (such a position gets no check).  A rule gives one check per pair of a
-    position of its first exam and one of its second, except a pair of one
-    act index.  A check is broken when position ``j`` starts under ``gap``
-    minutes after position ``i`` ends and, when ``symmetric`` (BOTH), also
-    ``i`` under ``gap`` after ``j``.  AFTER is BEFORE with the positions
-    swapped, so a non-symmetric check puts ``i`` before ``j``.  Durations
-    are positive, so for BOTH this equals measuring from the earlier slot's
-    end.
+    ``p``'s act index and ``exams[p]`` its exam.  Every position is booked:
+    ``ga.filter_search_space`` raises ``UnschedulableError``, naming the
+    exams and filters, when any act has no candidate.  A rule gives one
+    check per pair of a position of its first exam and one of its second,
+    except a pair of one act index.  A check is broken when position ``j``
+    starts under ``gap`` minutes after position ``i`` ends and, when
+    ``symmetric`` (BOTH), also ``i`` under ``gap`` after ``j``.  AFTER is
+    BEFORE with the positions swapped, so a non-symmetric check puts ``i``
+    before ``j``.  Durations are positive, so for BOTH this equals measuring
+    from the earlier slot's end.
     """
     positions: dict[str, list[int]] = {}
     for position, exam in enumerate(exams):
-        if exam is not None:
-            positions.setdefault(exam, []).append(position)
+        positions.setdefault(exam, []).append(position)
     checks: list[Check] = []
     for rule in rules:
         firsts = positions.get(rule.first)
@@ -88,7 +88,7 @@ def rule_checks(
 def walk_picks(
     picks: Sequence[Pick],
     checks: Iterable[Check],
-    by_position: Sequence[Pick | None],
+    by_position: Sequence[Pick],
 ) -> tuple[int, int, int, int, int]:
     """Overlaps, rule breaches, trips, transfers and idle minutes of a pick sequence.
 
@@ -96,7 +96,7 @@ def walk_picks(
     checks are applied.  ``picks`` is non-empty and sorted by start, and of
     a pick only ``start``, ``end`` and ``facility`` are read.  ``checks``
     come from ``rule_checks`` and index ``by_position``, the same picks by
-    position, where ``None`` (an unbooked act) breaks no check.  A pick
+    position, each one booked, as ``rule_checks`` says.  A pick
     overlaps the previous one when it starts before that one ends; every
     later pick that also starts before that end counts as one more overlap.
     A trip starts at the first pick, on a facility change, and on a gap
@@ -107,12 +107,7 @@ def walk_picks(
     breaches = 0
     for i, j, gap, symmetric in checks:
         first, second = by_position[i], by_position[j]
-        if (
-            first is not None
-            and second is not None
-            and second[0] - first[2] < gap
-            and (not symmetric or first[0] - second[2] < gap)
-        ):
+        if second[0] - first[2] < gap and (not symmetric or first[0] - second[2] < gap):
             breaches += 1
 
     overlaps = transfers = idle = 0

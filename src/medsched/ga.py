@@ -2,10 +2,10 @@
 
 An individual is conceptually a concatenation of one-hot blocks, one block
 per requested act, each selecting exactly one candidate slot.  Internally a
-block is stored as the selected position within the act's candidate list
-(``None`` when the act has no candidates), which makes the one-hot property
-hold by construction.  Crossover cuts only at block boundaries for the same
-reason, so no repair operator is ever needed.
+block is stored as the selected position within the act's candidate list,
+never empty, which makes the one-hot property hold by construction.
+Crossover cuts only at block boundaries for the same reason, so no repair
+operator is ever needed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Sequence
 from .constraints import optimal_act_order, rule_checks, walk_picks
 from .fitness import (
     HARD_VIOLATION_PENALTY,
-    MISSING_SLOT_PENALTY,
     PER_TRIP_PENALTY,
     TRAVEL_GAP_PENALTY,
     WAIT_MINUTES_PER_POINT,
@@ -44,7 +43,7 @@ from .model import (
 MEMO_LIMIT = 8192
 
 # A genome's genes, one per act; an ``Individual`` is one.
-Genes = tuple[int | None, ...]
+Genes = tuple[int, ...]
 
 # The two GA variants, by the names ``evolve`` and the bench take.
 GA_ORDERED = "ga-ordered"
@@ -52,14 +51,18 @@ GA_UNORDERED = "ga-unordered"
 
 
 class UnschedulableError(Exception):
-    """No act in the request has a single candidate slot."""
+    """Some act in the request has no candidate slot after filtering."""
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-act candidate slot lists, each sorted by (start, id)."""
+    """Per-act candidate slot lists, each sorted by (start, id) and non-empty."""
 
     per_act_slots: tuple[tuple[TimeSlot, ...], ...]
+
+    def __post_init__(self) -> None:
+        if not all(self.per_act_slots):
+            raise ValueError("every act needs at least one candidate slot")
 
     @property
     def act_count(self) -> int:
@@ -123,8 +126,8 @@ def filter_search_space(
     that slice.  A world's table indexes every exam on the first request and
     keeps the index, so later requests never look at other exams' slots; any
     other iterable is indexed in a throwaway table.  Acts naming the same
-    exam share one block.  Empty blocks are legal; the act then surfaces as
-    a missing-slot penalty downstream rather than an error here.
+    exam share one block.  If any act's block is empty, ``UnschedulableError``
+    names every such exam and the filters the request set.
     """
     table = slots if isinstance(slots, SlotTable) else SlotTable(slots)
     facilities = request.preferred_facilities
@@ -139,13 +142,15 @@ def filter_search_space(
         if practitioners is not None:
             block = tuple([slot for slot in block if slot.practitioner in practitioners])
         blocks[exam] = block
+    empty = [exam for exam, block in blocks.items() if not block]
+    if empty:
+        filters = [f"start_day={request.start_day}"] if request.start_day else []
+        for name, chosen in (("facilities", facilities), ("practitioners", practitioners)):
+            if chosen is not None:
+                filters.append(f"{name}={sorted(chosen)}")
+        under = f" under {', '.join(filters)}" if filters else ""
+        raise UnschedulableError(f"no candidate slots for {', '.join(empty)}{under}")
     return SearchSpace(per_act_slots=tuple(blocks[exam] for exam in request.acts))
-
-
-def require_candidates(space: SearchSpace, request: ScheduleRequest) -> None:
-    """Raise ``UnschedulableError`` unless some act has a candidate slot."""
-    if all(not block for block in space.per_act_slots):
-        raise UnschedulableError(f"no candidate slots for any act of {list(request.acts)}")
 
 
 # Every uniform integer draw in this module is ``rng.randrange(width)``
@@ -155,23 +160,19 @@ def require_candidates(space: SearchSpace, request: ScheduleRequest) -> None:
 # ``1 + randrange(n - 1)``.  The loops consume the same Mersenne Twister
 # stream and give the same values, so runs stay bit-identical, at the cost of
 # the ``getrandbits`` calls alone.  ``tests/test_ga.py`` checks both claims.
-# A width of 0 would loop for ever, so each caller rules it out first.
+# A width of 0 would loop for ever; ``SearchSpace`` rules out an empty block.
 
 
 def uniform_genes(space: SearchSpace, rng: random.Random) -> Genes:
-    """One independent uniform draw per act block; empty blocks stay unassigned.
+    """One independent uniform draw per act block.
 
     Shared by the unordered initializer and the random-choice baseline so
     the two are the same distribution by construction.  Each draw is
     ``rng.randrange(len(block))`` written out, as the note above says.
     """
     getrandbits = rng.getrandbits
-    genes: list[int | None] = []
-    for block in space.per_act_slots:
-        width = len(block)
-        if not width:
-            genes.append(None)
-            continue
+    genes: list[int] = []
+    for width in map(len, space.per_act_slots):
         bits = width.bit_length()
         gene = getrandbits(bits)
         while gene >= width:
@@ -181,16 +182,14 @@ def uniform_genes(space: SearchSpace, rng: random.Random) -> Genes:
 
 
 def _ordered_genes(
-    chain: Sequence[tuple[int, Sequence[tuple[int, int, int]]]],
-    act_count: int,
-    rng: random.Random,
+    chain: Sequence[tuple[int, Sequence[tuple[int, int, int]]]], rng: random.Random
 ) -> Genes:
     # Walk the chain built by ``_initializer``: each link is an act and its
     # draws ``(lo, width, bits)``, indexed by the previous link's gene (the
     # first link has one draw, at index 0).  The draw is
     # ``lo + rng.randrange(width)`` written out.
     getrandbits = rng.getrandbits
-    genes: list[int | None] = [None] * act_count
+    genes = [0] * len(chain)
     gene = 0
     for act, draws in chain:
         lo, width, bits = draws[gene]
@@ -207,11 +206,11 @@ def _initializer(
 ) -> Callable[[], Genes]:
     """One genome drawn from the ordered variant's initial distribution per call.
 
-    It walks acts along ``order``, skipping empty blocks, and prefers the
-    candidates that start at or after the previous pick's end, falling back
-    to the whole block when there are none.  That choice depends only on
-    the previous pick, so it is tabulated here once: for each act, one
-    ``(lo, width, bits)`` draw per gene of the previous non-empty act.
+    It walks every act along ``order``, a permutation of the acts, and
+    prefers the candidates that start at or after the previous pick's end,
+    falling back to the whole block when there are none.  That choice
+    depends only on the previous pick, so it is tabulated here once: for
+    each act, one ``(lo, width, bits)`` draw per gene of the previous act.
     """
     blocks = space.per_act_slots
     chain: list[tuple[int, list[tuple[int, int, int]]]] = []
@@ -219,8 +218,6 @@ def _initializer(
     for act in order:
         block = blocks[act]
         size = len(block)
-        if not size:
-            continue
         by_lo = [(lo, size - lo, (size - lo).bit_length()) for lo in range(size)]
         if not chain:
             chain.append((act, [by_lo[0]]))
@@ -228,8 +225,7 @@ def _initializer(
             los = (bisect_left(block, slot.end, key=_START) for slot in prev_block)
             chain.append((act, [by_lo[lo if lo < size else 0] for lo in los]))
         prev_block = block
-    act_count = space.act_count
-    return lambda: _ordered_genes(chain, act_count, rng)
+    return lambda: _ordered_genes(chain, rng)
 
 
 def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
@@ -246,15 +242,15 @@ def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
 def decode(
     individual: Genes, space: SearchSpace, request: ScheduleRequest
 ) -> Schedule:
-    """Map genes to slots; unassigned genes produce no assignment."""
+    """Map genes to slots, one per act; a bad gene raises ``ValueError`` naming its act."""
     if len(individual) != space.act_count:
         raise ValueError(
             f"individual has {len(individual)} genes for {space.act_count} acts"
         )
     assignments = []
     for act, gene in enumerate(individual):
-        if gene is None:
-            continue
+        if not isinstance(gene, int):
+            raise ValueError(f"gene {gene!r} of act {act} is not an int")
         block = space.per_act_slots[act]
         if not 0 <= gene < len(block):
             raise ValueError(f"gene {gene} out of range for act {act}")
@@ -279,7 +275,7 @@ def next_generation(
       block stays one-hot; with fewer than two acts there is no interior
       boundary and the parents pass through without a draw;
     - per child, with probability ``mutation_rate``, a redraw of one
-      uniformly chosen act's gene (an empty block keeps its gene).
+      uniformly chosen act's gene.
 
     When ``population - 1`` is odd the last pair's second child is bred,
     its draws included, and dropped.
@@ -331,11 +327,10 @@ def next_generation(
                 while act >= act_count:
                     act = getrandbits(act_bits)
                 width, gene_bits = widths[act]
-                if width:
+                gene = getrandbits(gene_bits)
+                while gene >= width:
                     gene = getrandbits(gene_bits)
-                    while gene >= width:
-                        gene = getrandbits(gene_bits)
-                    genes = genes[:act] + (gene,) + genes[act + 1 :]
+                genes = genes[:act] + (gene,) + genes[act + 1 :]
             children.append(Individual(genes))
     del children[config.population - 1 :]
     children.append(population[fitnesses.index(max(fitnesses))])
@@ -357,12 +352,13 @@ def make_evaluator(
     ``constraints.rule_checks``, as ``schedule_counts`` compiles them.  A
     genome is then scored by one sort of its picks and one call of
     ``constraints.walk_picks``, the walk ``schedule_counts`` makes.  It
-    rejects every genome ``decode`` rejects, with ``decode``'s error, and
-    genes that are not ``int`` or ``None``.  A block that mixes exams (only
-    a hand-built space has one) raises ``ValueError``: its rules would
-    depend on the pick.
+    rejects every genome ``decode`` rejects, with ``decode``'s error.  A
+    space with an act count other than the request's, or with a block that
+    mixes exams (only a hand-built space has either), raises ``ValueError``.
     """
     blocks = space.per_act_slots
+    if len(blocks) != len(request.acts):
+        raise ValueError(f"space has {len(blocks)} acts for {len(request.acts)} requested")
     if any(len({slot.exam for slot in block}) > 1 for block in blocks):
         raise ValueError("every candidate of an act must be of one exam")
 
@@ -371,24 +367,20 @@ def make_evaluator(
         for act, block in enumerate(blocks)
         for gene, slot in enumerate(block)
     )
-    # One dict per act, gene -> pick, with ``None -> None`` for an unassigned
-    # gene, so a genome is looked up by one ``map`` at C speed.
+    # One dict per act, gene -> pick, so a genome is looked up by one ``map``
+    # at C speed.
     facilities: dict[str, int] = {}
-    tables: list[dict[int | None, tuple[int, int, int, int] | None]] = [
-        {None: None} for _ in blocks
-    ]
+    tables: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in blocks]
     for rank, (start, _, act, gene) in enumerate(keyed):
         slot = blocks[act][gene]
         facility = facilities.setdefault(slot.facility, len(facilities))
         tables[act][gene] = (start, rank, slot.end, facility)
 
-    # An act's position is its index, and an empty block names no exam.
-    exams = [block[0].exam if block else None for block in blocks]
-    checks = rule_checks(rules, range(len(blocks)), exams)
+    # An act's position is its index.
+    checks = rule_checks(rules, range(len(blocks)), [block[0].exam for block in blocks])
 
     act_count = len(blocks)
-    gene_types = [(int, type(None))] * act_count
-    requested = len(request.acts)
+    gene_types = [int] * act_count
     start_day = request.start_day
 
     def evaluate(genes: Genes) -> float:
@@ -400,19 +392,15 @@ def make_evaluator(
             valid = False
         if not valid:
             decode(genes, space, request)  # raises the reference's error
-            raise TypeError(f"genes must be ints or None, got {genes!r}")
-        picks = sorted(filter(None, by_act))
-        missing = MISSING_SLOT_PENALTY if len(picks) != requested else 0
-        if not picks:
-            return 1.0 / (1.0 + missing)
+            raise TypeError(f"genes must be ints, got {genes!r}")
+        picks = sorted(by_act)
 
         overlaps, breaches, trips, transfers, wait = walk_picks(picks, checks, by_act)
         lead = max(0, picks[0][0] // MINUTES_PER_DAY - start_day)
 
-        # Summed in PenaltyBreakdown.total()'s order, so the float matches.
+        # PenaltyBreakdown.total()'s order, less its missing-slot term (0): the float matches.
         total = (
-            missing
-            + HARD_VIOLATION_PENALTY * (overlaps + breaches)
+            HARD_VIOLATION_PENALTY * (overlaps + breaches)
             + PER_TRIP_PENALTY * trips
             + TRAVEL_GAP_PENALTY * transfers
             + wait / WAIT_MINUTES_PER_POINT
@@ -525,7 +513,6 @@ def evolve(
     genomes, and every random draw comes from one ``random.Random(seed)``,
     so a run is deterministic.  Any other ``algorithm`` raises ``ValueError``.
     """
-    require_candidates(space, request)
     rules = tuple(rules)
     rng = random.Random(seed)
     if algorithm == GA_ORDERED:

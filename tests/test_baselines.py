@@ -55,9 +55,10 @@ class TestFcfs:
         assert [slot.id for _, slot in schedule.assignments] == ["A", "B"]
 
     def test_exhausted_block_leaves_act_unassigned(self):
+        # Two acts of one exam share a single slot: the second goes unbooked.
         shared = block("E01", [("A", 0, 540)])
-        space = SearchSpace(per_act_slots=(shared, shared, ()))
-        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01", "E01", "E02")))
+        space = SearchSpace(per_act_slots=(shared, shared))
+        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01", "E01")))
         assert [act for act, _ in schedule.assignments] == [0]
 
     def test_deterministic(self, default_world):
@@ -92,12 +93,6 @@ class TestRandomChoice:
             space, request, random.Random(7)
         )
 
-    def test_empty_block_skipped(self):
-        space = SearchSpace(per_act_slots=(block("E01", [("A", 0, 540)]), ()))
-        request = ScheduleRequest(acts=("E01", "E02"))
-        schedule = random_schedule(space, request, random.Random(0))
-        assert [act for act, _ in schedule.assignments] == [0]
-
     def test_selection_uniform_within_3_sigma(self):
         space = SearchSpace(
             per_act_slots=(block("E01", [(f"S{i}", i, 540) for i in range(5)]),)
@@ -118,7 +113,7 @@ class TestRandomChoice:
             per_act_slots=(
                 block("E01", [("A", 0, 540), ("B", 0, 600), ("C", 1, 540)]),
                 block("E02", [("D", 0, 700), ("E", 2, 540)]),
-                (),
+                block("E03", [("F", 3, 540)]),
             )
         )
         request = ScheduleRequest(acts=("E01", "E02", "E03"))

@@ -197,7 +197,8 @@ class TestRunBench:
         assert [r.algorithm for r in result.records] == list(ALL_ALGORITHMS)
         for record in result.records:
             assert record.error == (
-                f"UnschedulableError: no candidate slots for any act of {list(exams)}"
+                f"UnschedulableError: no candidate slots for {', '.join(exams)} "
+                f"under start_day={SMALL_WORLD_CONFIG.horizon_days}"
             )
             assert record.schedule is None and record.metrics is None
 

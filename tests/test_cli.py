@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from medsched.bench import BenchConfig
+from medsched.bench import ALL_ALGORITHMS, BenchConfig
 from medsched.cli import _ga_config, build_parser, main
 from medsched.ga import GAConfig
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
@@ -26,6 +26,13 @@ def world_dir(tmp_path_factory):
     )
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def seed_one_world(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seed-one")
+    assert main(["gen-world", "--seed", "1", "--out", str(path)]) == 0
+    return path / "world.json"
 
 
 def fast_solve_args(world_dir, out, *extra):
@@ -193,6 +200,28 @@ class TestSolve:
         code = main(fast_solve_args(world_dir, out, "--start-day", "10"))
         assert code == 2
         assert "unschedulable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ALL_ALGORITHMS)
+    def test_request_leaving_some_acts_without_candidates_exits_2(
+        self, seed_one_world, tmp_path, capsys, algo
+    ):
+        # Seed 3's five-act request from day 29 at F1: three acts have no
+        # candidate, two have some.  Every algorithm rejects it; none books
+        # the two alone.
+        out = tmp_path / "out"
+        code = main(
+            [
+                "solve", "--world", str(seed_one_world), "--seed", "3",
+                "--start-day", "29", "--prefer-facility", "F1",
+                "--algo", algo, "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert (
+            "error: unschedulable: no candidate slots for E34, E18, E13 "
+            "under start_day=29, facilities=['F1']"
+        ) in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
 
     def test_missing_world_file_exits_2(self, tmp_path):
         assert main(

@@ -386,20 +386,6 @@ class TestActOrderReadsRuleChecks:
             if not symmetric:
                 assert position[i] < position[j]
 
-    @settings(max_examples=500, deadline=None)
-    @example(
-        exams=["E01", None, "E02", None],
-        rules=[rule("E01", "E02", logic, 30) for logic in RuleLogic],
-    )
-    @given(
-        exams=st.lists(st.sampled_from([None, *REQUEST_EXAMS]), max_size=6),
-        rules=request_rules,
-    )
-    def test_a_position_without_an_exam_gets_no_check(self, exams, rules):
-        # The evaluator's empty block: an act with no candidate names no exam.
-        for i, j, _, _ in rule_checks(rules, range(len(exams)), exams):
-            assert exams[i] is not None and exams[j] is not None
-
 
 # Brute-force re-derivations used as oracles for random schedules.
 

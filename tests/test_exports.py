@@ -32,6 +32,7 @@ REMOVED = {
     "slots_overlap",
     "Variant",
     "GA_VARIANTS",
+    "require_candidates",
 }
 
 # Names that moved to the tests' oracle (``tests/oracle.py``) or beside the
@@ -113,3 +114,19 @@ def test_rule_logic_is_read_only_by_rule_checks_and_datagen():
                 ):
                     readers.add((path.stem, name))
     assert readers == {("constraints", "rule_checks"), ("datagen", "_LOGICS")}
+
+
+def test_unschedulable_error_is_raised_only_by_filter_search_space():
+    # One rule, in one place: a request is unschedulable when any act has no
+    # candidate after filtering.
+    raisers = set()
+    for path in sorted((ROOT / "src" / "medsched").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(statement, "name", None)
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Raise) and node.exc is not None and any(
+                    isinstance(part, ast.Name) and part.id == "UnschedulableError"
+                    for part in ast.walk(node.exc)
+                ):
+                    raisers.add((path.stem, name))
+    assert raisers == {("ga", "filter_search_space")}

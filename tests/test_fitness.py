@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medsched.baselines import fcfs_schedule
 from medsched.fitness import PenaltyBreakdown, compute_penalties, fitness
-from medsched.ga import Individual, SearchSpace, make_evaluator
+from medsched.ga import SearchSpace
 from medsched.metrics import solution_metrics
 from medsched.model import (
     MINUTES_PER_DAY,
@@ -55,16 +56,16 @@ class TestComputePenalties:
 
     def test_two_missing_acts_cost_one_missing_slot_penalty(self):
         # 1000 once for an incomplete schedule, not 1000 per missing act.
+        # Three acts of one exam share a single slot, so FCFS books one.
         booked = make_slot(id="A", exam="E01", start=540, duration=30)
-        request = ScheduleRequest(acts=("E01", "E02", "E03"))
-        schedule = make_schedule(booked)
+        request = ScheduleRequest(acts=("E01", "E01", "E01"))
+        schedule = fcfs_schedule(SearchSpace(per_act_slots=((booked,),) * 3), request)
+        assert schedule == make_schedule(booked)
         breakdown = compute_penalties(schedule, request, [])
         assert breakdown.missing_slot == 1000
         assert breakdown.total() == 1100  # the missing slot and one trip
+        assert fitness(breakdown) == 1 / 1101
         assert not solution_metrics(schedule, [], len(request.acts)).fully_scheduled
-        space = SearchSpace(per_act_slots=((booked,), (), ()))
-        evaluate = make_evaluator(space, request, [])
-        assert evaluate(Individual((0, None, None))) == fitness(breakdown) == 1 / 1101
 
     def test_overlap_costs_thousand_and_one_trip(self):
         schedule = make_schedule(

@@ -123,11 +123,6 @@ class TestFilterSearchSpace:
         space = filter_search_space(slots, ScheduleRequest(acts=("E01",)))
         assert [s.id for s in space.per_act_slots[0]] == ["M", "A", "Z"]
 
-    def test_exhausted_horizon_gives_empty_blocks(self, default_world):
-        request = ScheduleRequest(acts=("E00", "E01"), start_day=31)
-        space = filter_search_space(default_world.slots, request)
-        assert all(not b for b in space.per_act_slots)
-
     def test_one_block_per_act_with_repeats(self):
         slots = [make_slot(id="A", exam="E01", start=540)]
         space = filter_search_space(slots, ScheduleRequest(acts=("E01", "E01")))
@@ -136,39 +131,17 @@ class TestFilterSearchSpace:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_one_pass_equals_per_act_reference(self, data):
-        slots = data.draw(st.lists(filter_slots(), max_size=40))
-        request = data.draw(filter_requests())
-        expected = reference_filter_search_space(slots, request)
-        assert filter_search_space(slots, request) == expected
-        # Any iterable will do: it is indexed in a throwaway table.
-        assert filter_search_space(iter(slots), request) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_one_table_answers_many_requests(self, data):
+    def test_equals_per_act_reference_or_names_the_empty_exams(self, data):
         # Requests vary start_day (past the slots' last day too), preference
-        # sets and repeated acts, and name "E9", which no slot has.
-        slots = data.draw(st.lists(filter_slots(), max_size=40))
-        requests = data.draw(st.lists(filter_requests(), min_size=1, max_size=12))
+        # sets and repeated acts, and name "E9", which no slot has.  One
+        # table answers them all; any other iterable is indexed in a
+        # throwaway table.  With at least ten slots, and "E9" one act in ten,
+        # many requests filter to non-empty blocks too.
+        slots = data.draw(st.lists(filter_slots(), min_size=10, max_size=40))
         table = SlotTable(slots)
-        for request in requests:
-            expected = reference_filter_search_space(slots, request)
-            assert filter_search_space(table, request) == expected
-
-    def test_world_table_equals_reference(self):
-        world = generate_world(WorldConfig(seed=5, horizon_days=4))
-        for seed in range(12):
-            request = replace(
-                generate_request(list(world.exams), world.config, 6, seed=seed),
-                start_day=seed % 5,
-            )
-            if seed % 3 == 1:
-                request = replace(request, preferred_facilities=frozenset({"F2", "F3"}))
-            if seed % 4 == 2:
-                request = replace(request, preferred_practitioners=frozenset({"P1"}))
-            expected = reference_filter_search_space(world.slots, request)
-            assert filter_search_space(world.slots, request) == expected
+        for request in data.draw(st.lists(filter_requests(), min_size=1, max_size=8)):
+            assert_filters_like_reference(table, slots, request)
+            assert_filters_like_reference(iter(slots), slots, request)
 
 
 class TestWorldSlotIndex:
@@ -203,8 +176,7 @@ class TestWorldSlotIndex:
             assert type(other.slots) is SlotTable
             assert other.slots is not world.slots
             assert vars(other.slots) == {}
-            expected = reference_filter_search_space(slots, request)
-            assert filter_search_space(other.slots, request) == expected
+            assert_filters_like_reference(other.slots, slots, request)
 
     def test_index_is_invisible(self, tmp_path):
         world = generate_world(WorldConfig(seed=11, horizon_days=3))
@@ -229,7 +201,7 @@ class TestWorldSlotIndex:
             assert vars(other.slots) == {}
 
 
-def reference_filter_search_space(slots, request):
+def reference_blocks(slots, request):
     """The per-act filter ``filter_search_space`` replaced: one scan per act."""
     slots = list(slots)
     facilities = request.preferred_facilities
@@ -246,12 +218,32 @@ def reference_filter_search_space(slots, request):
         ]
         block.sort(key=lambda slot: (slot.start, slot.id))
         blocks.append(tuple(block))
-    return SearchSpace(per_act_slots=tuple(blocks))
+    return tuple(blocks)
+
+
+def assert_filters_like_reference(filter_input, slots, request):
+    """``filter_search_space`` returns the reference's blocks, or raises
+    ``UnschedulableError`` naming exactly the exams the reference leaves
+    without a candidate, and the filters the request set."""
+    blocks = reference_blocks(slots, request)
+    empty = list(dict.fromkeys(exam for exam, block in zip(request.acts, blocks) if not block))
+    if not empty:
+        assert filter_search_space(filter_input, request).per_act_slots == blocks
+        return
+    with pytest.raises(UnschedulableError) as error:
+        filter_search_space(filter_input, request)
+    message = str(error.value).removeprefix("no candidate slots for ")
+    named, _, filters = message.partition(" under ")
+    assert named.split(", ") == empty
+    assert ("start_day=" in filters) == (request.start_day > 0)
+    assert ("facilities=" in filters) == (request.preferred_facilities is not None)
+    assert ("practitioners=" in filters) == (request.preferred_practitioners is not None)
 
 
 # Few values per field, so blocks collide on exam, start and id; "E9" has
-# no slots, so its blocks are empty.
+# no slots, so its blocks are empty.  A request names it one act in ten.
 FILTER_EXAMS = ("E1", "E2", "E3", "E9")
+FILTER_REQUEST_EXAMS = FILTER_EXAMS[:3] * 3 + FILTER_EXAMS[3:]
 FILTER_FACILITIES = ("F1", "F2", "F3")
 FILTER_PRACTITIONERS = ("P1", "P2", "P3")
 
@@ -277,7 +269,9 @@ def preference_sets(values):
 @st.composite
 def filter_requests(draw):
     return ScheduleRequest(
-        acts=tuple(draw(st.lists(st.sampled_from(FILTER_EXAMS), min_size=1, max_size=6))),
+        acts=tuple(
+            draw(st.lists(st.sampled_from(FILTER_REQUEST_EXAMS), min_size=1, max_size=6))
+        ),
         start_day=draw(st.integers(min_value=0, max_value=6)),
         preferred_facilities=draw(preference_sets(FILTER_FACILITIES)),
         preferred_practitioners=draw(preference_sets(FILTER_PRACTITIONERS)),
@@ -369,12 +363,6 @@ class TestInitPopulation:
             assert individual.genes[0] == 0
             assert individual.genes[1] in (0, 1)
 
-    def test_empty_block_stays_unassigned(self):
-        space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]), ()))
-        for algorithm in GA_ALGORITHMS:
-            for individual in initial_population(space, algorithm, range(2), 10, random.Random(1)):
-                assert individual.genes[1] is None
-
 
 class TestDecode:
     def test_gene_zero_is_earliest_candidate(self):
@@ -383,9 +371,10 @@ class TestDecode:
         for act, slot in schedule.assignments:
             assert slot == space.per_act_slots[act][0]
 
-    def test_all_unassigned_decodes_empty(self):
-        schedule = decode(Individual((None, None, None)), toy_space(), TOY_REQUEST)
-        assert len(schedule) == 0
+    @pytest.mark.parametrize("gene", [None, 1.0, "0", [0]])
+    def test_gene_that_is_not_an_int_rejected_naming_its_act(self, gene):
+        with pytest.raises(ValueError, match=r"^gene .* of act 1 is not an int$"):
+            decode(Individual((0, gene, 0)), toy_space(), TOY_REQUEST)
 
     def test_round_trip_re_encoding(self):
         space = toy_space()
@@ -502,8 +491,8 @@ class TestCrossover:
     @given(
         genes=st.lists(
             st.tuples(
-                st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-                st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=9),
             ),
             min_size=2,
             max_size=6,
@@ -512,7 +501,7 @@ class TestCrossover:
     )
     def test_cut_at_block_boundary_preserves_blocks(self, genes, seed):
         n = len(genes)
-        space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]),) * n)
+        space = SearchSpace(per_act_slots=one_act_space(10).per_act_slots * n)
         genomes = [tuple(pair[0] for pair in genes), tuple(pair[1] for pair in genes)]
         child_a, child_b = breed(genomes, space, seed=seed)
         replay = random.Random(seed)
@@ -534,10 +523,10 @@ class TestMutate:
         assert breed([(0,)], one_act_space(), rate=1.0) == [(0,), (0,)]
 
     def test_mutation_frequency_within_one_percent(self):
-        # Genes start unassigned over non-empty blocks, so every triggered
-        # mutation shows as one assigned gene.
-        children = breed([(None, None, None)], toy_space(), rate=0.10, size=10_001, seed=99)
-        mutated = sum(1 for genes in children if genes != (None, None, None))
+        # Genes start at 4, past every toy block's last position (3), so
+        # every triggered mutation shows as one changed gene.
+        children = breed([(4, 4, 4)], toy_space(), rate=0.10, size=10_001, seed=99)
+        mutated = sum(1 for genes in children if genes != (4, 4, 4))
         assert len(children) == 10_000
         assert abs(mutated / 10_000 - 0.10) <= 0.01
 
@@ -590,12 +579,13 @@ class TestNextGeneration:
 
 
 class TestEvolve:
-    def test_unschedulable_space_rejected(self):
-        space = SearchSpace(per_act_slots=((), ()))
-        # The message is the one ``bench.run_algorithm`` and ``solve`` give.
-        message = r"^no candidate slots for any act of \['E01', 'E02'\]$"
-        with pytest.raises(UnschedulableError, match=message):
-            evolve(space, ScheduleRequest(acts=("E01", "E02")), (), GAConfig(), GA_ORDERED, 0)
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_space_with_an_empty_block_rejected(self, empty):
+        # The written-out draws would loop for ever on a block of width 0.
+        blocks = list(toy_space().per_act_slots)
+        blocks[empty] = ()
+        with pytest.raises(ValueError, match="^every act needs at least one candidate slot$"):
+            SearchSpace(per_act_slots=tuple(blocks))
 
     @pytest.mark.parametrize("algorithm", ["fcfs", "random", "ordered", "GA-ORDERED"])
     def test_rejects_a_name_that_is_not_a_ga_variant(self, algorithm):
@@ -672,16 +662,6 @@ class TestEvolve:
             space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 32
         )
 
-    def test_partial_space_optimizes_remaining_acts(self):
-        space = SearchSpace(
-            per_act_slots=(block("E01", [(0, 540), (1, 540)]), ())
-        )
-        request = ScheduleRequest(acts=("E01", "E02"))
-        result = evolve(space, request, (), GAConfig(population=10, generations=5), GA_ORDERED, 0)
-        assert len(result.best) == 1
-        breakdown = compute_penalties(result.best, request, ())
-        assert breakdown.missing_slot == 1000
-
     @pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
     def test_escapes_one_gene_local_optimum(self, algorithm):
         # Each act has hourly slots on day 0 and one slot on day 1.  Three
@@ -757,13 +737,13 @@ class TestEvolve:
 
 
 class TestUniformGenes:
-    def test_matches_block_lengths_and_none_for_empty(self):
+    def test_matches_block_lengths(self):
         space = SearchSpace(
-            per_act_slots=(block("E01", [(0, 540), (0, 600)]), ())
+            per_act_slots=(block("E01", [(0, 540), (0, 600)]), block("E02", [(0, 700)]))
         )
         genes = uniform_genes(space, random.Random(0))
         assert genes[0] in (0, 1)
-        assert genes[1] is None
+        assert genes[1] == 0
 
 
 # --- Draws written out against ``Random.randrange`` ---------------------------
@@ -820,18 +800,14 @@ class TestDrawMatchesRandrange:
 
 
 def oracle_uniform_genes(space, rng):
-    return tuple(
-        rng.randrange(len(block)) if block else None for block in space.per_act_slots
-    )
+    return tuple(rng.randrange(len(block)) for block in space.per_act_slots)
 
 
 def oracle_ordered_genes(space, order, block_starts, rng):
-    genes = [None] * space.act_count
+    genes = [0] * space.act_count
     prev_end = None
     for act in order:
         block = space.per_act_slots[act]
-        if not block:
-            continue
         lo = 0
         if prev_end is not None:
             lo = bisect_left(block_starts[act], prev_end)
@@ -882,8 +858,6 @@ def oracle_mutate(child, space, config, rng):
         return child
     act = rng.randrange(len(child.genes))
     block = space.per_act_slots[act]
-    if not block:
-        return child
     genes = list(child.genes)
     genes[act] = rng.randrange(len(block))
     return Individual(tuple(genes))
@@ -905,13 +879,13 @@ def oracle_next_generation(population, fitnesses, space, config, rng):
 
 @st.composite
 def spaces(draw, max_acts=5):
-    """Search spaces of 1..``max_acts`` acts; blocks of 0..9 sorted slots.
+    """Search spaces of 1..``max_acts`` acts; blocks of 1..9 sorted slots.
 
     Sizes are drawn; starts (half-hours over four days, repeats allowed)
     and durations are laid out from a drawn seed.
     """
     sizes = draw(
-        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=max_acts)
+        st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=max_acts)
     )
     layout = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
     blocks = []
@@ -926,10 +900,7 @@ def spaces(draw, max_acts=5):
 
 def genomes(draw, space):
     return Individual(
-        tuple(
-            draw(st.integers(min_value=0, max_value=len(b) - 1)) if b else None
-            for b in space.per_act_slots
-        )
+        tuple(draw(st.integers(min_value=0, max_value=len(b) - 1)) for b in space.per_act_slots)
     )
 
 
@@ -968,8 +939,8 @@ class TestBreedingReplaysRandrange:
     @given(
         genes=st.lists(
             st.tuples(
-                st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-                st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=9),
             ),
             min_size=1,
             max_size=8,
@@ -977,7 +948,7 @@ class TestBreedingReplaysRandrange:
         seed=SEEDS,
     )
     def test_crossover(self, genes, seed):
-        space = SearchSpace(per_act_slots=(block("E01", [(0, 540)]),) * len(genes))
+        space = SearchSpace(per_act_slots=one_act_space(10).per_act_slots * len(genes))
         genomes = [tuple(pair[0] for pair in genes), tuple(pair[1] for pair in genes)]
         config = GAConfig(population=3, tournament_k=1, mutation_rate=0.0)
         assert_breeding_replays(genomes, [0.5, 0.5], space, config, seed)
@@ -1039,30 +1010,32 @@ class TestBreedingReplaysRandrange:
         assert uniform_genes(space, ours) == oracle_uniform_genes(space, theirs)
         assert ours.getstate() == theirs.getstate()
 
-    # Acts 0, 2 and 3 have candidates.  Every act-2 candidate starts before
-    # any act-0 slot ends, and every act-3 candidate before any act-0 or
-    # act-2 slot ends, so a walk reaching act 2 from act 0, or act 3 from
-    # either, falls back to the whole block (``lo = 0``).
+    # Every act-2 candidate starts before any act-0 slot ends, every act-3
+    # candidate before any act-0, act-1 or act-2 slot ends, and every act-4
+    # candidate before any other act's slot ends, so a walk reaching act 2
+    # from act 0, act 3 from act 0, 1 or 2, or act 4 from any act falls
+    # back to the whole block (``lo = 0``).  Act 1's candidates lie on days
+    # 0, 2 and 4, so walks into and out of it cut blocks part way.
     EDGE_SPACE = SearchSpace(
         per_act_slots=(
             block("E00", [(3, 540), (3, 600), (3, 660)], duration=90),
-            (),
+            block("E01", [(0, 600), (2, 540), (4, 540)]),
             block("E02", [(0, 540), (0, 570), (1, 540)], duration=60),
             block("E03", [(0, 480), (0, 510)]),
-            (),
+            block("E04", [(0, 420), (0, 450)]),
         )
     )
 
     @pytest.mark.parametrize(
         "order",
         [
-            (1, 0, 2, 3, 4),  # an empty block first
-            (0, 1, 2, 4, 3),  # empty blocks in the middle
-            (3, 0, 2, 4, 1),  # empty blocks last
-            (4, 1, 0, 3, 2),  # all empty blocks first
+            (1, 0, 2, 3, 4),  # act 1 first; acts 2, 3 and 4 fall back
+            (0, 1, 2, 4, 3),  # act 0 cuts act 1's block; acts 2 and 4 fall back
+            (3, 0, 2, 4, 1),  # acts 2 and 4 fall back; act 1 last
+            (4, 1, 0, 3, 2),  # act 4 first; act 0 falls back after day 4, then act 3
         ],
     )
-    def test_ordered_init_empty_blocks_and_fallback(self, order):
+    def test_ordered_init_cuts_and_fallbacks(self, order):
         space = self.EDGE_SPACE
         for seed in range(20):
             ours, theirs = random.Random(seed), random.Random(seed)
@@ -1080,13 +1053,13 @@ class TestBreedingReplaysRandrange:
 
 
 def oracle_scorer(space, evaluate, limit):
-    radices = [max(1, len(block)) for block in space.per_act_slots]
+    radices = [len(block) for block in space.per_act_slots]
     memo = {}
 
     def key_of(genes):
         key = 0
         for gene, radix in zip(genes, radices):
-            key = key * radix + (gene or 0)
+            key = key * radix + gene
         return key
 
     def fill(key, genes):
@@ -1188,9 +1161,9 @@ class TestPolishReplaysOracle:
 
 
 def test_memo_scores_each_genome_as_itself():
-    # On a one-candidate act, gene 0 and an unassigned gene are distinct
-    # genomes; each is evaluated and scored as itself.
-    space = SearchSpace(per_act_slots=((make_slot(),),))
+    # On a two-candidate act, genes 0 and 1 are distinct genomes; each is
+    # evaluated and scored as itself.
+    space = SearchSpace(per_act_slots=((make_slot("A"), make_slot("B", start=600)),))
     evaluated = []
 
     def evaluate(individual):
@@ -1198,13 +1171,13 @@ def test_memo_scores_each_genome_as_itself():
         return 0.5 if individual.genes == (0,) else 0.1
 
     score, _ = ga._memoised(space, evaluate)
-    assert score([Individual((0,)), Individual((None,))]) == [0.5, 0.1]
-    assert score([Individual((None,)), Individual((0,))]) == [0.1, 0.5]
-    assert evaluated == [(0,), (None,)]
+    assert score([Individual((0,)), Individual((1,))]) == [0.5, 0.1]
+    assert score([Individual((1,)), Individual((0,))]) == [0.1, 0.5]
+    assert evaluated == [(0,), (1,)]
 
 
 class TestIndividualIsItsGeneTuple:
-    GENES = (2, None, 0)
+    GENES = (2, 1, 0)
 
     def test_equals_and_hashes_as_its_genes(self):
         individual = Individual(self.GENES)

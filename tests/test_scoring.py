@@ -1,6 +1,7 @@
 """The compiled evaluator and the one scoring pass against the checker oracle, exactly."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +62,17 @@ def rule(first, second, logic, gap):
     return IncompatibilityRule(first=first, second=second, logic=logic, gap_minutes=gap)
 
 
+def raw_slots(exams, first_day):
+    """(exam, day, half hour, duration, facility) of a slot on ``first_day`` or later."""
+    return st.tuples(
+        st.sampled_from(exams),
+        st.integers(first_day, 3),
+        st.integers(16, 40),
+        st.sampled_from((30, 60, 90)),
+        st.sampled_from(("F1", "F2")),
+    )
+
+
 @st.composite
 def scoring_cases(draw):
     # Half-hour grid, two facilities and few exams, so equal starts, shared
@@ -69,19 +81,12 @@ def scoring_cases(draw):
         acts=tuple(draw(st.lists(st.sampled_from(EXAMS), min_size=1, max_size=5))),
         start_day=draw(st.integers(0, 2)),
     )
-    raw_slots = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(request.acts),
-                st.integers(0, 3),
-                st.integers(16, 40),
-                st.sampled_from((30, 60, 90)),
-                st.sampled_from(("F1", "F2")),
-            ),
-            min_size=2,
-            max_size=14,
-        )
-    )
+    # One slot per exam on or after the start day, so no block is empty,
+    # then up to 13 more on any day, all in a drawn order.
+    exams = list(dict.fromkeys(request.acts))
+    fields = [draw(raw_slots([exam], request.start_day)) for exam in exams]
+    fields += draw(st.lists(raw_slots(exams, 0), max_size=13))
+    fields = draw(st.permutations(fields))
     slots = [
         make_slot(
             id=f"S{i}",
@@ -90,7 +95,7 @@ def scoring_cases(draw):
             duration=duration,
             facility=facility,
         )
-        for i, (exam, day, half_hour, duration, facility) in enumerate(raw_slots)
+        for i, (exam, day, half_hour, duration, facility) in enumerate(fields)
     ]
     pairs = [(a, b) for a in EXAMS for b in EXAMS if a != b]
     rules = draw(
@@ -107,12 +112,8 @@ def scoring_cases(draw):
     if rules and draw(st.booleans()):
         rules.append(rules[0])
     space = filter_search_space(slots, request)
-    # -1 stands for an unassigned gene, so most genes pick a slot.
-    genes = [
-        draw(st.integers(-1, len(block) - 1)) if block else -1
-        for block in space.per_act_slots
-    ]
-    return space, request, tuple(rules), [None if g < 0 else g for g in genes]
+    genes = [draw(st.integers(0, len(block) - 1)) for block in space.per_act_slots]
+    return space, request, tuple(rules), genes
 
 
 class TestMatchesReference:
@@ -131,10 +132,7 @@ class TestMatchesReference:
             compiled = make_evaluator(space, request, default_world.rules)
             reference = reference_evaluator(space, request, default_world.rules)
             for _ in range(300):
-                genes = tuple(
-                    rng.randrange(len(block)) if block else None
-                    for block in space.per_act_slots
-                )
+                genes = tuple(rng.randrange(len(block)) for block in space.per_act_slots)
                 individual = Individual(genes)
                 assert compiled(individual) == reference(individual)
 
@@ -145,13 +143,16 @@ class TestMatchesReference:
         for genes in ((0, 0), (1, 1), (0, 1), (1, 0)):
             assert_exact(space, request, (), genes)
 
-    def test_empty_blocks_and_unassigned_genes(self):
+    def test_single_candidate_blocks(self):
+        # Acts 1 and 2 share their one slot, so the only genome overlaps.
         space = SearchSpace(
-            per_act_slots=((make_slot("A", exam="E01"),), (), (make_slot("B", exam="E02"),))
+            per_act_slots=(
+                (make_slot("A", exam="E01"),),
+                (make_slot("B", exam="E02"),),
+                (make_slot("B", exam="E02"),),
+            )
         )
-        request = ScheduleRequest(acts=("E01", "E02", "E02"))
-        for genes in ((0, None, 0), (None, None, 0), (None, None, None)):
-            assert_exact(space, request, (), genes)
+        assert_exact(space, ScheduleRequest(acts=("E01", "E02", "E02")), (), (0, 0, 0))
 
     def test_equal_starts_ordered_by_id(self):
         # Sorted by id, act 1 ("A", F2) comes before act 0 ("B", F1): one
@@ -410,6 +411,13 @@ class TestInputGuard:
         with pytest.raises(ValueError, match="genes for 2 acts"):
             evaluate(Individual(genes))
 
+    @pytest.mark.parametrize("acts", [("E01",), ("E01", "E02", "E02")])
+    def test_space_for_another_act_count_rejected(self, acts):
+        # Every act of the space is booked, so its act count must be the
+        # request's for the missing-slot term to be 0.
+        with pytest.raises(ValueError, match=f"space has 2 acts for {len(acts)} requested"):
+            make_evaluator(self.SPACE, ScheduleRequest(acts=acts), ())
+
     @pytest.mark.parametrize("genes", [(2, 0), (0, 1), (-1, 0), (0, -1)])
     def test_out_of_range_gene_rejected(self, genes):
         evaluate = make_evaluator(self.SPACE, self.REQUEST, ())
@@ -417,14 +425,15 @@ class TestInputGuard:
             evaluate(Individual(genes))
 
     @pytest.mark.parametrize(
-        "genes", [(1.0, 0), (0, 0.0), (0.5, 0), ("0", 0), ([0], 0), (0, 2**70)]
+        "genes",
+        [(None, 0), (0, None), (1.0, 0), (0, 0.0), (0.5, 0), ("0", 0), ([0], 0), (0, 2**70)],
     )
     def test_rejects_what_decode_rejects(self, genes):
         individual = Individual(genes)
-        with pytest.raises((TypeError, ValueError)) as expected:
+        with pytest.raises(ValueError) as expected:
             decode(individual, self.SPACE, self.REQUEST)
         evaluate = make_evaluator(self.SPACE, self.REQUEST, ())
-        with pytest.raises(expected.type):
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             evaluate(individual)
 
 
