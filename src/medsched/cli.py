@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -281,9 +280,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except UnschedulableError as exc:
         print(f"error: unschedulable: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
     except (WorldFormatError, RequestError) as exc:
         print(f"error: {exc}", file=sys.stderr)

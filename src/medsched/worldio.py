@@ -1,11 +1,13 @@
 """File formats: world/request/solution JSON documents and CSV tables.
 
-Instants appear twice in JSON: as the absolute minute offset (exact integer
-used by all arithmetic) and as a ``<day>T<minute-of-day>`` label such as
-``"3T630"`` (day 3, 10:30) for human readers; a loaded slot's label must
-be the label of its offset.  JSON is dumped with sorted keys and a trailing
-newline so identical inputs produce byte-identical files; CSV uses LF line
-endings and '.' decimals.
+A world document says it is ``WORLD_FORMAT``: its head sections as
+``json.dumps(indent=2, sort_keys=True)`` lays them out, then ``slots``, one
+column per ``TimeSlot`` field, each one JSON array on one line.  Instants are
+absolute minute offsets (exact integers used by all arithmetic); the solution
+document also labels each slot's start as ``<day>T<minute-of-day>``, such as
+``"3T630"`` (day 3, 10:30), for human readers.  JSON is dumped with sorted
+keys and a trailing newline so identical inputs produce byte-identical files;
+CSV uses LF line endings and '.' decimals.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import csv
 import json
 from dataclasses import asdict, fields, replace
 from functools import partial
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from .datagen import World, WorldConfig
 from .fitness import PenaltyBreakdown
@@ -56,22 +56,12 @@ def _dump_json(document: dict[str, Any], path: Path) -> None:
     )
 
 
-def _slot_to_dict(slot: TimeSlot) -> dict[str, Any]:
-    return {
-        "id": slot.id,
-        "exam": slot.exam,
-        "facility": slot.facility,
-        "room": slot.room,
-        "practitioner": slot.practitioner,
-        "start": slot.start,
-        "start_label": instant_label(slot.start),
-        "duration_minutes": slot.duration_minutes,
-    }
+# The world document layout ``save_world`` writes, and the only one
+# ``load_world`` reads.
+WORLD_FORMAT = 2
 
-
-# TimeSlot's fields in positional order, each with the one JSON type it
-# takes: a decoded world holds only exact str and int (never bool or float)
-# slot fields, which ``_SLOT_JSON`` renders exactly as ``json.dumps`` does.
+# TimeSlot's fields in positional order, each with the one JSON type its
+# column holds: exact str or int, never bool or float.
 _SLOT_COLUMNS = (
     ("id", str),
     ("exam", str),
@@ -81,21 +71,6 @@ _SLOT_COLUMNS = (
     ("start", int),
     ("duration_minutes", int),
 )
-_slot_row = itemgetter(*(name for name, _ in _SLOT_COLUMNS))
-
-# One slot as ``json.dumps(indent=2, sort_keys=True)`` lays it out in the
-# world document's ``slots`` list: keys sorted, strings escaped by the same
-# C function ``json.dumps`` uses.
-_SLOT_JSON = """    {
-      "duration_minutes": %d,
-      "exam": %s,
-      "facility": %s,
-      "id": %s,
-      "practitioner": %s,
-      "room": %s,
-      "start": %d,
-      "start_label": "%dT%d"
-    }"""
 
 
 def _typed(value: Any, kind: type, name: str) -> Any:
@@ -112,72 +87,59 @@ def _typed_list(value: Any, kind: type, name: str) -> tuple:
     return tuple(value)
 
 
-def _slot_from_dict(
-    entry: dict[str, Any],
-    seen_ids: set[str],
+def _first_fault(
+    section: str, values: Sequence[Any], passes: Callable[[Any], Any], reason: Callable[[Any], str]
+) -> NoReturn:
+    """Raise ``WorldFormatError`` naming the first of ``values`` that ``passes`` rejects."""
+    index = next(i for i, value in enumerate(values) if not passes(value))
+    raise _format_error(f"{section}[{index}]", ValueError(reason(values[index])))
+
+
+def _slots_from_columns(
+    slots: Any,
     exam_ids: set[str],
     facility_ids: set[str],
     rooms: set[tuple[str, str]],
-) -> TimeSlot:
-    """One slot, checked field by field; the reference for ``_slots_from_list``."""
-    values = _slot_row(entry)
-    for value, (name, kind) in zip(values, _SLOT_COLUMNS):
-        _typed(value, kind, name)
-    slot_id, exam, facility, room, _, start = values[:6]
-    if entry["start_label"] != instant_label(start):
-        raise ValueError(
-            f"start_label {entry['start_label']!r} is not {instant_label(start)!r}, "
-            f"the label of start {start}"
-        )
-    if slot_id in seen_ids:
-        raise ValueError(f"duplicate slot id {slot_id!r}")
-    seen_ids.add(slot_id)
-    if exam not in exam_ids:
-        raise ValueError(f"unknown exam {exam!r}")
-    if facility not in facility_ids:
-        raise ValueError(f"unknown facility {facility!r}")
-    if (facility, room) not in rooms:
-        raise ValueError(f"room {room!r} is not in facility {facility!r}")
-    return TimeSlot(*values)
+) -> SlotTable:
+    """The slot table of the document's ``slots`` columns, each check made on whole columns.
 
-
-def _slots_from_list(
-    items: Any,
-    exam_ids: set[str],
-    facility_ids: set[str],
-    rooms: set[tuple[str, str]],
-) -> tuple[TimeSlot, ...]:
-    """Every slot, checked a column at a time; entry by entry only on failure.
-
-    The column checks accept exactly the lists ``_slot_from_dict`` accepts
-    for every entry, so a failure here is found again, and named, by the
-    entry-by-entry pass.
+    Only a check that fails looks for the first row that fails it, so its
+    error names that row, ``slots[i]``, and the field.
     """
-    _typed(items, list, "slots")  # a list: walked once per column, and again on failure
+    _typed(slots, dict, "slots")
+    columns = [_typed(slots[name], list, name) for name, _ in _SLOT_COLUMNS]
+    if len(slots) > len(columns):
+        raise ValueError(f"unknown columns {sorted(set(slots) - set(TimeSlot._fields))}")
+    lengths = list(map(len, columns))
+    count = min(lengths)  # zip would stop here without a word
+    if count < max(lengths):
+        short = _SLOT_COLUMNS[lengths.index(count)][0]
+        reason = f"missing {short}: its column has {count} entries, not {max(lengths)}"
+        raise _format_error(f"slots[{count}]", ValueError(reason))
+    for column, (name, kind) in zip(columns, _SLOT_COLUMNS):
+        if not set(map(type, column)) <= {kind}:
+            message = f"{name} must be {kind.__name__}, got {{!r}}".format
+            _first_fault("slots", column, lambda value: type(value) is kind, message)
+    memo: dict[str, str] = {}  # one object per repeated string value
+    columns[1:5] = [list(map(memo.setdefault, c, c)) for c in columns[1:5]]
+    ids, exams, facilities, room_names = columns[:4]
+    _unique_ids("slots", ids, "slot")
+    if not set(exams) <= exam_ids:
+        _first_fault("slots", exams, exam_ids.__contains__, "unknown exam {!r}".format)
+    if not set(facilities) <= facility_ids:
+        _first_fault("slots", facilities, facility_ids.__contains__, "unknown facility {!r}".format)
+    if not set(zip(facilities, room_names)) <= rooms:
+        _first_fault(
+            "slots",
+            list(zip(facilities, room_names)),
+            rooms.__contains__,
+            lambda place: f"room {place[1]!r} is not in facility {place[0]!r}",
+        )
     try:
-        columns = [list(map(itemgetter(name), items)) for name, _ in _SLOT_COLUMNS]
-        if all(set(map(type, c)) <= {kind} for c, (_, kind) in zip(columns, _SLOT_COLUMNS)):
-            memo: dict[str, str] = {}  # one object per repeated string value
-            columns[1:5] = [list(map(memo.setdefault, c, c)) for c in columns[1:5]]
-            ids, exams, facilities, room_names, _, starts = columns[:6]
-            labels = {start: instant_label(start) for start in set(starts)}
-            if (
-                list(map(itemgetter("start_label"), items)) == list(map(labels.get, starts))
-                and len(set(ids)) == len(items)
-                and set(exams) <= exam_ids
-                and set(zip(facilities, room_names)) <= rooms
-            ):
-                return SlotTable.from_columns(columns)
-    except (TypeError, ValueError, KeyError):
-        pass
-    build = partial(
-        _slot_from_dict,
-        seen_ids=set(),
-        exam_ids=exam_ids,
-        facility_ids=facility_ids,
-        rooms=rooms,
-    )
-    return _entries("slots", items, build)
+        return SlotTable.from_columns(columns)
+    except ValueError:
+        _entries("slots", list(zip(*columns)), TimeSlot._make)  # names the row
+        raise
 
 
 def _check_rooms_free(slots: Sequence[TimeSlot]) -> None:
@@ -211,6 +173,7 @@ def _head_to_dict(world: World) -> dict[str, Any]:
     """Every section of the world document but ``slots``."""
     cfg = world.config
     return {
+        "format": WORLD_FORMAT,
         "config": {
             name: list(getattr(cfg, name)) if is_tuple else getattr(cfg, name)
             for name, is_tuple in _CONFIG_FIELDS
@@ -281,16 +244,14 @@ def _entries(section: str, items: Any, build: Callable[[Any], Any]) -> tuple:
     return tuple(built)
 
 
-def _unique_ids(section: str, entries: tuple, kind: str) -> set[str]:
-    """The entries' ids, or ``WorldFormatError`` naming the first repeated one."""
-    ids: set[str] = set()
-    for index, entry in enumerate(entries):
-        if entry.id in ids:
-            raise _format_error(
-                f"{section}[{index}]", ValueError(f"duplicate {kind} id {entry.id!r}")
-            )
-        ids.add(entry.id)
-    return ids
+def _unique_ids(section: str, ids: Sequence[str], kind: str) -> set[str]:
+    """The ids as a set, or ``WorldFormatError`` naming the first entry that repeats one."""
+    unique = set(ids)
+    if len(unique) < len(ids):
+        seen: set[str] = set()  # ``seen.add`` returns None, so a first sighting passes
+        repeats = f"duplicate {kind} id {{!r}}".format
+        _first_fault(section, ids, lambda id_: not (id_ in seen or seen.add(id_)), repeats)
+    return unique
 
 
 def world_from_dict(document: dict[str, Any]) -> World:
@@ -303,10 +264,16 @@ def world_from_dict(document: dict[str, Any]) -> World:
     are integers (lists of integers for the choices), ids, names and rooms
     are strings, and a gap is an integer, never a float or a bool.  Exam,
     facility and slot ids must each be unique, every exam, facility and
-    room a rule or slot names must be in the world, each slot's
-    ``start_label`` must be the label of its ``start``, and no two slots of
-    one room may overlap in time.
+    room a rule or slot names must be in the world, and no two slots of one
+    room may overlap in time.  The document's ``format`` must be
+    ``WORLD_FORMAT``, and ``slots`` must hold exactly the seven columns, of
+    one length.
     """
+    version = document.get("format") if type(document) is dict else None
+    if type(version) is not int or version != WORLD_FORMAT:
+        found = "no format" if version is None else f"format {version!r}"
+        reason = f"found {found}; medsched reads world format {WORLD_FORMAT} only, as gen-world writes it"
+        raise _format_error("format", ValueError(reason))
     entry = "config"
     try:
         cfg = document["config"]
@@ -318,15 +285,15 @@ def world_from_dict(document: dict[str, Any]) -> World:
         )
         entry = "exams"
         exams = _entries(entry, document[entry], _exam_from_dict)
-        exam_ids = _unique_ids(entry, exams, "exam")
+        exam_ids = _unique_ids(entry, [e.id for e in exams], "exam")
         entry = "rules"
         rules = _entries(entry, document[entry], partial(_rule_from_dict, exam_ids=exam_ids))
         entry = "facilities"
         facilities = _entries(entry, document[entry], _facility_from_dict)
-        facility_ids = _unique_ids(entry, facilities, "facility")
+        facility_ids = _unique_ids(entry, [f.id for f in facilities], "facility")
         rooms = {(f.id, room) for f in facilities for room in f.rooms}
         entry = "slots"
-        slots = _slots_from_list(document[entry], exam_ids, facility_ids, rooms)
+        slots = _slots_from_columns(document[entry], exam_ids, facility_ids, rooms)
         _check_rooms_free(slots)
     except WorldFormatError:
         raise
@@ -338,52 +305,39 @@ def world_from_dict(document: dict[str, Any]) -> World:
 
 
 def save_world(world: World, path: Path) -> None:
-    """Write the world document: its head sections and its ``slots``, each
-    slot's fields plus ``start_label``.
+    """Write the world document in ``WORLD_FORMAT``.
 
-    The bytes are ``json.dumps(document, indent=2, sort_keys=True)`` and a
-    newline, but each slot is one ``%`` format: ``json.dumps`` runs its
-    pure-Python encoder whenever ``indent`` is set, and ``slots`` is nearly
-    all of the document.  A slot is a tuple, so its fields are unpacked in
-    one step rather than read one getter at a time.
+    The head sections are ``json.dumps(indent=2, sort_keys=True)``.
+    ``slots``, which sorts last, holds one column per ``TimeSlot`` field, in
+    sorted key order, each written on one line by ``json.dumps`` without
+    ``indent``: only then does it run its C encoder, and the columns are
+    nearly all of the document.
     """
     head = json.dumps(_head_to_dict(world), indent=2, sort_keys=True)
-    enc = encode_basestring_ascii
-    slots = ",\n".join(
-        [
-            _SLOT_JSON
-            % (
-                duration,
-                enc(exam),
-                enc(facility),
-                enc(slot_id),
-                enc(practitioner),
-                enc(room),
-                start,
-                *divmod(start, MINUTES_PER_DAY),
-            )
-            for slot_id, exam, facility, room, practitioner, start, duration in (
-                world.slots
-            )
-        ]
+    columns = list(zip(*world.slots)) or [()] * len(TimeSlot._fields)
+    body = ",\n".join(
+        f'    "{name}": {json.dumps(column)}'
+        for name, column in sorted(zip(TimeSlot._fields, columns))
     )
     # "slots" sorts last, so it replaces the head's closing "\n}".
-    body = f"[\n{slots}\n  ]" if slots else "[]"
-    Path(path).write_text(f'{head[:-2]},\n  "slots": {body}\n}}\n', encoding="utf-8")
+    Path(path).write_text(f'{head[:-2]},\n  "slots": {{\n{body}\n  }}\n}}\n', encoding="utf-8")
 
 
-def _read_json(path: Path, error: type[ValueError], kind: str) -> Any:
-    """``path``'s JSON document; text that is not UTF-8 raises ``error`` naming the file."""
+def _load(path: Path, build: Callable[[Any], Any], error: type[ValueError], kind: str) -> Any:
+    """``build`` of ``path``'s JSON document; every ``error`` on the way names the file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"malformed {kind} file {path}: {exc}") from exc
-    return json.loads(text)
+    try:
+        return build(document)
+    except error as exc:
+        raise error(f"{kind} file {path}: {exc}") from exc
 
 
 def load_world(path: Path) -> World:
     with collector_paused():
-        return world_from_dict(_read_json(path, WorldFormatError, "world"))
+        return _load(path, world_from_dict, WorldFormatError, "world")
 
 
 def request_to_dict(request: ScheduleRequest) -> dict[str, Any]:
@@ -431,7 +385,7 @@ def save_request(request: ScheduleRequest, path: Path) -> None:
 
 
 def load_request(path: Path) -> ScheduleRequest:
-    return request_from_dict(_read_json(path, RequestError, "request"))
+    return _load(path, request_from_dict, RequestError, "request")
 
 
 def solution_to_dict(
@@ -446,7 +400,7 @@ def solution_to_dict(
         "algorithm": algorithm,
         "request": request_to_dict(request),
         "assignments": [
-            {"act": act, "slot": _slot_to_dict(slot)}
+            {"act": act, "slot": {**slot._asdict(), "start_label": instant_label(slot.start)}}
             for act, slot in schedule.sorted_by_start()
         ],
         "penalties": {**asdict(penalties), "total": penalties.total()},

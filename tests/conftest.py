@@ -53,6 +53,21 @@ def make_schedule(*slots: TimeSlot) -> Schedule:
     return Schedule(assignments=tuple(enumerate(slots)))
 
 
+def unversioned_world_document(document):
+    """A format-2 world document in the layout world files had before ``format``.
+
+    That layout has no ``format`` key, and its ``slots`` are a list of one
+    object per slot, each with its fields and a ``start_label``.
+    """
+    old = {key: value for key, value in document.items() if key != "format"}
+    columns = document["slots"]
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    old["slots"] = [
+        {**row, "start_label": f"{row['start'] // DAY}T{row['start'] % DAY}"} for row in rows
+    ]
+    return old
+
+
 @pytest.fixture(scope="session")
 def default_world():
     """The default benchmark world; generated once per test session."""

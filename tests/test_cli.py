@@ -12,6 +12,8 @@ from medsched.ga import GAConfig
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 from medsched.worldio import save_request
 
+from conftest import unversioned_world_document
+
 
 @pytest.fixture(autouse=True)
 def fixed_env_seed(monkeypatch):
@@ -233,6 +235,44 @@ class TestSolve:
         bad.write_text("{not json")
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_truncated_world_file_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "world.json"
+        bad.write_text('{"config": ')
+        assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: malformed world file {bad}: Expecting value" in err
+
+    def test_truncated_request_file_exits_2_naming_it(self, world_dir, tmp_path, capsys):
+        request_path = tmp_path / "request.json"
+        request_path.write_text('{"acts": [')
+        out = tmp_path / "out"
+        code = main(fast_solve_args(world_dir, out, "--request", str(request_path)))
+        assert code == 2
+        assert f"error: malformed request file {request_path}: Expecting value" in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    @pytest.mark.parametrize(
+        ("version", "rows"),
+        [(None, True), (1, True), ("2", False)],
+        ids=["missing", "1", "str"],
+    )
+    def test_world_file_of_another_format_exits_2_naming_it(
+        self, world_dir, tmp_path, capsys, version, rows
+    ):
+        # None: no "format" key.  rows: the unversioned layout's slot list.
+        document = json.loads((world_dir / "world.json").read_text())
+        if rows:
+            document = unversioned_world_document(document)
+        if version is not None:
+            document["format"] = version
+        bad = tmp_path / "world.json"
+        bad.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        assert main(["solve", "--world", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"world file {bad}: " in err and "medsched reads world format 2 only" in err
+        assert not out.exists()
+
     def test_world_file_not_utf8_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "world.json"
         bad.write_bytes(b"\xff")
@@ -298,7 +338,7 @@ class TestSolve:
         self, world_dir, tmp_path, capsys, field, value
     ):
         document = json.loads((world_dir / "world.json").read_text())
-        document["slots"][3][field] = value
+        document["slots"][field][3] = value
         bad = tmp_path / "world.json"
         bad.write_text(json.dumps(document))
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2
@@ -306,7 +346,8 @@ class TestSolve:
 
     def test_duplicate_slot_id_exits_2_naming_it(self, world_dir, tmp_path, capsys):
         document = json.loads((world_dir / "world.json").read_text())
-        document["slots"][3]["id"] = document["slots"][0]["id"]
+        ids = document["slots"]["id"]
+        ids[3] = ids[0]
         bad = tmp_path / "world.json"
         bad.write_text(json.dumps(document))
         assert main(["solve", "--world", str(bad), "--out", str(tmp_path)]) == 2

@@ -33,6 +33,10 @@ REMOVED = {
     "Variant",
     "GA_VARIANTS",
     "require_candidates",
+    # The one-object-per-slot world reader and writer, gone with world format 2.
+    "_slot_from_dict",
+    "_slots_from_list",
+    "_SLOT_JSON",
 }
 
 # Names that moved to the tests' oracle (``tests/oracle.py``) or beside the

@@ -1,11 +1,10 @@
-"""JSON and CSV persistence: round-trips, byte determinism, instant labels."""
+"""JSON and CSV persistence: round-trips, byte determinism, world formats, instant labels."""
 
 import copy
 import gc
 import hashlib
 import json
 from dataclasses import asdict
-from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -41,7 +40,17 @@ from medsched.worldio import (
     write_csv,
 )
 
-from conftest import make_schedule, make_slot
+from conftest import make_schedule, make_slot, unversioned_world_document
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
+
+
+def set_field(document, section, index, field, value):
+    """Set one field of one entry: a slot's is one row of its column."""
+    if section == "slots":
+        document["slots"][field][index] = value
+    else:
+        document[section][index][field] = value
 
 
 class TestInstantLabels:
@@ -81,11 +90,14 @@ class TestWorldPersistence:
     def test_document_shape(self, default_world, tmp_path):
         path = tmp_path / "world.json"
         save_world(default_world, path)
-        document = json.loads(path.read_text())
-        assert set(document) == {"config", "exams", "rules", "facilities", "slots"}
-        assert len(document["slots"]) == len(default_world.slots)
-        sample = document["slots"][0]
-        assert sample["start_label"] == instant_label(sample["start"])
+        text = path.read_text()
+        document = json.loads(text)
+        assert set(document) == {"format", "config", "exams", "rules", "facilities", "slots"}
+        assert document["format"] == 2
+        assert list(document["slots"]) == sorted(TimeSlot._fields)
+        for name, column in document["slots"].items():
+            assert len(column) == len(default_world.slots)
+            assert f'\n    "{name}": {json.dumps(column)}' in text  # one line per column
 
     def test_config_document_lists_every_field(self, default_world):
         assert world_to_dict(default_world)["config"] == {
@@ -104,10 +116,14 @@ class TestWorldPersistence:
         }
 
     def test_example_world_loads(self):
-        example = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
-        world = load_world(example)
+        world = load_world(EXAMPLE)
         assert isinstance(world.config.duration_choices, tuple)
-        assert world_to_dict(world) == json.loads(example.read_text())
+        assert world_to_dict(world) == json.loads(EXAMPLE.read_text())
+
+    def test_example_world_is_seed_7_over_2_days_as_saved_today(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(generate_world(WorldConfig(seed=7, horizon_days=2)), path)
+        assert path.read_bytes() == EXAMPLE.read_bytes()
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -127,13 +143,75 @@ class TestWorldPersistence:
         with pytest.raises(WorldFormatError, match=f"entry config: {field} must be"):
             world_from_dict(document)
 
-    @pytest.mark.parametrize("section", ["exams", "rules", "facilities", "slots"])
+    @pytest.mark.parametrize("section", ["exams", "rules", "facilities"])
     @pytest.mark.parametrize("value", [{}, "", None])
     def test_section_that_is_not_a_list_raises_format_error(self, default_world, section, value):
         document = world_to_dict(default_world)
         document[section] = value
         with pytest.raises(WorldFormatError, match=f"entry {section}: {section} must be list"):
             world_from_dict(document)
+
+    @pytest.mark.parametrize("value", ["rows", [], "", None])
+    def test_slots_that_is_not_an_object_raises_format_error(self, default_world, value):
+        document = world_to_dict(default_world)
+        if value == "rows":  # the slot list of the unversioned layout
+            value = unversioned_world_document(document)["slots"]
+        document["slots"] = value
+        with pytest.raises(WorldFormatError, match="entry slots: slots must be dict"):
+            world_from_dict(document)
+
+    @pytest.mark.parametrize("name", ["id", "start", "duration_minutes"])
+    @pytest.mark.parametrize("value", [{}, "", None, 5])
+    def test_slot_column_that_is_not_a_list_raises_format_error(self, default_world, name, value):
+        document = world_to_dict(default_world)
+        document["slots"][name] = value
+        with pytest.raises(WorldFormatError, match=f"entry slots: {name} must be list"):
+            world_from_dict(document)
+
+    def test_missing_slot_field_raises_format_error(self, default_world):
+        document = world_to_dict(default_world)
+        del document["slots"]["exam"]
+        with pytest.raises(WorldFormatError, match=r"entry slots: missing key 'exam'"):
+            world_from_dict(document)
+
+    def test_extra_slot_column_raises_format_error(self, default_world):
+        document = world_to_dict(default_world)
+        document["slots"]["start_label"] = list(map(instant_label, document["slots"]["start"]))
+        with pytest.raises(WorldFormatError, match=r"entry slots: unknown columns \['start_label'\]"):
+            world_from_dict(document)
+
+    @pytest.mark.parametrize(("name", "index"), [("exam", 0), ("start", 9), ("room", -1)])
+    def test_short_column_raises_naming_the_first_row_it_lacks(self, default_world, name, index):
+        document = world_to_dict(default_world)
+        del document["slots"][name][index]
+        last = len(default_world.slots) - 1
+        reason = f"missing {name}: its column has {last} entries, not {last + 1}"
+        with pytest.raises(WorldFormatError, match=rf"entry slots\[{last}\]: {reason}$"):
+            world_from_dict(document)
+
+    @pytest.mark.parametrize(
+        ("version", "rows"),
+        [(None, True), (1, True), ("2", False), (2.0, False), (True, False), (3, False)],
+        ids=["missing", "1", "str", "float", "bool", "3"],
+    )
+    def test_other_format_raises_naming_the_file_and_format_2(
+        self, default_world, tmp_path, version, rows
+    ):
+        # None: no "format" key.  rows: the unversioned layout's slot list.
+        document = world_to_dict(default_world)
+        if rows:
+            document = unversioned_world_document(document)
+        if version is not None:
+            document["format"] = version
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(document))
+        found = "no format" if version is None else f"format {version!r}"
+        with pytest.raises(WorldFormatError) as error:
+            load_world(path)
+        assert str(error.value) == (
+            f"world file {path}: malformed world entry format: found {found}; "
+            "medsched reads world format 2 only, as gen-world writes it"
+        )
 
     def test_missing_config_field_raises_format_error(self, default_world):
         document = world_to_dict(default_world)
@@ -156,7 +234,7 @@ class TestWorldPersistence:
         self, default_world, section, index, field, value
     ):
         document = world_to_dict(default_world)
-        document[section][index][field] = value
+        set_field(document, section, index, field, value)
         with pytest.raises(WorldFormatError, match=rf"{section}\[{index}\]"):
             world_from_dict(document)
 
@@ -165,12 +243,6 @@ class TestWorldPersistence:
         document = world_to_dict(default_world)
         del document[key]
         with pytest.raises(WorldFormatError, match=f"missing key '{key}'"):
-            world_from_dict(document)
-
-    def test_missing_slot_field_raises_format_error(self, default_world):
-        document = world_to_dict(default_world)
-        del document["slots"][5]["exam"]
-        with pytest.raises(WorldFormatError, match=r"slots\[5\]: missing key 'exam'"):
             world_from_dict(document)
 
     @pytest.mark.parametrize(
@@ -183,12 +255,6 @@ class TestWorldPersistence:
             ("slots", 9, "exam", "ZZZ", "unknown exam 'ZZZ'"),
             ("slots", 9, "facility", "ZZZ", "unknown facility 'ZZZ'"),
             ("slots", 9, "room", "ZZZ", "room 'ZZZ' is not in facility"),
-            # slots[9] starts at 1140, labelled "0T1140".
-            ("slots", 9, "start_label", "7T2000", "start_label '7T2000' is not '0T1140'"),
-            ("slots", 9, "start_label", "1T1140", "start_label '1T1140' is not '0T1140'"),
-            # The same instant with the minute of day out of range, and no label.
-            ("slots", 9, "start_label", "-1T2580", "start_label '-1T2580' is not '0T1140'"),
-            ("slots", 9, "start_label", "noon", "start_label 'noon' is not '0T1140'"),
             ("rules", 3, "first", "ZZZ", "unknown exam 'ZZZ'"),
             ("rules", 3, "second", 7, "unknown exam 7"),
             ("exams", 7, "id", "E03", "duplicate exam id 'E03'"),
@@ -208,21 +274,22 @@ class TestWorldPersistence:
         self, default_world, section, index, field, value, reason
     ):
         document = world_to_dict(default_world)
-        document[section][index][field] = value
+        set_field(document, section, index, field, value)
         with pytest.raises(WorldFormatError, match=rf"{section}\[{index}\]: {reason}"):
             world_from_dict(document)
 
     def test_duplicate_slot_id_raises_naming_later_entry(self, default_world):
         document = world_to_dict(default_world)
-        document["slots"][9]["id"] = document["slots"][4]["id"]
+        ids = document["slots"]["id"]
+        ids[9] = ids[4]
         with pytest.raises(WorldFormatError, match=r"slots\[9\]: duplicate slot id"):
             world_from_dict(document)
 
     def test_overlapping_slots_of_one_room_raise_naming_later_entry(self, default_world):
         document = world_to_dict(default_world)
-        first, second = document["slots"][:2]
-        assert {(slot["facility"], slot["room"]) for slot in (first, second)} == {("F1", "F1-R1")}
-        second["start"], second["start_label"] = first["start"], first["start_label"]
+        columns = document["slots"]
+        assert set(zip(columns["facility"][:2], columns["room"][:2])) == {("F1", "F1-R1")}
+        columns["start"][1] = columns["start"][0]
         with pytest.raises(
             WorldFormatError,
             match=r"slots\[1\]: overlaps slots\[0\] in room 'F1-R1' of facility 'F1'$",
@@ -252,7 +319,7 @@ class TestWorldPersistence:
         ):
             world_from_dict(document)
         # Back to back is not an overlap.
-        document["slots"][0].update(start=600, start_label=instant_label(600))
+        document["slots"]["start"][0] = 600
         assert world_from_dict(document).slots == (slots[0]._replace(start=600), *slots[1:])
 
     def test_loaded_slots_share_their_strings(self, default_world, tmp_path):
@@ -269,7 +336,7 @@ class TestWorldPersistence:
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         save_world(generate_world(config), good)
         document = json.loads(good.read_text())
-        document["slots"][3]["duration_minutes"] = 0
+        document["slots"]["duration_minutes"][3] = 0
         bad.write_text(json.dumps(document))
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
@@ -285,24 +352,24 @@ class TestWorldPersistence:
             (gc.enable if was_enabled else gc.disable)()
 
     def test_example_world_saves_byte_for_byte(self, tmp_path):
-        example = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
         path = tmp_path / "world.json"
-        save_world(load_world(example), path)
-        assert path.read_bytes() == example.read_bytes()
+        save_world(load_world(EXAMPLE), path)
+        assert path.read_bytes() == EXAMPLE.read_bytes()
 
-    # Digests recorded with dataclass slots and the ``rng.choice`` generator:
-    # a faster generator or writer must reproduce these bytes.
+    # Digests of world format 2, re-recorded when the format changed; the
+    # worlds are those of the ``rng.choice`` generator and dataclass slots.
+    # A faster generator or writer must reproduce these bytes.
     @pytest.mark.parametrize(
         ("config", "digest"),
         [
             pytest.param(
                 WorldConfig(),
-                "f5a35e8a46fa4acbac3694496f525a33702eaa666efa9b5060418df8a4023cfb",
+                "01885d4ab1b952f0fab8e54fb70dc5cde62e7f5b2fdbff8fb7a048fb8c56150a",
                 id="default",
             ),
             pytest.param(
                 WorldConfig(seed=3, horizon_days=120),
-                "bf182327aa035f014a3fcf1401244cc308629f21024e5d1f6a39eb995ad4a3be",
+                "317d5e64476addde29d286e946d6de3137e4dbc6a38dddca4b6f8b1b1e597353",
                 id="seed3-120days",
             ),
         ],
@@ -316,6 +383,7 @@ class TestWorldPersistence:
 def world_to_dict(world):
     """The world document ``save_world`` renders, built field by field."""
     return {
+        "format": 2,
         "config": {
             name: list(value) if isinstance(value, tuple) else value
             for name, value in asdict(world.config).items()
@@ -330,15 +398,26 @@ def world_to_dict(world):
         "facilities": [
             {"id": f.id, "name": f.name, "rooms": list(f.rooms)} for f in world.facilities
         ],
-        "slots": [
-            {**slot._asdict(), "start_label": instant_label(slot.start)} for slot in world.slots
-        ],
+        "slots": {
+            name: [getattr(slot, name) for slot in world.slots] for name in TimeSlot._fields
+        },
     }
 
 
 def reference_bytes(world):
-    """What save_world must write: the json.dumps rendering of the document."""
-    return (json.dumps(world_to_dict(world), indent=2, sort_keys=True) + "\n").encode()
+    """What save_world must write, rendered by ``json.dumps`` alone.
+
+    The document goes through ``json.dumps(indent=2, sort_keys=True)`` with
+    a placeholder string for each slot column; each placeholder is then
+    replaced by ``json.dumps`` of its column, which is one line.
+    """
+    document = world_to_dict(world)
+    columns = document["slots"]
+    document["slots"] = {name: f"<column {name}>" for name in columns}
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    for name, column in columns.items():
+        text = text.replace(json.dumps(f"<column {name}>"), json.dumps(column))
+    return text.encode()
 
 
 # Strings json.dumps escapes, or that a hand-rolled writer could get wrong:
@@ -461,30 +540,44 @@ def mutated_documents(draw):
     what the document must load as, or None where that is not known.
     """
     document = copy.deepcopy(SMALL_DOCUMENT)
+    columns = document["slots"]
+    count = len(columns["id"])
     rejected = loads_as = None
-    place = itemgetter("facility", "room")
+
+    def place(index):
+        return columns["facility"][index], columns["room"][index]
 
     def entry_of(section):
-        entries = document[section]
-        index = draw(st.integers(0, len(entries) - 1))
-        return entries, index, f"{section}[{index}]"
+        index = draw(st.integers(0, (count if section == "slots" else len(document[section])) - 1))
+        return index, f"{section}[{index}]"
+
+    def column_name():
+        return draw(st.sampled_from(sorted(columns)))
 
     kind = draw(
         st.sampled_from(
             ["drop_key", "wrong_type", "head_type", "duplicate_id", "unknown_reference",
-             "relabel", "overlap", "shuffle", "retime", "zero_duration", "drop_entry",
-             "duplicate_entry"]
+             "overlap", "shuffle", "retime", "zero_duration", "drop_entry", "duplicate_entry",
+             "missing_column", "extra_column", "ragged_column", "column_type", "slots_type"]
         )
     )
-    if kind in ("drop_key", "wrong_type"):
-        section = draw(st.sampled_from(["document", "config", "exams", "rules", "facilities", "slots"]))
+    if kind == "wrong_type" and draw(st.booleans()):
+        # One slot field: one row of its column.
+        name = column_name()
+        index, entry = entry_of("slots")
+        value = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+        if type(value) is not type(columns[name][index]):
+            rejected = entry  # each field has one JSON type
+        columns[name][index] = value
+    elif kind in ("drop_key", "wrong_type"):
+        section = draw(st.sampled_from(["document", "config", "exams", "rules", "facilities"]))
         if section == "document":
             target, name = document, None
         elif section == "config":
             target, name = document["config"], "config"
         else:
-            entries, index, name = entry_of(section)
-            target = entries[index]
+            index, name = entry_of(section)
+            target = document[section][index]
         key = draw(st.sampled_from(sorted(target)))
         name = name or key
         if kind == "drop_key":
@@ -500,14 +593,17 @@ def mutated_documents(draw):
         if section == "config":
             target, rejected = document["config"], "config"
         else:
-            entries, index, rejected = entry_of(section)
-            target = entries[index]
+            index, rejected = entry_of(section)
+            target = document[section][index]
         target[key] = copy.deepcopy(draw(st.sampled_from(values)))
     elif kind == "duplicate_id":
         section = draw(st.sampled_from(["exams", "facilities", "slots"]))
-        entries, index, _ = entry_of(section)
-        other = draw(st.integers(0, len(entries) - 1))
-        entries[index]["id"] = entries[other]["id"]
+        index, _ = entry_of(section)
+        other, _ = entry_of(section)
+        if section == "slots":
+            columns["id"][index] = columns["id"][other]
+        else:
+            document[section][index]["id"] = document[section][other]["id"]
         if other != index:
             rejected = f"{section}[{max(index, other)}]"  # the later of the two
     elif kind == "unknown_reference":
@@ -516,65 +612,72 @@ def mutated_documents(draw):
                 [("rules", "first"), ("rules", "second"), ("slots", "exam"), ("slots", "facility"), ("slots", "room")]
             )
         )
-        entries, index, rejected = entry_of(section)
-        entries[index][key] = "ZZZ"
-    elif kind == "relabel":
-        entries, index, _ = entry_of("slots")
-        label = entries[index]["start_label"]
-        entries[index]["start_label"] = draw(
-            st.one_of(
-                st.just(label),
-                st.just(" " + label),
-                st.builds("{}T{}".format, st.integers(-1, 2), st.integers(0, 2 * MINUTES_PER_DAY)),
-                st.text(max_size=6),
-            )
-        )
+        index, rejected = entry_of(section)
+        set_field(document, section, index, key, "ZZZ")
     elif kind == "overlap":
         # Move a slot onto the start of another slot of its room: the later
         # of the two in (room, start, document) order overlaps the earlier.
-        entries, index, _ = entry_of("slots")
-        others = [i for i, slot in enumerate(entries) if i != index and place(slot) == place(entries[index])]
-        other = draw(st.sampled_from(others))
-        for key in ("start", "start_label"):
-            entries[index][key] = entries[other][key]
+        index, _ = entry_of("slots")
+        other = draw(st.sampled_from([i for i in range(count) if i != index and place(i) == place(index)]))
+        columns["start"][index] = columns["start"][other]
         rejected = f"slots[{max(index, other)}]"
     elif kind == "shuffle":
         # Each room's slots may no longer run together or in time order;
         # they are still disjoint, so the room check's sort must accept them.
-        order = draw(st.permutations(range(len(document["slots"]))))
-        document["slots"] = [document["slots"][i] for i in order]
+        order = draw(st.permutations(range(count)))
+        for name, column in columns.items():
+            columns[name] = [column[i] for i in order]
         loads_as = tuple(SMALL_WORLD.slots[i] for i in order)
     elif kind == "retime":
-        # A start, labelled to match, that crosses midnight, is negative, or
-        # lies inside another slot of the room, past that slot's start.
-        entries, index, rejected = entry_of("slots")
-        slot = entries[index]
-        others = [other for other in entries if other is not slot and place(other) == place(slot)]
-        start = draw(
+        # A start that crosses midnight, is negative, or lies inside another
+        # slot of the room, past that slot's start.
+        index, rejected = entry_of("slots")
+        starts, durations = columns["start"], columns["duration_minutes"]
+        others = [i for i in range(count) if i != index and place(i) == place(index)]
+        starts[index] = draw(
             st.one_of(
                 st.builds(
                     lambda day, before: (day + 1) * MINUTES_PER_DAY - before,
                     st.integers(0, 2),
-                    st.integers(1, slot["duration_minutes"] - 1),
+                    st.integers(1, durations[index] - 1),
                 ),
                 st.integers(-2 * MINUTES_PER_DAY, -1),
                 st.sampled_from(others).flatmap(
-                    lambda other: st.integers(
-                        other["start"] + 1, other["start"] + other["duration_minutes"] - 1
-                    )
+                    lambda other: st.integers(starts[other] + 1, starts[other] + durations[other] - 1)
                 ),
             )
         )
-        slot.update(start=start, start_label=instant_label(start))
     elif kind == "zero_duration":
-        entries, index, rejected = entry_of("slots")
-        entries[index]["duration_minutes"] = 0
+        index, rejected = entry_of("slots")
+        columns["duration_minutes"][index] = 0
+    elif kind in ("drop_entry", "duplicate_entry"):
+        section = draw(st.sampled_from(["exams", "rules", "facilities", "slots"]))
+        index, _ = entry_of(section)
+        for entries in columns.values() if section == "slots" else [document[section]]:
+            if kind == "drop_entry":
+                del entries[index]
+            else:
+                entries.insert(index, copy.deepcopy(entries[index]))
+    elif kind == "missing_column":
+        del columns[column_name()]
+        rejected = "slots"
+    elif kind == "extra_column":
+        name = draw(texts.filter(lambda text: text not in columns))
+        columns[name] = copy.deepcopy(draw(st.sampled_from([*WRONG_VALUES, columns["start"]])))
+        rejected = "slots"
+    elif kind == "ragged_column":
+        index, _ = entry_of("slots")
+        del columns[column_name()][index]
+        rejected = f"slots[{count - 1}]"  # the first row the short column lacks
+    elif kind == "column_type":
+        columns[column_name()] = copy.deepcopy(
+            draw(st.sampled_from([value for value in WRONG_VALUES if type(value) is not list]))
+        )
+        rejected = "slots"
     else:
-        entries, index, _ = entry_of(draw(st.sampled_from(["exams", "rules", "facilities", "slots"])))
-        if kind == "drop_entry":
-            del entries[index]
-        else:
-            entries.insert(index, copy.deepcopy(entries[index]))
+        rows = unversioned_world_document(SMALL_DOCUMENT)["slots"]
+        document["slots"] = draw(st.sampled_from([rows, [], None, "x", 1.5]))
+        rejected = "slots"
     return document, rejected, loads_as
 
 
@@ -596,8 +699,6 @@ class TestWorldLoadFuzz:
         # Equality alone would pass 5940.0 for 5940 and True for 1.
         assert world_path.read_bytes() == reference_bytes(world)
         assert load_world(world_path) == world
-        labels = [entry["start_label"] for entry in document["slots"]]
-        assert labels == [instant_label(slot.start) for slot in world.slots]
 
 
 class TestRequestPersistence:
