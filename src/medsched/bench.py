@@ -57,6 +57,9 @@ class BenchConfig:
         unknown = [a for a in self.algorithms if a not in ALL_ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
+        repeated = [a for a in dict.fromkeys(self.algorithms) if self.algorithms.count(a) > 1]
+        if repeated:
+            raise ValueError(f"algorithms given more than once: {repeated}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import replace
@@ -238,19 +239,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class ValueCsvError(ValueError):
+    """A per-trial CSV that ``stats`` cannot read, named by file and line."""
+
+
 def _read_value_csv(path: Path) -> tuple[str, dict[str, list[float]]]:
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
-            raise ValueError(f"{path}: expected header algorithm,trial,<metric>")
-        metric = header[2]
+    data = path.read_bytes()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        header = next(reader, [])
+        if len(header) < 3:
+            raise ValueError("expected header algorithm,trial,<metric>")
         samples: dict[str, list[float]] = {}
         for row in reader:
-            if len(row) < 3 or row[2] == "":
-                continue
-            samples.setdefault(row[0], []).append(float(row[2]))
-    return metric, samples
+            if 0 < len(row) < 3:
+                raise ValueError(f"expected algorithm,trial,{header[2]}, got {row!r}")
+            if row and row[2]:  # a blank line, or a blank (undefined) value, is skipped
+                samples.setdefault(row[0], []).append(float(row[2]))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueCsvError(f"malformed CSV file {path}, line {line}: not UTF-8") from None
+    except (ValueError, csv.Error) as exc:
+        line = reader.line_num or 1  # 0 for an empty file
+        raise ValueCsvError(f"malformed CSV file {path}, line {line}: {exc}") from None
+    return header[2], samples
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -281,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnschedulableError as exc:
         print(f"error: unschedulable: {exc}", file=sys.stderr)
         return 2
-    except (WorldFormatError, RequestError) as exc:
+    except (WorldFormatError, RequestError, ValueCsvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, KeyError) as exc:

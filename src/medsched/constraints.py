@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import IncompatibilityRule, RuleLogic, Schedule
 
@@ -30,8 +30,9 @@ TRAVEL_GAP_MINUTES = 180
 # ``schedule_counts`` sorts at C speed and keeps equal keys in input order.
 _START_ID = itemgetter(0, 1)
 
-# A pick: (start, tiebreak, end, facility).
-Pick = tuple[int, Any, int, Any]
+# A pick: a booked slot's (start, id, end, facility), the one layout that
+# ``schedule_counts`` and the GA's evaluator both build.
+Pick = tuple[int, str, int, str]
 # A breach check over pick positions: (i, j, gap, symmetric); see rule_checks.
 Check = tuple[int, int, int, bool]
 
@@ -93,10 +94,12 @@ def walk_picks(
     """Overlaps, rule breaches, trips, transfers and idle minutes of a pick sequence.
 
     This is the one walk over consecutive picks, and the one place rule
-    checks are applied.  ``picks`` is non-empty and sorted by start, and of
-    a pick only ``start``, ``end`` and ``facility`` are read.  ``checks``
-    come from ``rule_checks`` and index ``by_position``, the same picks by
-    position, each one booked, as ``rule_checks`` says.  A pick
+    checks are applied, for ``schedule_counts`` and the GA's evaluator
+    alike: both pass the same picks in the same order.  ``picks`` is
+    non-empty and sorted by (start, id), and of a pick only ``start``,
+    ``end`` and ``facility`` are read.  ``checks`` come from
+    ``rule_checks`` and index ``by_position``, the same picks by position,
+    each one booked, as ``rule_checks`` says.  A pick
     overlaps the previous one when it starts before that one ends; every
     later pick that also starts before that end counts as one more overlap.
     A trip starts at the first pick, on a facility change, and on a gap

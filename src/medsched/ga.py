@@ -56,11 +56,13 @@ class UnschedulableError(Exception):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-act candidate slot lists, each sorted by (start, id) and non-empty."""
+    """Per-act candidate slot lists: at least one act, each non-empty and sorted by (start, id)."""
 
     per_act_slots: tuple[tuple[TimeSlot, ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.per_act_slots:
+            raise ValueError("a search space needs at least one act")
         if not all(self.per_act_slots):
             raise ValueError("every act needs at least one candidate slot")
 
@@ -160,7 +162,8 @@ def filter_search_space(
 # ``1 + randrange(n - 1)``.  The loops consume the same Mersenne Twister
 # stream and give the same values, so runs stay bit-identical, at the cost of
 # the ``getrandbits`` calls alone.  ``tests/test_ga.py`` checks both claims.
-# A width of 0 would loop for ever; ``SearchSpace`` rules out an empty block.
+# A width of 0 would loop for ever; ``SearchSpace`` rules out an empty block
+# and, for the mutation's act draw, a space without acts.
 
 
 def uniform_genes(space: SearchSpace, rng: random.Random) -> Genes:
@@ -321,8 +324,6 @@ def next_generation(
             )
         for genes in (genes_a, genes_b):
             if draw_unit() < rate:
-                if not act_count:
-                    raise ValueError("cannot mutate an individual without genes")
                 act = getrandbits(act_bits)
                 while act >= act_count:
                     act = getrandbits(act_bits)
@@ -342,19 +343,20 @@ def make_evaluator(
     request: ScheduleRequest,
     rules: Iterable[IncompatibilityRule],
 ) -> Callable[[Genes], float]:
-    """Fitness of an individual, equal (bit for bit) to
-    ``fitness(compute_penalties(decode(individual, space, request), request, rules))``.
+    """Fitness of a genome, equal (bit for bit) to
+    ``fitness(compute_penalties(decode(genes, space, request), request, rules))``.
 
-    The request is compiled once.  Each candidate becomes a pick ``(start,
-    rank, end, facility)`` whose rank orders picked slots as
-    ``Schedule.sorted_by_start`` does (by start, then id, then act).  The
-    rules become breach checks over act positions by
-    ``constraints.rule_checks``, as ``schedule_counts`` compiles them.  A
-    genome is then scored by one sort of its picks and one call of
-    ``constraints.walk_picks``, the walk ``schedule_counts`` makes.  It
-    rejects every genome ``decode`` rejects, with ``decode``'s error.  A
-    space with an act count other than the request's, or with a block that
-    mixes exams (only a hand-built space has either), raises ``ValueError``.
+    The request is compiled once.  Each act's candidates become a tuple of
+    picks ``(start, id, end, facility)`` indexed by gene, the pick
+    ``constraints.schedule_counts`` builds, and ``constraints.rule_checks``
+    compiles the rules over act positions.  A genome is then scored by one
+    plain sort of its picks and one ``constraints.walk_picks`` call.  The
+    plain sort keeps ``schedule_counts``' (start, id) order unless two
+    different slots share a start and an id, which no loaded or generated
+    world has.  Genomes are not checked: ``evolve`` breeds only in-range
+    ones, and ``decode`` checks the rest.  A space whose act count is not
+    the request's, or with a block that mixes exams (only a hand-built
+    space has either), raises ``ValueError``.
     """
     blocks = space.per_act_slots
     if len(blocks) != len(request.acts):
@@ -362,37 +364,16 @@ def make_evaluator(
     if any(len({slot.exam for slot in block}) > 1 for block in blocks):
         raise ValueError("every candidate of an act must be of one exam")
 
-    keyed = sorted(
-        (slot.start, slot.id, act, gene)
-        for act, block in enumerate(blocks)
-        for gene, slot in enumerate(block)
-    )
-    # One dict per act, gene -> pick, so a genome is looked up by one ``map``
-    # at C speed.
-    facilities: dict[str, int] = {}
-    tables: list[dict[int, tuple[int, int, int, int]]] = [{} for _ in blocks]
-    for rank, (start, _, act, gene) in enumerate(keyed):
-        slot = blocks[act][gene]
-        facility = facilities.setdefault(slot.facility, len(facilities))
-        tables[act][gene] = (start, rank, slot.end, facility)
-
+    tables = [
+        tuple([(slot.start, slot.id, slot.end, slot.facility) for slot in block])
+        for block in blocks
+    ]
     # An act's position is its index.
     checks = rule_checks(rules, range(len(blocks)), [block[0].exam for block in blocks])
-
-    act_count = len(blocks)
-    gene_types = [int] * act_count
     start_day = request.start_day
 
     def evaluate(genes: Genes) -> float:
-        try:
-            by_act = list(map(getitem, tables, genes))
-            # A dict finds 1.0 under 1, so the gene types are checked too.
-            valid = len(genes) == act_count and all(map(isinstance, genes, gene_types))
-        except (KeyError, TypeError):
-            valid = False
-        if not valid:
-            decode(genes, space, request)  # raises the reference's error
-            raise TypeError(f"genes must be ints, got {genes!r}")
+        by_act = list(map(getitem, tables, genes))
         picks = sorted(by_act)
 
         overlaps, breaches, trips, transfers, wait = walk_picks(picks, checks, by_act)

@@ -1,6 +1,7 @@
 """Benchmark harness: trial grid, seed streams, aggregation tables."""
 
 import csv
+import re
 from dataclasses import fields
 
 import pytest
@@ -60,6 +61,18 @@ class TestBenchConfig:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             BenchConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        ("algorithms", "named"),
+        [
+            (("fcfs", "fcfs"), "['fcfs']"),
+            (("random", "fcfs", "random", "fcfs"), "['random', 'fcfs']"),
+        ],
+    )
+    def test_rejects_a_repeated_algorithm(self, algorithms, named):
+        # A repeat would run twice per trial and write every row twice.
+        with pytest.raises(ValueError, match=re.escape(f"more than once: {named}")):
+            BenchConfig(algorithms=algorithms)
 
     def test_defaults(self):
         config = BenchConfig()

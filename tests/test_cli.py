@@ -418,6 +418,15 @@ class TestBench:
             stats = list(csv.reader(handle))
         assert len(stats) == 1 + 2  # one pair, two metrics
 
+    def test_repeated_algorithm_usage_error(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(
+            ["bench", "--world", str(world_dir / "world.json"), "--out", str(out),
+             "--trials", "2", "--algo", "fcfs", "--algo", "fcfs"]
+        ) == 1
+        assert "more than once: ['fcfs']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_trials_usage_error(self, world_dir, tmp_path):
         assert main(
             ["bench", "--world", str(world_dir / "world.json"),
@@ -456,10 +465,34 @@ class TestStats:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["stats", str(tmp_path / "absent.csv")]) == 2
 
-    def test_headerless_file_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("content", "line", "problem"),
+        [
+            (b"", 1, "expected header algorithm,trial,<metric>"),
+            (b"x\n", 1, "expected header algorithm,trial,<metric>"),
+            (
+                b"algorithm,trial,itr\nfcfs,0,0.5\nfcfs,1,abc\n",
+                3,
+                "could not convert string to float: 'abc'",
+            ),
+            (b"algorithm,trial,itr\nfcfs,0,0.5\nfcfs,1\n", 3, "expected algorithm,trial,itr"),
+            (b"algorithm,trial,itr\nfcfs,0,0.5\n\xff,1,0.5\n", 3, "not UTF-8"),
+        ],
+        ids=["empty", "headerless", "not-a-number", "short-row", "not-utf8"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, content, line, problem):
         path = tmp_path / "bad.csv"
-        path.write_text("x\n")
-        assert main(["stats", str(path)]) == 1
+        path.write_bytes(content)
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed CSV file {path}, line {line}: {problem}" in err
+
+    def test_blank_line_skipped(self, value_csv, capsys):
+        assert main(["stats", str(value_csv)]) == 0
+        expected = capsys.readouterr().out
+        value_csv.write_text(value_csv.read_text().replace("\n", "\n\n", 1))
+        assert main(["stats", str(value_csv)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestFlagDefaults:

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import pickle
 import random
+import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
 from unittest.mock import patch
@@ -587,6 +589,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="^every act needs at least one candidate slot$"):
             SearchSpace(per_act_slots=tuple(blocks))
 
+    def test_space_without_acts_rejected(self):
+        # Every operator draws an act, and a mutation of a genome without
+        # genes has none to draw.
+        with pytest.raises(ValueError, match="^a search space needs at least one act$"):
+            SearchSpace(per_act_slots=())
+
     @pytest.mark.parametrize("algorithm", ["fcfs", "random", "ordered", "GA-ORDERED"])
     def test_rejects_a_name_that_is_not_a_ga_variant(self, algorithm):
         with pytest.raises(ValueError, match=f"unknown GA algorithm '{algorithm}'"):
@@ -963,17 +971,6 @@ class TestBreedingReplaysRandrange:
         config = GAConfig(population=3, tournament_k=1, mutation_rate=rate)
         assert_breeding_replays([child.genes], [0.5], space, config, seed)
 
-    def test_mutate_without_genes_rejected(self):
-        config = GAConfig(population=3, tournament_k=1, mutation_rate=1.0)
-        space = SearchSpace(per_act_slots=())
-        population = [Individual(())]
-        ours, theirs = random.Random(0), random.Random(0)
-        with pytest.raises(ValueError):
-            next_generation(population, [0.5], space, config, ours)
-        with pytest.raises(ValueError):
-            oracle_next_generation(population, [0.5], space, config, theirs)
-        assert ours.getstate() == theirs.getstate()
-
     @settings(max_examples=1000, deadline=None)
     @given(
         data=st.data(),
@@ -1050,6 +1047,66 @@ class TestBreedingReplaysRandrange:
 # polish as a plain scan over that scorer: independent oracles the shared
 # memo's ``score`` and ``polish`` must replay, evaluator call for evaluator
 # call.
+
+
+def checking_evaluators(callers):
+    """``ga.make_evaluator`` whose evaluators first ``decode`` every genome.
+
+    ``callers`` counts the scoring calls by the ``_memoised`` closure
+    (``score`` or ``polish``) that made them.
+    """
+    original = ga.make_evaluator
+
+    def make_evaluator(space, request, rules):
+        evaluate = original(space, request, rules)
+
+        def checked(genome):
+            assert isinstance(genome, Individual)
+            decode(genome.genes, space, request)  # raises on a bad genome
+            callers[sys._getframe(2).f_code.co_name] += 1  # evaluate <- fill <- caller
+            return evaluate(genome)
+
+        return checked
+
+    return make_evaluator
+
+
+class TestEvaluatorSeesOnlyBredGenomes:
+    # The evaluator does not check its genomes: every genome ``evolve``
+    # scores, polish neighbours included, must be one ``decode`` accepts.
+    @pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_world(self, default_world, algorithm, seed):
+        request = generate_request(
+            list(default_world.exams), default_world.config, 5, seed=seed
+        )
+        space = filter_search_space(default_world.slots, request)
+        callers = Counter()
+        with patch.object(ga, "make_evaluator", checking_evaluators(callers)):
+            evolve(space, request, default_world.rules, GAConfig(), algorithm, seed)
+        assert set(callers) == {"score", "polish"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), algorithm=st.sampled_from(GA_ALGORITHMS), seed=SEEDS)
+    def test_drawn_spaces(self, data, algorithm, seed):
+        space = data.draw(spaces())
+        request = ScheduleRequest(acts=tuple(block[0].exam for block in space.per_act_slots))
+        pairs = list(itertools.permutations(request.acts, 2))
+        rules = ()
+        if pairs:
+            rule = st.builds(
+                lambda pair, logic, gap: IncompatibilityRule(*pair, logic, gap),
+                st.sampled_from(pairs),
+                st.sampled_from(list(RuleLogic)),
+                st.sampled_from([30, 240]),
+            )
+            rules = data.draw(st.lists(rule, max_size=3))
+        config = GAConfig(population=6, generations=4, tournament_k=2, mutation_rate=0.5)
+        callers = Counter()
+        with patch.object(ga, "make_evaluator", checking_evaluators(callers)):
+            evolve(space, request, rules, config, algorithm, seed)
+        assert callers["score"] > 0
+        assert set(callers) <= {"score", "polish"}
 
 
 def oracle_scorer(space, evaluate, limit):
