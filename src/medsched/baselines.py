@@ -9,10 +9,10 @@ from __future__ import annotations
 import random
 
 from .ga import SearchSpace, decode, uniform_genes
-from .model import Schedule, ScheduleRequest
+from .model import Schedule
 
 
-def fcfs_schedule(space: SearchSpace, request: ScheduleRequest) -> Schedule:
+def fcfs_schedule(space: SearchSpace) -> Schedule:
     """Greedy baseline: each act takes its earliest candidate still unclaimed.
 
     Acts are served in request order and a slot id is never booked twice
@@ -31,8 +31,6 @@ def fcfs_schedule(space: SearchSpace, request: ScheduleRequest) -> Schedule:
     return Schedule(assignments=tuple(assignments))
 
 
-def random_schedule(
-    space: SearchSpace, request: ScheduleRequest, rng: random.Random
-) -> Schedule:
+def random_schedule(space: SearchSpace, rng: random.Random) -> Schedule:
     """Control baseline: one uniform draw per act, exactly like unordered GA init."""
-    return decode(uniform_genes(space, rng), space, request)
+    return decode(uniform_genes(space, rng), space)

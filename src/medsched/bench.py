@@ -1,7 +1,7 @@
 """Batch benchmark: many trials per algorithm on one world, aggregated to CSV.
 
-Each trial draws a fresh request against the shared world, runs every
-selected algorithm on it, and records fitness, penalties, metrics and (for
+Each trial draws a fresh request against the shared world, and each selected
+algorithm's ``solve_cell`` on it records fitness, penalties, metrics and (for
 the evolutionary variants) per-generation telemetry.  Aggregation emits the
 five benchmark tables: convergence, fulfillment, raw ITR, raw trips, and
 pairwise rank-sum comparisons.
@@ -27,14 +27,20 @@ from .ga import (
     filter_search_space,
 )
 from .metrics import SolutionMetrics, mann_whitney_u, solution_metrics
-from .model import IncompatibilityRule, Schedule, ScheduleRequest
+from .model import Schedule, ScheduleRequest
 from .worldio import write_csv
 
 FCFS = "fcfs"
 RANDOM = "random"
 GA_ALGORITHMS = (GA_ORDERED, GA_UNORDERED)
 ALL_ALGORITHMS = (*GA_ALGORITHMS, FCFS, RANDOM)
-CONSTRAINT_NAMES = ("overlap", "incompatibility", "travel_gap")
+# Each fulfillment.csv constraint and the ``SolutionMetrics`` flag it counts.
+CONSTRAINT_FLAGS = (
+    ("overlap", "overlap_ok"),
+    ("incompatibility", "compatibility_ok"),
+    ("travel_gap", "travel_ok"),
+)
+CONSTRAINT_NAMES = tuple(name for name, _ in CONSTRAINT_FLAGS)
 STATS_HEADER = ("metric", "algo_a", "algo_b", "u", "p")
 
 
@@ -64,14 +70,14 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one (algorithm, trial) cell; error text when the run failed."""
+    """Outcome of one (algorithm, trial) cell; error text, and no result, when the run failed."""
 
     algorithm: str
     trial: int
-    schedule: Schedule | None
-    penalties: PenaltyBreakdown | None
-    fitness: float | None
-    metrics: SolutionMetrics | None
+    schedule: Schedule | None = None
+    penalties: PenaltyBreakdown | None = None
+    fitness: float | None = None
+    metrics: SolutionMetrics | None = None
     history: tuple[GenerationStats, ...] | None = None
     error: str | None = None
 
@@ -120,15 +126,33 @@ def run_algorithm(
         result = evolve(space, request, world.rules, ga, algorithm, ga_seed)
         return result.best, result.history
     if algorithm == FCFS:
-        return fcfs_schedule(space, request), None
+        return fcfs_schedule(space), None
     if algorithm == RANDOM:
-        return random_schedule(space, request, random.Random(random_seed)), None
+        return random_schedule(space, random.Random(random_seed)), None
     raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def solve_cell(
+    algorithm: str,
+    world: World,
+    request: ScheduleRequest,
+    ga: GAConfig,
+    ga_seed: int,
+    random_seed: int,
+    trial: int,
+) -> TrialRecord:
+    """``run_algorithm``, then its schedule scored: the one record ``solve`` and ``bench`` report.
+
+    A failed run raises; ``run_bench`` records the error as the cell's.
+    """
+    schedule, history = run_algorithm(algorithm, world, request, ga, ga_seed, random_seed)
+    penalties = compute_penalties(schedule, request, world.rules)
+    metrics = solution_metrics(schedule, world.rules, len(request.acts))
+    return TrialRecord(algorithm, trial, schedule, penalties, fitness(penalties), metrics, history)
 
 
 def run_bench(config: BenchConfig, world: World) -> BenchResult:
     """Run the full trial grid on ``world``; per-cell failures are recorded, not raised."""
-    rules = world.rules
     requests: list[ScheduleRequest] = []
     records: list[TrialRecord] = []
     for trial in range(config.trials):
@@ -139,33 +163,12 @@ def run_bench(config: BenchConfig, world: World) -> BenchResult:
         requests.append(request)
         for algorithm in config.algorithms:
             try:
-                schedule, history = run_algorithm(
-                    algorithm, world, request, config.ga, ga_seed, random_seed
-                )
-                penalties = compute_penalties(schedule, request, rules)
-                records.append(
-                    TrialRecord(
-                        algorithm=algorithm,
-                        trial=trial,
-                        schedule=schedule,
-                        penalties=penalties,
-                        fitness=fitness(penalties),
-                        metrics=solution_metrics(schedule, rules, len(request.acts)),
-                        history=history,
-                    )
+                record = solve_cell(
+                    algorithm, world, request, config.ga, ga_seed, random_seed, trial
                 )
             except Exception as exc:  # noqa: BLE001 - per-trial isolation by design
-                records.append(
-                    TrialRecord(
-                        algorithm=algorithm,
-                        trial=trial,
-                        schedule=None,
-                        penalties=None,
-                        fitness=None,
-                        metrics=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                record = TrialRecord(algorithm, trial, error=f"{type(exc).__name__}: {exc}")
+            records.append(record)
     return BenchResult(
         config=config, world=world, requests=tuple(requests), records=tuple(records)
     )
@@ -207,14 +210,9 @@ def fulfillment_rows(result: BenchResult) -> list[tuple[Any, ...]]:
         records = result.ok_records_for(algorithm)
         if not records:
             continue
-        flags = {
-            "overlap": [r.metrics.overlap_ok for r in records],
-            "incompatibility": [r.metrics.compatibility_ok for r in records],
-            "travel_gap": [r.metrics.travel_ok for r in records],
-        }
-        for constraint in CONSTRAINT_NAMES:
-            values = flags[constraint]
-            rows.append((algorithm, constraint, 100.0 * sum(values) / len(values)))
+        for constraint, flag in CONSTRAINT_FLAGS:
+            passed = sum(getattr(r.metrics, flag) for r in records)
+            rows.append((algorithm, constraint, 100.0 * passed / len(records)))
     return rows
 
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
 failure (a request naming exams the world lacks, unreadable or malformed
-files, or an unschedulable request: any act without a candidate slot after
-filtering, named with the filters set).  The ``MEDSCHED_SEED`` environment
-variable supplies the default seed wherever ``--seed`` is omitted.
+files, an unschedulable request: any act without a candidate slot after
+filtering, named with the filters set, or a bench cell that failed).  The
+``MEDSCHED_SEED`` environment variable supplies the default seed wherever
+``--seed`` is omitted.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,14 +25,12 @@ from .bench import (
     STATS_HEADER,
     BenchConfig,
     pairwise_stats,
-    run_algorithm,
     run_bench,
+    solve_cell,
     write_bench_csvs,
 )
 from .datagen import WorldConfig, generate_request, generate_world
-from .fitness import compute_penalties, fitness
 from .ga import GA_ORDERED, GAConfig, UnschedulableError
-from .metrics import solution_metrics
 from .worldio import (
     RequestError,
     WorldFormatError,
@@ -182,29 +182,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
             request, preferred_practitioners=frozenset(args.prefer_practitioner)
         )
 
-    schedule, history = run_algorithm(
-        args.algo, world, request, _ga_config(args), ga_seed=seed, random_seed=seed
-    )
-    penalties = compute_penalties(schedule, request, world.rules)
-    score = fitness(penalties)
-    metrics = solution_metrics(schedule, world.rules, len(request.acts))
+    record = solve_cell(args.algo, world, request, _ga_config(args), seed, seed, trial=0)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_request(request, out_dir / "request.json")
-    document = solution_to_dict(args.algo, request, schedule, penalties, score, metrics)
+    document = solution_to_dict(
+        args.algo, request, record.schedule, record.penalties, record.fitness, record.metrics
+    )
     save_solution(document, out_dir / "solution.json")
     written = ["request.json", "solution.json"]
-    if history is not None:
+    convergence = out_dir / "convergence.csv"
+    if record.history is None:
+        convergence.unlink(missing_ok=True)  # an earlier GA solve's, not this run's
+    else:
         write_csv(
-            out_dir / "convergence.csv",
+            convergence,
             ("generation", "best_fitness", "mean_fitness"),
-            [(s.generation, s.best_fitness, s.mean_fitness) for s in history],
+            [(s.generation, s.best_fitness, s.mean_fitness) for s in record.history],
         )
         written.append("convergence.csv")
     print(
-        f"{args.algo}: fitness {score:.6f}, {len(schedule)}/{len(request.acts)} acts "
-        f"scheduled, penalties {penalties.total():.1f} -> "
+        f"{args.algo}: fitness {record.fitness:.6f}, {len(record.schedule)}/{len(request.acts)} "
+        f"acts scheduled, penalties {record.penalties.total():.1f} -> "
         + ", ".join(str(out_dir / name) for name in written)
     )
     return 0
@@ -236,7 +236,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"({len(failures)} failed) -> "
         + ", ".join(str(p) for p in [out_dir / 'world.json', *paths])
     )
-    return 0
+    return 2 if failures else 0
 
 
 class ValueCsvError(ValueError):
@@ -255,7 +255,10 @@ def _read_value_csv(path: Path) -> tuple[str, dict[str, list[float]]]:
             if 0 < len(row) < 3:
                 raise ValueError(f"expected algorithm,trial,{header[2]}, got {row!r}")
             if row and row[2]:  # a blank line, or a blank (undefined) value, is skipped
-                samples.setdefault(row[0], []).append(float(row[2]))
+                value = float(row[2])
+                if not math.isfinite(value):
+                    raise ValueError(f"not a finite number: {row[2]!r}")
+                samples.setdefault(row[0], []).append(value)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueCsvError(f"malformed CSV file {path}, line {line}: not UTF-8") from None

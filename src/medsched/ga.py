@@ -242,9 +242,7 @@ def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
     return [Individual(draw()) for _ in range(size)]
 
 
-def decode(
-    individual: Genes, space: SearchSpace, request: ScheduleRequest
-) -> Schedule:
+def decode(individual: Genes, space: SearchSpace) -> Schedule:
     """Map genes to slots, one per act; a bad gene raises ``ValueError`` naming its act."""
     if len(individual) != space.act_count:
         raise ValueError(
@@ -344,7 +342,7 @@ def make_evaluator(
     rules: Iterable[IncompatibilityRule],
 ) -> Callable[[Genes], float]:
     """Fitness of a genome, equal (bit for bit) to
-    ``fitness(compute_penalties(decode(genes, space, request), request, rules))``.
+    ``fitness(compute_penalties(decode(genes, space), request, rules))``.
 
     The request is compiled once.  Each act's candidates become a tuple of
     picks ``(start, id, end, facility)`` indexed by gene, the pick
@@ -532,5 +530,5 @@ def evolve(
         best_idx = fitnesses.index(max(fitnesses))
 
     return EvolveResult(
-        best=decode(population[best_idx], space, request), history=tuple(history)
+        best=decode(population[best_idx], space), history=tuple(history)
     )

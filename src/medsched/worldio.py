@@ -170,31 +170,16 @@ _CONFIG_FIELDS = [
 
 
 def _head_to_dict(world: World) -> dict[str, Any]:
-    """Every section of the world document but ``slots``."""
-    cfg = world.config
+    """Every section of the world document but ``slots``, field for field.
+
+    ``json`` writes each str-enum member as its value and each tuple as a list.
+    """
     return {
         "format": WORLD_FORMAT,
-        "config": {
-            name: list(getattr(cfg, name)) if is_tuple else getattr(cfg, name)
-            for name, is_tuple in _CONFIG_FIELDS
-        },
-        "exams": [
-            {"id": e.id, "name": e.name, "specialty": e.specialty.value}
-            for e in world.exams
-        ],
-        "rules": [
-            {
-                "first": r.first,
-                "second": r.second,
-                "logic": r.logic.value,
-                "gap_minutes": r.gap_minutes,
-            }
-            for r in world.rules
-        ],
-        "facilities": [
-            {"id": f.id, "name": f.name, "rooms": list(f.rooms)}
-            for f in world.facilities
-        ],
+        "config": asdict(world.config),
+        "exams": list(map(asdict, world.exams)),
+        "rules": list(map(asdict, world.rules)),
+        "facilities": list(map(asdict, world.facilities)),
     }
 
 

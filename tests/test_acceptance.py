@@ -43,7 +43,6 @@ from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
     RuleLogic,
-    ScheduleRequest,
 )
 
 from conftest import make_schedule, make_slot
@@ -232,7 +231,7 @@ def test_criterion_6_ordered_init_head_start(bench):
 def enumerate_optimum(space, request, rules):
     best = -1.0
     for genes in itertools.product(*(range(len(b)) for b in space.per_act_slots)):
-        schedule = decode(Individual(tuple(genes)), space, request)
+        schedule = decode(Individual(tuple(genes)), space)
         score = fitness(compute_penalties(schedule, request, rules))
         if score > best:
             best = score
@@ -379,13 +378,12 @@ gene_strategy = st.tuples(
 )
 def property_one_hot_preserved(genes_a, genes_b, seed):
     rng = random.Random(seed)
-    request = ScheduleRequest(acts=("E00", "E01", "E02"))
     population = [Individual(genes_a), Individual(genes_b)]
     config = GAConfig(population=7, tournament_k=2)
     for child in next_generation(population, [0.5, 0.5], PROPERTY_SPACE, config, rng):
         for act, gene in enumerate(child.genes):
             assert 0 <= gene < len(PROPERTY_SPACE.per_act_slots[act])
-        assert len(decode(child, PROPERTY_SPACE, request)) == 3
+        assert len(decode(child, PROPERTY_SPACE)) == 3
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)

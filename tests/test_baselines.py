@@ -24,7 +24,7 @@ class TestFcfs:
         space = SearchSpace(
             per_act_slots=(block("E01", [("B", 0, 600), ("A", 0, 540)]),)
         )
-        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01",)))
+        schedule = fcfs_schedule(space)
         assert [slot.id for _, slot in schedule.assignments] == ["A"]
 
     def test_simultaneous_earliest_slots_collide(self):
@@ -34,7 +34,7 @@ class TestFcfs:
                 block("E02", [("B", 0, 540)]),
             )
         )
-        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01", "E02")))
+        schedule = fcfs_schedule(space)
         assert len(schedule) == 2
         assert len(find_overlaps(schedule)) == 1
 
@@ -45,20 +45,20 @@ class TestFcfs:
                 block("E02", [("B", 0, 900)]),
             )
         )
-        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01", "E02")))
+        schedule = fcfs_schedule(space)
         assert [slot.id for _, slot in schedule.assignments] == ["A", "B"]
 
     def test_slot_never_booked_twice(self):
         shared = block("E01", [("A", 0, 540), ("B", 0, 600)])
         space = SearchSpace(per_act_slots=(shared, shared))
-        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01", "E01")))
+        schedule = fcfs_schedule(space)
         assert [slot.id for _, slot in schedule.assignments] == ["A", "B"]
 
     def test_exhausted_block_leaves_act_unassigned(self):
         # Two acts of one exam share a single slot: the second goes unbooked.
         shared = block("E01", [("A", 0, 540)])
         space = SearchSpace(per_act_slots=(shared, shared))
-        schedule = fcfs_schedule(space, ScheduleRequest(acts=("E01", "E01")))
+        schedule = fcfs_schedule(space)
         assert [act for act, _ in schedule.assignments] == [0]
 
     def test_deterministic(self, default_world):
@@ -66,7 +66,7 @@ class TestFcfs:
 
         request = ScheduleRequest(acts=("E03", "E17", "E42"))
         space = filter_search_space(default_world.slots, request)
-        assert fcfs_schedule(space, request) == fcfs_schedule(space, request)
+        assert fcfs_schedule(space) == fcfs_schedule(space)
 
 
 class TestRandomChoice:
@@ -77,8 +77,7 @@ class TestRandomChoice:
                 block("E02", [("B", 1, 540)]),
             )
         )
-        request = ScheduleRequest(acts=("E01", "E02"))
-        schedule = random_schedule(space, request, random.Random(0))
+        schedule = random_schedule(space, random.Random(0))
         assert [slot.id for _, slot in schedule.assignments] == ["A", "B"]
 
     def test_same_seed_same_schedule(self):
@@ -88,21 +87,19 @@ class TestRandomChoice:
                 block("E02", [("D", 0, 700), ("E", 2, 540)]),
             )
         )
-        request = ScheduleRequest(acts=("E01", "E02"))
-        assert random_schedule(space, request, random.Random(7)) == random_schedule(
-            space, request, random.Random(7)
+        assert random_schedule(space, random.Random(7)) == random_schedule(
+            space, random.Random(7)
         )
 
     def test_selection_uniform_within_3_sigma(self):
         space = SearchSpace(
             per_act_slots=(block("E01", [(f"S{i}", i, 540) for i in range(5)]),)
         )
-        request = ScheduleRequest(acts=("E01",))
         rng = random.Random(42)
         counts = {f"S{i}": 0 for i in range(5)}
         n = 10_000
         for _ in range(n):
-            (_, slot), = random_schedule(space, request, rng).assignments
+            (_, slot), = random_schedule(space, rng).assignments
             counts[slot.id] += 1
         sigma = (n * 0.2 * 0.8) ** 0.5
         for count in counts.values():
@@ -116,9 +113,8 @@ class TestRandomChoice:
                 block("E03", [("F", 3, 540)]),
             )
         )
-        request = ScheduleRequest(acts=("E01", "E02", "E03"))
         for seed in range(20):
-            via_baseline = random_schedule(space, request, random.Random(seed))
+            via_baseline = random_schedule(space, random.Random(seed))
             genes = uniform_genes(space, random.Random(seed))
-            via_ga = decode(Individual(genes), space, request)
+            via_ga = decode(Individual(genes), space)
             assert via_baseline == via_ga

@@ -17,11 +17,13 @@ from medsched.bench import (
     RANDOM,
     BenchConfig,
     BenchResult,
+    TrialRecord,
     convergence_rows,
     fulfillment_rows,
     metric_samples,
     run_algorithm,
     run_bench,
+    solve_cell,
     stats_rows,
     trial_seeds,
     value_rows,
@@ -132,6 +134,30 @@ class TestRunAlgorithm:
                 result.best,
                 result.history,
             )
+
+
+class TestSolveCell:
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_bench_cell_is_solve_cell(self, small_world, small_result, algorithm):
+        # Each cell's record is solve_cell's on the trial's request and seeds.
+        for trial, request in enumerate(small_result.requests):
+            _, ga_seed, random_seed = trial_seeds(small_world.config.seed, trial)
+            (record,) = [
+                r for r in small_result.records if (r.algorithm, r.trial) == (algorithm, trial)
+            ]
+            assert record == solve_cell(
+                algorithm, small_world, request, SMALL_GA, ga_seed, random_seed, trial
+            )
+
+    def test_failed_cell_has_no_result(self, small_world, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bench, "run_algorithm", fail)
+        config = BenchConfig(trials=1, acts_per_request=3, algorithms=(FCFS,), ga=SMALL_GA)
+        (record,) = run_bench(config, world=small_world).records
+        assert record == TrialRecord(FCFS, 0, error="RuntimeError: boom")
+        assert (record.schedule, record.penalties, record.fitness, record.metrics) == (None,) * 4
 
 
 class TestRunBench:

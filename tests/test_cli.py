@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import medsched.bench as bench
 from medsched.bench import ALL_ALGORITHMS, BenchConfig
 from medsched.cli import _ga_config, build_parser, main
 from medsched.ga import GAConfig
@@ -49,6 +50,11 @@ def fast_solve_args(world_dir, out, *extra):
         "--tournament-k", "3",
         *extra,
     ]
+
+
+BENCH_FILES = (
+    "world.json", "convergence.csv", "fulfillment.csv", "itr.csv", "trips.csv", "stats.csv"
+)
 
 
 def read_solution(out):
@@ -153,6 +159,17 @@ class TestSolve:
         assert main(fast_solve_args(world_dir, out, "--algo", "fcfs")) == 0
         assert read_solution(out)["algorithm"] == "fcfs"
         assert not (out / "convergence.csv").exists()
+
+    def test_baseline_solve_removes_an_earlier_convergence(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(fast_solve_args(world_dir, out)) == 0
+        assert (out / "convergence.csv").exists()
+        capsys.readouterr()
+        assert main(fast_solve_args(world_dir, out, "--algo", "fcfs")) == 0
+        assert not (out / "convergence.csv").exists()
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"-> {out / 'request.json'}, {out / 'solution.json'}"
+        )
 
     def test_random_solver_runs(self, world_dir, tmp_path):
         out = tmp_path / "out"
@@ -387,14 +404,7 @@ class TestBench:
              "--population", "8", "--tournament-k", "3"]
         )
         assert code == 0
-        for name in (
-            "world.json",
-            "convergence.csv",
-            "fulfillment.csv",
-            "itr.csv",
-            "trips.csv",
-            "stats.csv",
-        ):
+        for name in BENCH_FILES:
             assert (out / name).exists()
         with open(out / "convergence.csv", newline="") as handle:
             rows = list(csv.reader(handle))
@@ -426,6 +436,30 @@ class TestBench:
         ) == 1
         assert "more than once: ['fcfs']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_cell_exits_2_after_writing_every_file(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
+        real = bench.run_algorithm
+
+        def flaky(algorithm, *args):
+            if algorithm == "random":
+                raise RuntimeError("boom")
+            return real(algorithm, *args)
+
+        monkeypatch.setattr(bench, "run_algorithm", flaky)
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--world", str(world_dir / "world.json"), "--out", str(out),
+             "--trials", "2", "--acts", "2", "--generations", "2",
+             "--population", "4", "--tournament-k", "2"]
+        )
+        assert code == 2
+        for name in BENCH_FILES:
+            assert (out / name).exists()
+        captured = capsys.readouterr()
+        assert "trial 1 random: RuntimeError: boom" in captured.err
+        assert "(2 failed)" in captured.out
 
     def test_invalid_trials_usage_error(self, world_dir, tmp_path):
         assert main(
@@ -477,8 +511,13 @@ class TestStats:
             ),
             (b"algorithm,trial,itr\nfcfs,0,0.5\nfcfs,1\n", 3, "expected algorithm,trial,itr"),
             (b"algorithm,trial,itr\nfcfs,0,0.5\n\xff,1,0.5\n", 3, "not UTF-8"),
+            (b"algorithm,trial,itr\nfcfs,0,0.5\nfcfs,1,nan\n", 3, "not a finite number: 'nan'"),
+            (b"algorithm,trial,itr\nfcfs,0,inf\n", 2, "not a finite number: 'inf'"),
+            (b"algorithm,trial,itr\nfcfs,0,0.5\nfcfs,1,-inf\n", 3, "not a finite number: '-inf'"),
+            (b"algorithm,trial,itr\nfcfs,0,1e999\n", 2, "not a finite number: '1e999'"),
         ],
-        ids=["empty", "headerless", "not-a-number", "short-row", "not-utf8"],
+        ids=["empty", "headerless", "not-a-number", "short-row", "not-utf8",
+             "nan", "inf", "minus-inf", "overflow"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, content, line, problem):
         path = tmp_path / "bad.csv"

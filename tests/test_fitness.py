@@ -59,7 +59,7 @@ class TestComputePenalties:
         # Three acts of one exam share a single slot, so FCFS books one.
         booked = make_slot(id="A", exam="E01", start=540, duration=30)
         request = ScheduleRequest(acts=("E01", "E01", "E01"))
-        schedule = fcfs_schedule(SearchSpace(per_act_slots=((booked,),) * 3), request)
+        schedule = fcfs_schedule(SearchSpace(per_act_slots=((booked,),) * 3))
         assert schedule == make_schedule(booked)
         breakdown = compute_penalties(schedule, request, [])
         assert breakdown.missing_slot == 1000

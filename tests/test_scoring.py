@@ -46,7 +46,7 @@ def reference_evaluator(space, request, rules):
     rules = tuple(rules)
 
     def evaluate(individual):
-        schedule = decode(individual, space, request)
+        schedule = decode(individual, space)
         return fitness(reference_penalties(schedule, request, rules))
 
     return evaluate
@@ -254,7 +254,7 @@ class TestOnePickLayout:
         with patch.object(
             constraints, "walk_picks", recording_walk(constraints.walk_picks, calls)
         ):
-            schedule_counts(decode(genes, space, request), rules)
+            schedule_counts(decode(genes, space), rules)
         evaluated, counted = calls
         assert evaluated == counted
 
@@ -338,7 +338,7 @@ class TestPassMatchesOracle:
     @given(scoring_cases())
     def test_property(self, case):
         space, request, rules, genes = case
-        schedule = decode(Individual(tuple(genes)), space, request)
+        schedule = decode(Individual(tuple(genes)), space)
         assert_pass_matches_oracle(schedule, request, rules)
 
     @settings(max_examples=1000, deadline=None)
@@ -420,7 +420,7 @@ class TestOverlapChains:
         )
         request = ScheduleRequest(acts=tuple(exams))
         genes = (0,) * len(layout)
-        schedule = decode(Individual(genes), space, request)
+        schedule = decode(Individual(genes), space)
         assert len(find_overlaps(schedule)) == overlaps
         assert_exact(space, request, (), genes)
 
