@@ -161,6 +161,12 @@ def cmd_gen_world(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    # An earlier run's outputs go first, so a failure leaves none; an input file stays.
+    out_dir = Path(args.out)
+    inputs = {Path(path).resolve() for path in (args.world, args.request) if path is not None}
+    for name in ("request.json", "solution.json", "convergence.csv"):
+        if (out_dir / name).resolve() not in inputs:
+            (out_dir / name).unlink(missing_ok=True)
     seed = _seed(args)
     world = _load_or_generate_world(args, seed)
     if args.request is not None:
@@ -184,7 +190,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     record = solve_cell(args.algo, world, request, _ga_config(args), seed, seed, trial=0)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_request(request, out_dir / "request.json")
     document = solution_to_dict(
@@ -192,12 +197,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     save_solution(document, out_dir / "solution.json")
     written = ["request.json", "solution.json"]
-    convergence = out_dir / "convergence.csv"
-    if record.history is None:
-        convergence.unlink(missing_ok=True)  # an earlier GA solve's, not this run's
-    else:
+    if record.history is not None:
         write_csv(
-            convergence,
+            out_dir / "convergence.csv",
             ("generation", "best_fitness", "mean_fitness"),
             [(s.generation, s.best_fitness, s.mean_fitness) for s in record.history],
         )

@@ -33,6 +33,7 @@ from .model import (
     SlotTable,
     TimeSlot,
     _START,
+    collector_paused,
 )
 
 
@@ -228,7 +229,7 @@ def _initializer(
             los = (bisect_left(block, slot.end, key=_START) for slot in prev_block)
             chain.append((act, [by_lo[lo if lo < size else 0] for lo in los]))
         prev_block = block
-    return lambda: _ordered_genes(chain, rng)
+    return partial(_ordered_genes, chain, rng)
 
 
 def init_population(draw: Callable[[], Genes], size: int) -> list[Individual]:
@@ -296,6 +297,7 @@ def next_generation(
     cut_bits = cut_width.bit_length()
 
     children: list[Individual] = []
+    append = children.append
     for _ in range(config.population // 2):
         parents = []
         for _ in (0, 1):
@@ -330,7 +332,7 @@ def next_generation(
                 while gene >= width:
                     gene = getrandbits(gene_bits)
                 genes = genes[:act] + (gene,) + genes[act + 1 :]
-            children.append(Individual(genes))
+            append(Individual(genes))
     del children[config.population - 1 :]
     children.append(population[fitnesses.index(max(fitnesses))])
     return children
@@ -371,11 +373,14 @@ def make_evaluator(
     start_day = request.start_day
 
     def evaluate(genes: Genes) -> float:
-        by_act = list(map(getitem, tables, genes))
-        picks = sorted(by_act)
+        if checks:
+            by_act = list(map(getitem, tables, genes))
+            picks = sorted(by_act)
+        else:  # ``walk_picks`` reads its ``by_position`` only through the checks
+            picks = by_act = sorted(map(getitem, tables, genes))
 
         overlaps, breaches, trips, transfers, wait = walk_picks(picks, checks, by_act)
-        lead = max(0, picks[0][0] // MINUTES_PER_DAY - start_day)
+        lead = picks[0][0] // MINUTES_PER_DAY - start_day
 
         # PenaltyBreakdown.total()'s order, less its missing-slot term (0): the float matches.
         total = (
@@ -383,7 +388,7 @@ def make_evaluator(
             + PER_TRIP_PENALTY * trips
             + TRAVEL_GAP_PENALTY * transfers
             + wait / WAIT_MINUTES_PER_POINT
-            + lead
+            + (lead if lead > 0 else 0)
         )
         return 1.0 / (1.0 + total)
 
@@ -399,10 +404,12 @@ def _replace_duplicates(
     it and each other, and a repeat is replaced by one fresh ``draw()``.
     """
     seen = {children[-1]}
-    for i, child in enumerate(children[:-1]):
+    add = seen.add
+    for i in range(len(children) - 1):
+        child = children[i]
         if child in seen:
             child = children[i] = Individual(draw())
-        seen.add(child)
+        add(child)
 
 
 def _memoised(
@@ -414,9 +421,9 @@ def _memoised(
     """``score(population)`` and ``polish(genes, value)``, sharing one fitness memo.
 
     The memo maps a genome, an individual or its equal gene tuple, to
-    ``evaluate``'s fitness and is emptied when it holds ``MEMO_LIMIT`` genomes.  ``score`` returns each
-    individual's fitness in order, evaluating the individual itself on a
-    miss.
+    ``evaluate``'s fitness.  A miss empties it if it holds ``MEMO_LIMIT``
+    genomes, then inserts the genome's fitness.  ``score`` returns each
+    individual's fitness in order, evaluating the individual itself on a miss.
 
     ``polish`` is a first-improvement one-gene hill climb from ``genes``
     (fitness ``value``).  Acts are scanned in order and each act's
@@ -426,18 +433,18 @@ def _memoised(
     """
     sizes = [len(block) for block in space.per_act_slots]
     memo: dict[Genes, float] = {}
-
-    def fill(individual: Individual) -> float:
-        if len(memo) >= MEMO_LIMIT:
-            memo.clear()
-        value = memo[individual] = evaluate(individual)
-        return value
+    get = memo.get
 
     def score(population: Sequence[Individual]) -> list[float]:
         values = []
+        append = values.append
         for individual in population:
-            value = memo.get(individual)
-            values.append(fill(individual) if value is None else value)
+            value = get(individual)
+            if value is None:
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                value = memo[individual] = evaluate(individual)
+            append(value)
         return values
 
     def polish(genes: Genes, value: float) -> tuple[Genes, float]:
@@ -450,10 +457,12 @@ def _memoised(
                     if gene == genes[act]:
                         continue
                     candidate = head + (gene,) + tail
-                    candidate_value = memo.get(candidate)
+                    candidate_value = get(candidate)
                     if candidate_value is None:
+                        if len(memo) >= MEMO_LIMIT:
+                            memo.clear()
                         # An evaluator may read ``.genes``: hand it an individual.
-                        candidate_value = fill(Individual(candidate))
+                        candidate_value = memo[candidate] = evaluate(Individual(candidate))
                     if candidate_value > value:
                         genes, value, improved = candidate, candidate_value, True
         return genes, value
@@ -461,6 +470,7 @@ def _memoised(
     return score, polish
 
 
+@collector_paused()
 def evolve(
     space: SearchSpace,
     request: ScheduleRequest,
@@ -491,6 +501,7 @@ def evolve(
     seen.  Fitness is memoised per run by genome, up to ``MEMO_LIMIT``
     genomes, and every random draw comes from one ``random.Random(seed)``,
     so a run is deterministic.  Any other ``algorithm`` raises ``ValueError``.
+    The cyclic collector stays paused (``model.collector_paused``) until the memo is freed.
     """
     rules = tuple(rules)
     rng = random.Random(seed)

@@ -184,7 +184,8 @@ class SlotTable(tuple):
 
 @contextmanager
 def collector_paused() -> Iterator[None]:
-    """Pause the cyclic collector for a bulk build of str/int tuples and dicts: no cycles."""
+    """Pause the cyclic collector for a phase that allocates many containers of
+    numbers and strings and nothing that refers back to itself: it makes no cycle."""
     enabled = gc.isenabled()
     gc.disable()
     try:

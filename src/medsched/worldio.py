@@ -299,7 +299,8 @@ def save_world(world: World, path: Path) -> None:
     nearly all of the document.
     """
     head = json.dumps(_head_to_dict(world), indent=2, sort_keys=True)
-    columns = list(zip(*world.slots)) or [()] * len(TimeSlot._fields)
+    with collector_paused():  # the transposition makes one tracked iterator per slot
+        columns = list(zip(*world.slots)) or [()] * len(TimeSlot._fields)
     body = ",\n".join(
         f'    "{name}": {json.dumps(column)}'
         for name, column in sorted(zip(TimeSlot._fields, columns))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
 import pytest
 
 from medsched.datagen import WorldConfig, generate_world
@@ -66,6 +69,22 @@ def unversioned_world_document(document):
         {**row, "start_label": f"{row['start'] // DAY}T{row['start'] % DAY}"} for row in rows
     ]
     return old
+
+
+def collections_during(function, *args, **kwargs):
+    """``function(*args, **kwargs)`` and a ``Counter`` of the cyclic
+    collections it ran, by generation."""
+    counts = Counter()
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        return function(*args, **kwargs), counts
+    finally:
+        gc.callbacks.remove(count)
 
 
 @pytest.fixture(scope="session")

@@ -171,6 +171,20 @@ class TestSolve:
             f"-> {out / 'request.json'}, {out / 'solution.json'}"
         )
 
+    def test_failed_solve_leaves_no_earlier_outputs(self, world_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(fast_solve_args(world_dir, out)) == 0
+        assert main(fast_solve_args(world_dir, out, "--start-day", "99")) == 2
+        assert sorted(out.iterdir()) == []
+
+    def test_request_read_from_the_output_directory_is_kept(self, world_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        save_request(ScheduleRequest(acts=("E07", "E11"), start_day=99), out / "request.json")
+        code = main(fast_solve_args(world_dir, out, "--request", str(out / "request.json")))
+        assert code == 2
+        assert json.loads((out / "request.json").read_text())["start_day"] == 99
+
     def test_random_solver_runs(self, world_dir, tmp_path):
         out = tmp_path / "out"
         assert main(fast_solve_args(world_dir, out, "--algo", "random")) == 0

@@ -1,6 +1,7 @@
 """Evolutionary engine: encoding, operators, generation loop."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
@@ -596,6 +597,34 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"unknown GA algorithm '{algorithm}'"):
             evolve(toy_space(), TOY_REQUEST, TOY_RULES, GAConfig(), algorithm, 0)
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_collector_paused_during_run_and_restored(self, enabled):
+        states = []
+        original = ga.make_evaluator
+
+        def make_evaluator(space, request, rules):
+            evaluate = original(space, request, rules)
+
+            def spy(genome):
+                states.append(gc.isenabled())
+                return evaluate(genome)
+
+            return spy
+
+        config = GAConfig(population=10, generations=3, tournament_k=2)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with patch.object(ga, "make_evaluator", make_evaluator):
+                evolve(toy_space(), TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 0)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="unknown GA algorithm"):
+                evolve(toy_space(), TOY_REQUEST, TOY_RULES, config, "fcfs", 0)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert states and not any(states)
+
     def test_zero_generations_returns_best_of_init(self):
         space = toy_space()
         config = GAConfig(population=40, generations=0)
@@ -1059,7 +1088,7 @@ def checking_evaluators(callers):
         def checked(genome):
             assert isinstance(genome, Individual)
             decode(genome.genes, space)  # raises on a bad genome
-            callers[sys._getframe(2).f_code.co_name] += 1  # evaluate <- fill <- caller
+            callers[sys._getframe(1).f_code.co_name] += 1  # evaluate <- caller
             return evaluate(genome)
 
         return checked

@@ -231,10 +231,15 @@ class TestMatchesReference:
 
 
 def recording_walk(original, calls):
-    """``original`` that also records each call's ``(picks, checks, by_position)``."""
+    """``original`` that also records each call's ``(picks, checks, by_position)``.
+
+    ``walk_picks`` reads ``by_position`` only through the checks, so without
+    checks it is recorded, and handed on, as ``None``.
+    """
 
     def walk(picks, checks, by_position):
-        calls.append((list(picks), list(checks), list(by_position)))
+        by_position = list(by_position) if checks else None
+        calls.append((list(picks), list(checks), by_position))
         return original(picks, checks, by_position)
 
     return walk

@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import json
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -40,7 +41,12 @@ from medsched.worldio import (
     write_csv,
 )
 
-from conftest import make_schedule, make_slot, unversioned_world_document
+from conftest import (
+    collections_during,
+    make_schedule,
+    make_slot,
+    unversioned_world_document,
+)
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "world.example.json"
 
@@ -348,8 +354,20 @@ class TestWorldPersistence:
             assert gc.isenabled() is enabled
             generate_world(config)
             assert gc.isenabled() is enabled
+            save_world(generate_world(config), good)
+            assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+    def test_save_runs_no_collection(self, tmp_path):
+        # The columns are built by transposing the slots, one tracked
+        # iterator per slot: with the collector running, that alone would
+        # trigger collections that walk every live slot.
+        world = generate_world(WorldConfig(horizon_days=30))
+        assert gc.isenabled()
+        gc.collect()
+        _, counts = collections_during(save_world, world, tmp_path / "world.json")
+        assert counts == Counter()
 
     def test_example_world_saves_byte_for_byte(self, tmp_path):
         path = tmp_path / "world.json"
