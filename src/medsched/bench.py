@@ -5,15 +5,25 @@ algorithm's ``solve_cell`` on it records fitness, penalties, metrics and (for
 the evolutionary variants) per-generation telemetry.  Aggregation emits the
 five benchmark tables: convergence, fulfillment, raw ITR, raw trips, and
 pairwise rank-sum comparisons.
+
+Every (algorithm, trial) cell carries its own seeds, so the cells are
+independent runs.  ``run_bench`` runs them on up to one forked worker per CPU
+in this process's affinity, never more than there are GA cells: a child
+inherits the world, the config and its cells, and pickles back only its
+records, which the parent puts back in cell order.  The records, and so
+every output file, are the same for any worker count; ``taskset -c 0`` makes
+the run serial.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean
-from typing import Any, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, Sequence
 
 from .baselines import fcfs_schedule, random_schedule
 from .datagen import World, generate_request
@@ -118,8 +128,9 @@ def run_algorithm(
 ) -> tuple[Schedule, tuple[GenerationStats, ...] | None]:
     """One solve; returns the schedule and, for evolutionary runs, the telemetry.
 
-    Any act without a candidate after filtering raises ``UnschedulableError``,
-    naming the acts and filters, for every algorithm; bench records a failed cell.
+    Any act without a candidate after filtering, or an exam with fewer
+    candidates than acts, raises ``UnschedulableError`` naming the exams and
+    filters, for every algorithm; bench records a failed cell.
     """
     space = filter_search_space(world.slots, request)
     if algorithm in GA_ALGORITHMS:
@@ -151,24 +162,139 @@ def solve_cell(
     return TrialRecord(algorithm, trial, schedule, penalties, fitness(penalties), metrics, history)
 
 
+# One (algorithm, trial) cell: (algorithm, trial, request, ga seed, random seed).
+Cell = tuple[str, int, ScheduleRequest, int, int]
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers safely.
+
+    A fork needs ``os.fork`` and ``os.sched_getaffinity``, and a process
+    with no other thread: a child holds only the forking thread, and any lock
+    another thread held stays held in it.
+    """
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_cells(cells: Sequence[Cell], world: World, ga: GAConfig) -> list[TrialRecord]:
+    """Each cell's ``solve_cell`` record; a cell that raises gets a failed record."""
+    records = []
+    for algorithm, trial, request, ga_seed, random_seed in cells:
+        try:
+            record = solve_cell(algorithm, world, request, ga, ga_seed, random_seed, trial)
+        except Exception as exc:  # noqa: BLE001 - per-trial isolation by design
+            record = TrialRecord(algorithm, trial, error=f"{type(exc).__name__}: {exc}")
+        records.append(record)
+    return records
+
+
+def _fork_worker(cells: Sequence[Cell], world: World, ga: GAConfig) -> tuple[int, BinaryIO]:
+    """Fork a child that pickles ``_run_cells(cells, ...)`` into a pipe; (pid, read end).
+
+    The child exits with status 0 after a complete write and 1 on any
+    exception, and never returns into the caller's stack.
+    """
+    # pickle and signal are imported only where a bench forks: at module
+    # level they would cost every command about 2.5 ms and 0.5 MB.
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_run_cells(cells, world, ga), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)  # else the parent's own copy keeps the pipe from reaching EOF
+    return pid, open(read_end, "rb")
+
+
+def _worker_records(cells: Sequence[Cell], data: bytes, status: int) -> list[TrialRecord]:
+    """The records a child sent, or a failed record per cell if it died or sent too little."""
+    import pickle
+
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            error = "worker sent an incomplete result"
+    elif code > 0:
+        error = f"worker exited with status {code}"
+    else:
+        error = f"worker killed by signal {-code}"
+    return [TrialRecord(algorithm, trial, error=error) for algorithm, trial, *_ in cells]
+
+
+def _run_in_workers(
+    shares: Sequence[Sequence[Cell]], world: World, ga: GAConfig
+) -> list[list[TrialRecord]]:
+    """``_run_cells`` on each share in its own forked child; the records per share.
+
+    Every child is reaped before this returns; on an exception, such as
+    ``KeyboardInterrupt``, the children not yet reaped are killed first.
+    """
+    import signal
+
+    running: dict[int, BinaryIO] = {}
+    try:
+        for share in shares:
+            pid, pipe = _fork_worker(share, world, ga)
+            running[pid] = pipe
+        results = []
+        for share, (pid, pipe) in zip(shares, list(running.items())):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del running[pid]
+            results.append(_worker_records(share, data, status))
+        return results
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_bench(config: BenchConfig, world: World) -> BenchResult:
-    """Run the full trial grid on ``world``; per-cell failures are recorded, not raised."""
+    """Run the full trial grid on ``world``; per-cell failures are recorded, not raised.
+
+    The cells run in this process when one worker or none would have a GA
+    cell; else the GA cells, then the baseline cells, are dealt round-robin
+    to ``min(usable_cpus(), GA cells)`` forked workers.
+    """
     requests: list[ScheduleRequest] = []
-    records: list[TrialRecord] = []
+    cells: list[Cell] = []
     for trial in range(config.trials):
         request_seed, ga_seed, random_seed = trial_seeds(world.config.seed, trial)
         request = generate_request(
             list(world.exams), world.config, config.acts_per_request, seed=request_seed
         )
         requests.append(request)
-        for algorithm in config.algorithms:
-            try:
-                record = solve_cell(
-                    algorithm, world, request, config.ga, ga_seed, random_seed, trial
-                )
-            except Exception as exc:  # noqa: BLE001 - per-trial isolation by design
-                record = TrialRecord(algorithm, trial, error=f"{type(exc).__name__}: {exc}")
-            records.append(record)
+        cells += [(algorithm, trial, request, ga_seed, random_seed) for algorithm in config.algorithms]
+    ga_cells = [i for i, cell in enumerate(cells) if cell[0] in GA_ALGORITHMS]
+    workers = min(usable_cpus(), len(ga_cells))
+    if workers <= 1:
+        records = _run_cells(cells, world, config.ga)
+    else:
+        order = ga_cells + [i for i, cell in enumerate(cells) if cell[0] not in GA_ALGORITHMS]
+        dealt = [order[w::workers] for w in range(workers)]
+        shares = _run_in_workers([[cells[i] for i in share] for share in dealt], world, config.ga)
+        by_cell = {
+            i: record for share, results in zip(dealt, shares) for i, record in zip(share, results)
+        }
+        records = [by_cell[i] for i in range(len(cells))]
     return BenchResult(
         config=config, world=world, requests=tuple(requests), records=tuple(records)
     )

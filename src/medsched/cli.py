@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error (bad flags or config values), 2 runtime
 failure (a request naming exams the world lacks, unreadable or malformed
 files, an unschedulable request: any act without a candidate slot after
-filtering, named with the filters set, or a bench cell that failed).  The
+filtering, or an exam with fewer candidate slots than acts, named with the
+filters set, or a bench cell that failed).  The
 ``MEDSCHED_SEED`` environment variable supplies the default seed wherever
 ``--seed`` is omitted.
 """

@@ -52,7 +52,7 @@ GA_UNORDERED = "ga-unordered"
 
 
 class UnschedulableError(Exception):
-    """Some act in the request has no candidate slot after filtering."""
+    """After filtering, some exam has fewer candidate slots than acts naming it."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,9 @@ def filter_search_space(
     keeps the index, so later requests never look at other exams' slots; any
     other iterable is indexed in a throwaway table.  Acts naming the same
     exam share one block.  If any act's block is empty, ``UnschedulableError``
-    names every such exam and the filters the request set.
+    names every such exam and the filters the request set; otherwise, if an
+    exam is requested more times than its block has slots, it names every
+    such exam with both counts, so no slot can be booked for two acts.
     """
     table = slots if isinstance(slots, SlotTable) else SlotTable(slots)
     facilities = request.preferred_facilities
@@ -145,14 +147,21 @@ def filter_search_space(
         if practitioners is not None:
             block = tuple([slot for slot in block if slot.practitioner in practitioners])
         blocks[exam] = block
-    empty = [exam for exam, block in blocks.items() if not block]
-    if empty:
+    short = [
+        f"{exam} (acts {request.acts.count(exam)}, slots {len(block)})"
+        for exam, block in blocks.items()
+        if len(block) < request.acts.count(exam)
+    ]
+    if short:
         filters = [f"start_day={request.start_day}"] if request.start_day else []
         for name, chosen in (("facilities", facilities), ("practitioners", practitioners)):
             if chosen is not None:
                 filters.append(f"{name}={sorted(chosen)}")
         under = f" under {', '.join(filters)}" if filters else ""
-        raise UnschedulableError(f"no candidate slots for {', '.join(empty)}{under}")
+        empty = [exam for exam, block in blocks.items() if not block]
+        if empty:
+            raise UnschedulableError(f"no candidate slots for {', '.join(empty)}{under}")
+        raise UnschedulableError(f"more acts than candidate slots for {', '.join(short)}{under}")
     return SearchSpace(per_act_slots=tuple(blocks[exam] for exam in request.acts))
 
 

@@ -1,8 +1,12 @@
 """Benchmark harness: trial grid, seed streams, aggregation tables."""
 
 import csv
+import os
 import re
-from dataclasses import fields
+import signal
+import threading
+import time
+from dataclasses import fields, replace
 
 import pytest
 
@@ -240,6 +244,125 @@ class TestRunBench:
                 f"under start_day={SMALL_WORLD_CONFIG.horizon_days}"
             )
             assert record.schedule is None and record.metrics is None
+
+    def test_more_acts_than_slots_fails_every_cell(self, small_world, monkeypatch):
+        # One act more than the exam has slots on its last day.
+        exam = small_world.exams[0].id
+        last_day = max(slot.day for slot in small_world.slots if slot.exam == exam)
+        slots = sum(slot.exam == exam and slot.day == last_day for slot in small_world.slots)
+        request = ScheduleRequest(acts=(exam,) * (slots + 1), start_day=last_day)
+        monkeypatch.setattr(bench, "generate_request", lambda *args, **kwargs: request)
+        result = run_bench(BenchConfig(trials=1, ga=SMALL_GA), small_world)
+        assert [r.algorithm for r in result.records] == list(ALL_ALGORITHMS)
+        for record in result.records:
+            assert record.error == (
+                f"UnschedulableError: more acts than candidate slots for {exam} "
+                f"(acts {slots + 1}, slots {slots}) under start_day={last_day}"
+            )
+
+
+# Each grid and the forks two workers make for it: none without a GA cell.
+WORKER_GRIDS = {
+    "3 trials x 4 algorithms": (SMALL_BENCH, 2),
+    "ga-ordered alone": (replace(SMALL_BENCH, algorithms=(GA_ORDERED,)), 2),
+    "1 trial x 4 algorithms": (replace(SMALL_BENCH, trials=1), 2),
+    "baselines only": (replace(SMALL_BENCH, algorithms=(FCFS, RANDOM)), 0),
+}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    def test_usable_cpus_is_the_affinity_where_a_fork_is_safe(self, monkeypatch):
+        assert bench.usable_cpus() == len(os.sched_getaffinity(0))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert bench.usable_cpus() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert bench.usable_cpus() == 1
+
+    @pytest.mark.parametrize(("config", "forks"), WORKER_GRIDS.values(), ids=WORKER_GRIDS)
+    def test_worker_count_does_not_change_outputs(
+        self, small_world, tmp_path, monkeypatch, config, forks
+    ):
+        forked = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(os.getpid()) or real_fork())
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(bench, "usable_cpus", lambda workers=workers: workers)
+            results[workers] = run_bench(config, small_world)
+            write_bench_csvs(results[workers], tmp_path / str(workers))
+        assert len(forked) == forks
+        assert all(record.error is None for record in results[2].records)
+        assert results[1] == results[2]
+        for path in (tmp_path / "1").iterdir():
+            assert path.read_bytes() == (tmp_path / "2" / path.name).read_bytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        ("die", "error"),
+        [
+            (lambda: os._exit(3), "worker exited with status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), "worker killed by signal 9"),
+            (lambda: os._exit(0), "worker sent an incomplete result"),
+        ],
+        ids=["status 3", "killed", "short result"],
+    )
+    def test_dead_worker_fails_its_share_only(self, small_world, monkeypatch, die, error):
+        real = bench.solve_cell
+
+        def dies_on_unordered(algorithm, *args):
+            if algorithm == GA_UNORDERED:
+                die()
+            return real(algorithm, *args)
+
+        monkeypatch.setattr(bench, "solve_cell", dies_on_unordered)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+        result = run_bench(replace(SMALL_BENCH, trials=1), small_world)
+        # The GA cells are dealt first: the first worker runs ga-ordered and
+        # fcfs, the second ga-unordered and random.
+        assert [r.algorithm for r in result.records] == list(ALL_ALGORITHMS)
+        assert {r.algorithm: r.error for r in result.records} == {
+            GA_ORDERED: None, GA_UNORDERED: error, FCFS: None, RANDOM: error
+        }
+        _, ga_seed, random_seed = trial_seeds(small_world.config.seed, 0)
+        for record in result.records:
+            if record.error is None:
+                assert record == solve_cell(
+                    record.algorithm, small_world, result.requests[0], SMALL_GA, ga_seed, random_seed, 0
+                )
+        assert_no_child_left()
+
+    def test_interrupted_parent_kills_its_workers(self, small_world, monkeypatch):
+        # Each worker sleeps in its first cell; the parent, waiting on their
+        # pipes, is interrupted by an alarm.
+        monkeypatch.setattr(bench, "solve_cell", lambda *args: time.sleep(60))
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)  # long after both forks
+            with pytest.raises(KeyboardInterrupt):
+                run_bench(SMALL_BENCH, small_world)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 class TestAggregationRows:

@@ -3,9 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import medsched
 import medsched.bench as bench
 from medsched.bench import ALL_ALGORITHMS, BenchConfig
 from medsched.cli import _ga_config, build_parser, main
@@ -35,6 +40,13 @@ def world_dir(tmp_path_factory):
 def seed_one_world(tmp_path_factory):
     path = tmp_path_factory.mktemp("seed-one")
     assert main(["gen-world", "--seed", "1", "--out", str(path)]) == 0
+    return path / "world.json"
+
+
+@pytest.fixture(scope="module")
+def seed_42_world(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seed-42")
+    assert main(["gen-world", "--seed", "42", "--out", str(path)]) == 0
     return path / "world.json"
 
 
@@ -256,6 +268,28 @@ class TestSolve:
         ) in capsys.readouterr().err
         assert not (out / "solution.json").exists()
 
+    @pytest.mark.parametrize("algo", ALL_ALGORITHMS)
+    def test_exam_requested_more_often_than_it_has_slots_exits_2(
+        self, seed_42_world, tmp_path, capsys, algo
+    ):
+        # E15 has one slot from day 29 with P1: FCFS used to book one act of
+        # two, and the GA the one slot twice.
+        request = tmp_path / "request.json"
+        request.write_text(
+            json.dumps({"acts": ["E15", "E15"], "start_day": 29, "preferred_practitioners": ["P1"]})
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["solve", "--world", str(seed_42_world), "--request", str(request),
+             "--algo", algo, "--out", str(out)]
+        )
+        assert code == 2
+        assert (
+            "error: unschedulable: more acts than candidate slots for E15 (acts 2, slots 1) "
+            "under start_day=29, practitioners=['P1']"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_world_file_exits_2(self, tmp_path):
         assert main(
             ["solve", "--world", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -475,6 +509,36 @@ class TestBench:
         assert "trial 1 random: RuntimeError: boom" in captured.err
         assert "(2 failed)" in captured.out
 
+    def test_dead_worker_exits_2_after_writing_every_file(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The second of two workers runs every ga-unordered and random cell.
+        real = bench.solve_cell
+
+        def dies_on_unordered(algorithm, *args):
+            if algorithm == "ga-unordered":
+                os._exit(3)
+            return real(algorithm, *args)
+
+        monkeypatch.setattr(bench, "solve_cell", dies_on_unordered)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
+        out = tmp_path / "bench"
+        code = main(
+            ["bench", "--world", str(world_dir / "world.json"), "--out", str(out),
+             "--trials", "2", "--acts", "2", "--generations", "2",
+             "--population", "4", "--tournament-k", "2"]
+        )
+        assert code == 2
+        for name in BENCH_FILES:
+            assert (out / name).exists()
+        captured = capsys.readouterr()
+        for trial in (0, 1):
+            for algorithm in ("ga-unordered", "random"):
+                assert f"trial {trial} {algorithm}: worker exited with status 3" in captured.err
+        assert "(4 failed)" in captured.out
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_invalid_trials_usage_error(self, world_dir, tmp_path):
         assert main(
             ["bench", "--world", str(world_dir / "world.json"),
@@ -590,3 +654,21 @@ class TestExitCodes:
     def test_invalid_env_seed_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MEDSCHED_SEED", "not-a-number")
         assert main(["gen-world", "--out", str(tmp_path)]) == 1
+
+
+def test_cli_import_loads_no_process_pool_module():
+    # ``bench`` forks its workers itself, and imports pickle only to do so:
+    # these imports would add to the start-up time and memory of every command.
+    src = Path(medsched.__file__).resolve().parent.parent
+    code = (
+        "import sys, medsched.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout == "[]\n"

@@ -127,16 +127,27 @@ class TestFilterSearchSpace:
         assert [s.id for s in space.per_act_slots[0]] == ["M", "A", "Z"]
 
     def test_one_block_per_act_with_repeats(self):
-        slots = [make_slot(id="A", exam="E01", start=540)]
+        slots = [make_slot(id="A", exam="E01", start=540), make_slot(id="B", exam="E01", start=600)]
         space = filter_search_space(slots, ScheduleRequest(acts=("E01", "E01")))
         assert space.act_count == 2
         assert space.per_act_slots[0] == space.per_act_slots[1]
+
+    def test_rejects_more_acts_than_slots(self):
+        # Two acts would have to share the block's one slot.
+        slots = [make_slot(id="A", exam="E01", start=540), make_slot(id="B", exam="E02")]
+        request = ScheduleRequest(acts=("E01", "E02", "E01"), preferred_practitioners=frozenset({"P1"}))
+        with pytest.raises(UnschedulableError) as error:
+            filter_search_space(slots, request)
+        assert str(error.value) == (
+            "more acts than candidate slots for E01 (acts 2, slots 1) under practitioners=['P1']"
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_equals_per_act_reference_or_names_the_empty_exams(self, data):
         # Requests vary start_day (past the slots' last day too), preference
-        # sets and repeated acts, and name "E9", which no slot has.  One
+        # sets and repeated acts (more, at times, than an exam's block has
+        # slots), and name "E9", which no slot has.  One
         # table answers them all; any other iterable is indexed in a
         # throwaway table.  With at least ten slots, and "E9" one act in ten,
         # many requests filter to non-empty blocks too.
@@ -227,17 +238,29 @@ def reference_blocks(slots, request):
 def assert_filters_like_reference(filter_input, slots, request):
     """``filter_search_space`` returns the reference's blocks, or raises
     ``UnschedulableError`` naming exactly the exams the reference leaves
-    without a candidate, and the filters the request set."""
-    blocks = reference_blocks(slots, request)
-    empty = list(dict.fromkeys(exam for exam, block in zip(request.acts, blocks) if not block))
-    if not empty:
-        assert filter_search_space(filter_input, request).per_act_slots == blocks
+    without a candidate or, when there is none, the exams with fewer
+    candidates than acts and both counts; and the filters the request set."""
+    blocks = dict(zip(request.acts, reference_blocks(slots, request)))
+    empty = [exam for exam, block in blocks.items() if not block]
+    short = [
+        f"{exam} (acts {request.acts.count(exam)}, slots {len(block)})"
+        for exam, block in blocks.items()
+        if 0 < len(block) < request.acts.count(exam)
+    ]
+    if not empty and not short:
+        space = filter_search_space(filter_input, request)
+        assert space.per_act_slots == tuple(blocks[exam] for exam in request.acts)
         return
     with pytest.raises(UnschedulableError) as error:
         filter_search_space(filter_input, request)
-    message = str(error.value).removeprefix("no candidate slots for ")
-    named, _, filters = message.partition(" under ")
-    assert named.split(", ") == empty
+    if empty:
+        message = str(error.value).removeprefix("no candidate slots for ")
+        named, _, filters = message.partition(" under ")
+        assert named.split(", ") == empty
+    else:
+        message = str(error.value).removeprefix("more acts than candidate slots for ")
+        named, _, filters = message.partition(" under ")
+        assert named == ", ".join(short)
     assert ("start_day=" in filters) == (request.start_day > 0)
     assert ("facilities=" in filters) == (request.preferred_facilities is not None)
     assert ("practitioners=" in filters) == (request.preferred_practitioners is not None)

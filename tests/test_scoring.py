@@ -81,10 +81,10 @@ def scoring_cases(draw):
         acts=tuple(draw(st.lists(st.sampled_from(EXAMS), min_size=1, max_size=5))),
         start_day=draw(st.integers(0, 2)),
     )
-    # One slot per exam on or after the start day, so no block is empty,
-    # then up to 13 more on any day, all in a drawn order.
+    # One slot per act on or after the start day, so no exam has fewer
+    # candidates than acts, then up to 13 more on any day, all in a drawn order.
     exams = list(dict.fromkeys(request.acts))
-    fields = [draw(raw_slots([exam], request.start_day)) for exam in exams]
+    fields = [draw(raw_slots([exam], request.start_day)) for exam in request.acts]
     fields += draw(st.lists(raw_slots(exams, 0), max_size=13))
     fields = draw(st.permutations(fields))
     slots = [
