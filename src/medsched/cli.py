@@ -223,9 +223,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         algorithms=algorithms,
         ga=_ga_config(args),
     )
-    result = run_bench(config, world)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the grid, so a bad --out costs no run
+    result = run_bench(config, world)
     save_world(world, out_dir / "world.json")
     paths = write_bench_csvs(result, out_dir)
     failures = [r for r in result.records if r.error is not None]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import getitem
 from statistics import fmean
 from typing import Callable, Iterable, Sequence
@@ -37,11 +37,13 @@ from .model import (
 )
 
 
-# Size at which `evolve` empties its per-run fitness memo.  A default run
-# (seeds 3, 7 and 42, both variants) scores 13.9k-16.3k distinct genomes;
-# with this limit it makes 1.5-3.6% more evaluations than with an unbounded
-# memo, and its tracemalloc peak is 0.6-1.2 MB lower (about 1.1 against 2.1 MB).
-MEMO_LIMIT = 8192
+# How many genomes `evolve`'s per-run fitness cache keeps, dropping the least
+# recently used.  On the default world (seeds 3, 7 and 42, both variants) a
+# run makes 14.1k-15.4k evaluations with it, within 0.7% of a memo of 8192
+# that empties when full, for a tracemalloc peak of 1.43-1.59 MB (that memo:
+# 1.13-1.32 MB).  A cache of 8192 stays full: 1.3-2.1% fewer evaluations for
+# a 2.60-2.77 MB peak; one of 2048 makes 0.4-1.9% more.
+MEMO_LIMIT = 4096
 
 # A genome's genes, one per act; an ``Individual`` is one.
 Genes = tuple[int, ...]
@@ -421,62 +423,30 @@ def _replace_duplicates(
         add(child)
 
 
-def _memoised(
-    space: SearchSpace, evaluate: Callable[[Individual], float]
-) -> tuple[
-    Callable[[Sequence[Individual]], list[float]],
-    Callable[[Genes, float], tuple[Genes, float]],
-]:
-    """``score(population)`` and ``polish(genes, value)``, sharing one fitness memo.
+def _polish(
+    genes: Individual, value: float, space: SearchSpace, cached: Callable[[Individual], float]
+) -> tuple[Individual, float]:
+    """A first-improvement one-gene hill climb from ``genes`` (fitness ``value``).
 
-    The memo maps a genome, an individual or its equal gene tuple, to
-    ``evaluate``'s fitness.  A miss empties it if it holds ``MEMO_LIMIT``
-    genomes, then inserts the genome's fitness.  ``score`` returns each
-    individual's fitness in order, evaluating the individual itself on a miss.
-
-    ``polish`` is a first-improvement one-gene hill climb from ``genes``
-    (fitness ``value``).  Acts are scanned in order and each act's
-    candidates by position; any strictly better one-gene neighbour is taken
-    at once.  It stops after a full pass finds none, so the result is a
-    local optimum under one-gene moves.
+    Acts are scanned in order and each act's candidates by position; any
+    strictly better one-gene neighbour is taken at once.  It stops after a
+    full pass finds none, so the result is a local optimum under one-gene
+    moves.  Each neighbour is scored by ``cached`` as an ``Individual``,
+    since an evaluator may read ``.genes``.
     """
-    sizes = [len(block) for block in space.per_act_slots]
-    memo: dict[Genes, float] = {}
-    get = memo.get
-
-    def score(population: Sequence[Individual]) -> list[float]:
-        values = []
-        append = values.append
-        for individual in population:
-            value = get(individual)
-            if value is None:
-                if len(memo) >= MEMO_LIMIT:
-                    memo.clear()
-                value = memo[individual] = evaluate(individual)
-            append(value)
-        return values
-
-    def polish(genes: Genes, value: float) -> tuple[Genes, float]:
-        improved = True
-        while improved:
-            improved = False
-            for act, size in enumerate(sizes):
-                head, tail = genes[:act], genes[act + 1 :]
-                for gene in range(size):
-                    if gene == genes[act]:
-                        continue
-                    candidate = head + (gene,) + tail
-                    candidate_value = get(candidate)
-                    if candidate_value is None:
-                        if len(memo) >= MEMO_LIMIT:
-                            memo.clear()
-                        # An evaluator may read ``.genes``: hand it an individual.
-                        candidate_value = memo[candidate] = evaluate(Individual(candidate))
-                    if candidate_value > value:
-                        genes, value, improved = candidate, candidate_value, True
-        return genes, value
-
-    return score, polish
+    improved = True
+    while improved:
+        improved = False
+        for act, size in enumerate(map(len, space.per_act_slots)):
+            head, tail = genes[:act], genes[act + 1 :]
+            for gene in range(size):
+                if gene == genes[act]:
+                    continue
+                candidate = Individual(head + (gene,) + tail)
+                candidate_value = cached(candidate)
+                if candidate_value > value:
+                    genes, value, improved = candidate, candidate_value, True
+    return genes, value
 
 
 @collector_paused()
@@ -496,7 +466,7 @@ def evolve(
     the last generation:
 
     - after the history row is recorded, the generation's best genome is
-      polished by a first-improvement one-gene hill climb (``_memoised``)
+      polished by a first-improvement one-gene hill climb (``_polish``)
       and replaces that best, so the polished genome is the next
       generation's elite; a genome a polish returned is a local optimum,
       which polishing would return unchanged, so it is never polished again;
@@ -507,10 +477,11 @@ def evolve(
 
     Elitism carries the best genome forward, so recorded best fitness never
     decreases and the last generation's best, which is returned, is the best
-    seen.  Fitness is memoised per run by genome, up to ``MEMO_LIMIT``
-    genomes, and every random draw comes from one ``random.Random(seed)``,
-    so a run is deterministic.  Any other ``algorithm`` raises ``ValueError``.
-    The cyclic collector stays paused (``model.collector_paused``) until the memo is freed.
+    seen.  ``make_evaluator``'s evaluator is wrapped once per run in an
+    ``lru_cache`` of ``MEMO_LIMIT`` genomes, which scoring and polishing
+    share, and every random draw comes from one ``random.Random(seed)``, so
+    a run is deterministic.  Any other ``algorithm`` raises ``ValueError``.
+    The cyclic collector stays paused (``model.collector_paused``) until the cache is freed.
     """
     rules = tuple(rules)
     rng = random.Random(seed)
@@ -521,13 +492,11 @@ def evolve(
     else:
         raise ValueError(f"unknown GA algorithm {algorithm!r}")
     population = init_population(draw, config.population)
-    evaluate = make_evaluator(space, request, rules)
-
-    score, polish = _memoised(space, evaluate)
+    cached = lru_cache(maxsize=MEMO_LIMIT)(make_evaluator(space, request, rules))
 
     history: list[GenerationStats] = []
-    polished: set[Genes] = set()  # every genome ``polish`` has returned
-    fitnesses = score(population)
+    polished: set[Genes] = set()  # every genome ``_polish`` has returned
+    fitnesses = list(map(cached, population))
     best_idx = fitnesses.index(max(fitnesses))
     for generation in range(config.generations):
         history.append(
@@ -541,12 +510,12 @@ def evolve(
             break
         best = population[best_idx]
         if best not in polished:
-            genes, fitnesses[best_idx] = polish(best, fitnesses[best_idx])
-            polished.add(genes)
-            population[best_idx] = Individual(genes)
+            best, fitnesses[best_idx] = _polish(best, fitnesses[best_idx], space, cached)
+            polished.add(best)
+            population[best_idx] = best
         population = next_generation(population, fitnesses, space, config, rng)
         _replace_duplicates(population, draw)
-        fitnesses = score(population)
+        fitnesses = list(map(cached, population))
         best_idx = fitnesses.index(max(fitnesses))
 
     return EvolveResult(

@@ -13,6 +13,7 @@ from collections import defaultdict, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mod
 from typing import Any, Iterable, Iterator, Sequence
@@ -157,13 +158,13 @@ class SlotTable(tuple):
     table from its slots, so a copy starts with no index.
     """
 
+    @cached_property
+    def _exams(self) -> dict[str, tuple[TimeSlot, ...]]:
+        return _exam_index(self)
+
     def exam_slots(self, exam: str) -> tuple[TimeSlot, ...]:
         """``exam``'s slots sorted by (start, id), one tuple kept per exam; ``()`` if none."""
-        try:
-            index = self._exams
-        except AttributeError:
-            index = self._exams = _exam_index(self)
-        return index.get(exam, ())
+        return self._exams.get(exam, ())
 
     def __reduce__(self) -> tuple[type, tuple[tuple[TimeSlot, ...]]]:
         return type(self), (tuple(self),)

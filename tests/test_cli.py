@@ -12,6 +12,7 @@ import pytest
 
 import medsched
 import medsched.bench as bench
+import medsched.cli as cli
 from medsched.bench import ALL_ALGORITHMS, BenchConfig
 from medsched.cli import _ga_config, build_parser, main
 from medsched.ga import GAConfig
@@ -484,6 +485,22 @@ class TestBench:
         ) == 1
         assert "more than once: ['fcfs']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_naming_a_file_exits_2_before_the_grid_runs(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("run_bench called")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main(
+            ["bench", "--world", str(world_dir / "world.json"), "--out", str(out),
+             "--trials", "1", "--acts", "2"]
+        ) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
 
     def test_failed_cell_exits_2_after_writing_every_file(
         self, world_dir, tmp_path, capsys, monkeypatch

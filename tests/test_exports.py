@@ -37,6 +37,8 @@ REMOVED = {
     "_slot_from_dict",
     "_slots_from_list",
     "_SLOT_JSON",
+    # The hand-written fitness memo, replaced by ``functools.lru_cache``.
+    "_memoised",
 }
 
 # Names that moved to the tests' oracle (``tests/oracle.py``) or beside the

@@ -8,9 +8,10 @@ import pickle
 import random
 import sys
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import fields, replace
-from functools import partial
+from functools import lru_cache, partial
+from statistics import fmean
 from unittest.mock import patch
 
 import pytest
@@ -770,18 +771,13 @@ class TestEvolve:
         # earlier polish started from or returned would return it unchanged.
         calls = []
 
-        def counting(space, evaluate):
-            score, polish = memoised(space, evaluate)
+        def counting(genes, value, space, cached):
+            result = polish(genes, value, space, cached)
+            calls.append((genes, result[0]))
+            return result
 
-            def counted(genes, value):
-                result = polish(genes, value)
-                calls.append((genes, result[0]))
-                return result
-
-            return score, counted
-
-        memoised = ga._memoised
-        monkeypatch.setattr(ga, "_memoised", counting)
+        polish = ga._polish
+        monkeypatch.setattr(ga, "_polish", counting)
         request = generate_request(list(default_world.exams), default_world.config, 5, seed=7)
         space = filter_search_space(default_world.slots, request)
         evolve(space, request, default_world.rules, GAConfig(), GA_ORDERED, 7)
@@ -1090,18 +1086,17 @@ class TestBreedingReplaysRandrange:
             assert ours.getstate() == theirs.getstate()
 
 
-# The fitness memo's ``score`` as it was before it scored whole populations,
-# keyed by a mixed-radix integer rather than the gene tuple, and the one-gene
-# polish as a plain scan over that scorer: independent oracles the shared
-# memo's ``score`` and ``polish`` must replay, evaluator call for evaluator
-# call.
+# The fitness cache as an independent oracle: an ``OrderedDict`` keyed by a
+# mixed-radix integer rather than the gene tuple, least recently used first
+# out, and the one-gene polish as a plain scan over it.  ``evolve``'s scoring
+# and ``_polish`` must replay them, evaluator call for evaluator call.
 
 
 def checking_evaluators(callers):
     """``ga.make_evaluator`` whose evaluators first ``decode`` every genome.
 
-    ``callers`` counts the scoring calls by the ``_memoised`` closure
-    (``score`` or ``polish``) that made them.
+    ``callers`` counts the scoring calls by the function (``evolve`` or
+    ``_polish``) whose cache miss made them.
     """
     original = ga.make_evaluator
 
@@ -1111,7 +1106,8 @@ def checking_evaluators(callers):
         def checked(genome):
             assert isinstance(genome, Individual)
             decode(genome.genes, space)  # raises on a bad genome
-            callers[sys._getframe(1).f_code.co_name] += 1  # evaluate <- caller
+            # evaluate <- the C cache and ``map`` (no frames) <- caller
+            callers[sys._getframe(1).f_code.co_name] += 1
             return evaluate(genome)
 
         return checked
@@ -1132,7 +1128,7 @@ class TestEvaluatorSeesOnlyBredGenomes:
         callers = Counter()
         with patch.object(ga, "make_evaluator", checking_evaluators(callers)):
             evolve(space, request, default_world.rules, GAConfig(), algorithm, seed)
-        assert set(callers) == {"score", "polish"}
+        assert set(callers) == {"evolve", "_polish"}
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), algorithm=st.sampled_from(GA_ALGORITHMS), seed=SEEDS)
@@ -1153,13 +1149,13 @@ class TestEvaluatorSeesOnlyBredGenomes:
         callers = Counter()
         with patch.object(ga, "make_evaluator", checking_evaluators(callers)):
             evolve(space, request, rules, config, algorithm, seed)
-        assert callers["score"] > 0
-        assert set(callers) <= {"score", "polish"}
+        assert callers["evolve"] > 0
+        assert set(callers) <= {"evolve", "_polish"}
 
 
 def oracle_scorer(space, evaluate, limit):
     radices = [len(block) for block in space.per_act_slots]
-    memo = {}
+    memo = OrderedDict()
 
     def key_of(genes):
         key = 0
@@ -1167,18 +1163,17 @@ def oracle_scorer(space, evaluate, limit):
             key = key * radix + gene
         return key
 
-    def fill(key, genes):
-        if len(memo) >= limit:
-            memo.clear()
-        value = memo[key] = evaluate(Individual(genes))
-        return value
-
     def score(genes):
         key = key_of(genes)
-        value = memo.get(key)
-        return fill(key, genes) if value is None else value
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = memo[key] = evaluate(Individual(genes))
+        if len(memo) > limit:
+            memo.popitem(last=False)
+        return value
 
-    return score, key_of
+    return score
 
 
 def oracle_polish(genes, value, space, score):
@@ -1209,33 +1204,92 @@ def recording_evaluator(seed):
     return evaluate, calls
 
 
+def recorded_evolve(space, config, algorithm, seed, evaluate):
+    """``evolve`` on ``space`` with ``evaluate`` as its evaluator.
+
+    Returns the result and, in order, each population ``evolve`` scored as
+    ``("score", genomes)`` and each polish as ``("polish", genes, value,
+    returned)``.
+    """
+    events = []
+    init, replace_duplicates, polish = ga.init_population, ga._replace_duplicates, ga._polish
+
+    def initial(draw, size):
+        population = init(draw, size)
+        events.append(("score", list(population)))
+        return population
+
+    def redrawn(children, draw):
+        replace_duplicates(children, draw)
+        events.append(("score", list(children)))
+
+    def polished(genes, value, space, cached):
+        returned = polish(genes, value, space, cached)
+        events.append(("polish", genes, value, returned))
+        return returned
+
+    request = ScheduleRequest(acts=tuple(block[0].exam for block in space.per_act_slots))
+    with patch.multiple(
+        ga,
+        make_evaluator=lambda *args: evaluate,
+        init_population=initial,
+        _replace_duplicates=redrawn,
+        _polish=polished,
+    ):
+        result = evolve(space, request, (), config, algorithm, seed)
+    return result, events
+
+
 class TestPopulationScorerReplaysOracle:
-    @settings(max_examples=500, deadline=None)
-    @given(data=st.data(), limit=st.integers(min_value=1, max_value=12), seed=SEEDS)
-    def test_same_values_and_evaluator_calls(self, data, limit, seed):
-        # Populations are drawn from a small pool, so genomes repeat within
-        # and across generations.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        limit=st.integers(min_value=1, max_value=12),
+        algorithm=st.sampled_from(GA_ALGORITHMS),
+        seed=SEEDS,
+    )
+    def test_same_values_and_evaluator_calls(self, data, limit, algorithm, seed):
+        # Small spaces and caches: genomes repeat within and across
+        # generations, and entries are evicted between uses.
         space = data.draw(spaces(max_acts=4))
-        pool = [genomes(data.draw, space) for _ in range(data.draw(st.integers(1, 6)))]
-        generations = data.draw(
-            st.lists(st.lists(st.sampled_from(pool), max_size=10), max_size=5)
+        config = GAConfig(
+            population=data.draw(st.integers(2, 8)),
+            generations=data.draw(st.integers(0, 6)),
+            tournament_k=2,
+            mutation_rate=0.5,
         )
-        recording, calls = recording_evaluator(seed)
+        evaluate, calls = recording_evaluator(seed)
         oracle_evaluate, oracle_calls = recording_evaluator(seed)
-        evaluated = []
-
-        def evaluate(individual):
-            evaluated.append(individual)
-            return recording(individual)
-
         with patch.object(ga, "MEMO_LIMIT", limit):
-            score, _ = ga._memoised(space, evaluate)
-            oracle_score, _ = oracle_scorer(space, oracle_evaluate, limit)
-            for population in generations:
-                assert score(population) == [oracle_score(i.genes) for i in population]
+            result, events = recorded_evolve(space, config, algorithm, seed, evaluate)
+        score = oracle_scorer(space, oracle_evaluate, limit)
+        rows = []
+        for event in events:
+            if event[0] == "score":
+                values = [score(genes) for genes in event[1]]
+                rows.append((max(values), fmean(values)))
+            else:
+                _, genes, value, returned = event
+                assert oracle_polish(genes, value, space, score) == returned
+                assert type(returned[0]) is Individual  # it joins the population
+        assert [(row.best_fitness, row.mean_fitness) for row in result.history] == rows[
+            : config.generations
+        ]
         assert calls == oracle_calls
-        # Each miss evaluates the population's own individual.
-        assert all(any(i is p for p in pool) for i in evaluated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), algorithm=st.sampled_from(GA_ALGORITHMS), seed=SEEDS)
+    def test_one_evaluation_per_distinct_genome(self, data, algorithm, seed):
+        # A run of these sizes scores far fewer than ``MEMO_LIMIT`` distinct
+        # genomes, so nothing is evicted and no genome is evaluated twice.
+        space = data.draw(spaces(max_acts=4))
+        config = GAConfig(population=8, generations=10, tournament_k=2, mutation_rate=0.5)
+        evaluate, calls = recording_evaluator(seed)
+        _, events = recorded_evolve(space, config, algorithm, seed, evaluate)
+        scored = {genes for event in events if event[0] == "score" for genes in event[1]}
+        assert len(set(calls)) <= ga.MEMO_LIMIT
+        assert scored <= set(calls)
+        assert len(calls) == len(set(calls))
 
 
 class TestPolishReplaysOracle:
@@ -1247,38 +1301,42 @@ class TestPolishReplaysOracle:
     )
     def test_same_result_and_evaluator_calls(self, data, limit, seed):
         space = data.draw(spaces(max_acts=4))
-        warm = [genomes(data.draw, space).genes for _ in range(data.draw(st.integers(0, 6)))]
-        starts = [genomes(data.draw, space).genes for _ in range(2)]
+        warm = [genomes(data.draw, space) for _ in range(data.draw(st.integers(0, 6)))]
+        starts = [genomes(data.draw, space) for _ in range(2)]
         evaluate, calls = recording_evaluator(seed)
         oracle_evaluate, oracle_calls = recording_evaluator(seed)
-        with patch.object(ga, "MEMO_LIMIT", limit):
-            score, polish = ga._memoised(space, evaluate)
-            oracle_score, _ = oracle_scorer(space, oracle_evaluate, limit)
-            assert score([Individual(g) for g in warm]) == [oracle_score(g) for g in warm]
-            for genes in starts:
-                [value] = score([Individual(genes)])
-                assert value == oracle_score(genes)
-                assert polish(genes, value) == oracle_polish(
-                    genes, value, space, oracle_score
-                )
-            assert score([Individual(g) for g in warm]) == [oracle_score(g) for g in warm]
+        cached = lru_cache(maxsize=limit)(evaluate)
+        score = oracle_scorer(space, oracle_evaluate, limit)
+        assert list(map(cached, warm)) == [score(g) for g in warm]
+        for genes in starts:
+            value = cached(genes)
+            assert value == score(genes)
+            assert ga._polish(genes, value, space, cached) == oracle_polish(
+                genes, value, space, score
+            )
+        assert list(map(cached, warm)) == [score(g) for g in warm]
         assert calls == oracle_calls
 
 
 def test_memo_scores_each_genome_as_itself():
     # On a two-candidate act, genes 0 and 1 are distinct genomes; each is
-    # evaluated and scored as itself.
+    # evaluated once and every generation's stats read each as itself.
     space = SearchSpace(per_act_slots=((make_slot("A"), make_slot("B", start=600)),))
+    values = {(0,): 0.5, (1,): 0.1}
     evaluated = []
 
     def evaluate(individual):
         evaluated.append(individual.genes)
-        return 0.5 if individual.genes == (0,) else 0.1
+        return values[individual.genes]
 
-    score, _ = ga._memoised(space, evaluate)
-    assert score([Individual((0,)), Individual((1,))]) == [0.5, 0.1]
-    assert score([Individual((1,)), Individual((0,))]) == [0.1, 0.5]
-    assert evaluated == [(0,), (1,)]
+    config = GAConfig(population=4, generations=3, tournament_k=2, mutation_rate=0.5)
+    result, events = recorded_evolve(space, config, GA_UNORDERED, 0, evaluate)
+    populations = [event[1] for event in events if event[0] == "score"]
+    assert sorted(evaluated) == [(0,), (1,)]
+    assert [(row.best_fitness, row.mean_fitness) for row in result.history] == [
+        (max(map(values.get, p)), fmean(map(values.get, p))) for p in populations
+    ]
+    assert {genes for p in populations for genes in p} == {(0,), (1,)}
 
 
 class TestIndividualIsItsGeneTuple:
@@ -1309,9 +1367,10 @@ class TestIndividualIsItsGeneTuple:
         assert restored.genes == self.GENES
 
     def test_memo_entry_shared_with_plain_tuple_neighbour(self):
-        # ``polish`` looks its neighbours up as plain tuples.  The neighbour
-        # (1, 0) hits the entry that scoring Individual((1, 0)) filled, so it
-        # is evaluated once; only the genomes not scored before are new.
+        # The fitness cache holds one entry for an individual and its equal
+        # gene tuple.  The polish neighbour (1, 0) hits the entry that scoring
+        # Individual((1, 0)) filled, so it is evaluated once; only the genomes
+        # not scored before are new.
         space = SearchSpace(
             per_act_slots=(
                 (make_slot("A"), make_slot("B", start=600)),
@@ -1324,11 +1383,11 @@ class TestIndividualIsItsGeneTuple:
             evaluated.append(individual.genes)
             return 0.5 if individual.genes == (1, 0) else 0.1
 
-        score, polish = ga._memoised(space, evaluate)
-        assert score([Individual((1, 0))]) == [0.5]
-        assert polish((0, 0), 0.1) == ((1, 0), 0.5)
+        cached = lru_cache(maxsize=ga.MEMO_LIMIT)(evaluate)
+        assert cached(Individual((1, 0))) == 0.5
+        assert ga._polish((0, 0), 0.1, space, cached) == ((1, 0), 0.5)
         assert evaluated == [(1, 0), (0, 0)]
-        assert score([Individual((0, 0)), Individual((1, 0))]) == [0.1, 0.5]
+        assert [cached((0, 0)), cached(Individual((1, 0)))] == [0.1, 0.5]
         assert evaluated == [(1, 0), (0, 0)]
 
 
