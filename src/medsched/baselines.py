@@ -17,8 +17,8 @@ def fcfs_schedule(space: SearchSpace) -> Schedule:
 
     Acts are served in request order and a slot id is never booked twice
     within one request; ties on start time fall to the lower slot id because
-    blocks are sorted that way.  Acts with no remaining candidate stay
-    unassigned.
+    blocks are sorted that way.  ``ga.filter_search_space`` gives every exam
+    at least as many candidates as acts naming it, so every act is booked.
     """
     taken: set[str] = set()
     assignments = []

@@ -18,7 +18,6 @@ slot's start; trip boundaries trigger on a gap strictly greater than
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import IncompatibilityRule, RuleLogic, Schedule
@@ -26,14 +25,10 @@ from .model import IncompatibilityRule, RuleLogic, Schedule
 TRIP_GAP_MINUTES = 120
 TRAVEL_GAP_MINUTES = 180
 
-# A pick's (start, id), ``sorted_by_start``'s key, read by position so
-# ``schedule_counts`` sorts at C speed and keeps equal keys in input order.
-_START_ID = itemgetter(0, 1)
-
 # A pick: a booked slot's (start, id, end, facility), the one layout that
 # ``schedule_counts`` and the GA's evaluator both build.
 Pick = tuple[int, str, int, str]
-# A breach check over pick positions: (i, j, gap, symmetric); see rule_checks.
+# A breach check over act positions: (i, j, gap, symmetric); see rule_checks.
 Check = tuple[int, int, int, bool]
 
 
@@ -49,24 +44,18 @@ class ScheduleCounts(NamedTuple):
     first_start: int
 
 
-def rule_checks(
-    rules: Iterable[IncompatibilityRule],
-    acts: Sequence[int],
-    exams: Sequence[str],
-) -> list[Check]:
-    """Each rule as breach checks ``(i, j, gap, symmetric)`` over pick positions.
+def rule_checks(rules: Iterable[IncompatibilityRule], exams: Sequence[str]) -> list[Check]:
+    """Each rule as breach checks ``(i, j, gap, symmetric)`` over act positions.
 
-    This is the one reader of a rule's logic.  ``acts[p]`` is position
-    ``p``'s act index and ``exams[p]`` its exam.  Every position is booked:
-    ``ga.filter_search_space`` raises ``UnschedulableError``, naming the
-    exams and filters, when any act has no candidate.  A rule gives one
-    check per pair of a position of its first exam and one of its second,
-    except a pair of one act index.  A check is broken when position ``j``
-    starts under ``gap`` minutes after position ``i`` ends and, when
-    ``symmetric`` (BOTH), also ``i`` under ``gap`` after ``j``.  AFTER is
-    BEFORE with the positions swapped, so a non-symmetric check puts ``i``
-    before ``j``.  Durations are positive, so for BOTH this equals measuring
-    from the earlier slot's end.
+    This is the one reader of a rule's logic.  ``exams[i]`` is act ``i``'s
+    exam, and a schedule books act ``i`` at position ``i``.  A rule gives
+    one check per pair of an act of its first exam and one of its second;
+    a rule never pairs an exam with itself, so never an act with itself.
+    A check is broken when act ``j`` starts under ``gap`` minutes after act
+    ``i`` ends and, when ``symmetric`` (BOTH), also ``i`` under ``gap``
+    after ``j``.  AFTER is BEFORE with the acts swapped, so a non-symmetric
+    check puts ``i`` before ``j``.  Durations are positive, so for BOTH
+    this equals measuring from the earlier slot's end.
     """
     positions: dict[str, list[int]] = {}
     for position, exam in enumerate(exams):
@@ -81,8 +70,7 @@ def rule_checks(
         after, symmetric = logic is RuleLogic.AFTER, logic is RuleLogic.BOTH
         for i in firsts:
             for j in seconds:
-                if acts[i] != acts[j]:
-                    checks.append((j, i, gap, False) if after else (i, j, gap, symmetric))
+                checks.append((j, i, gap, False) if after else (i, j, gap, symmetric))
     return checks
 
 
@@ -96,10 +84,9 @@ def walk_picks(
     This is the one walk over consecutive picks, and the one place rule
     checks are applied, for ``schedule_counts`` and the GA's evaluator
     alike: both pass the same picks in the same order.  ``picks`` is
-    non-empty and sorted by (start, id), and of a pick only ``start``,
-    ``end`` and ``facility`` are read.  ``checks`` come from
-    ``rule_checks`` and index ``by_position``, the same picks by position,
-    each one booked, as ``rule_checks`` says.  A pick
+    non-empty and sorted, and of a pick only ``start``, ``end`` and
+    ``facility`` are read.  ``checks`` come from ``rule_checks`` and index
+    ``by_position``, the same picks in act order.  A pick
     overlaps the previous one when it starts before that one ends; every
     later pick that also starts before that end counts as one more overlap.
     A trip starts at the first pick, on a facility change, and on a gap
@@ -151,20 +138,16 @@ def schedule_counts(
     ``find_overlaps``, ``check_incompatibilities``, ``segment_trips`` and
     ``check_travel_gaps``, and ``idle`` is ``idle_minutes`` of the start
     order.  ``span`` runs from the first start to the end of the last pick
-    in start order, ``first_start`` is the first start, and an empty
-    schedule counts all zeros.
+    in start order, and ``first_start`` is the first start.  The picks are
+    sorted as plain tuples, as the GA's evaluator sorts them.
     """
-    acts: list[int] = []
     exams: list[str] = []
     by_position: list[Pick] = []
-    for act, (slot_id, exam, facility, _, _, start, duration) in schedule.assignments:
-        acts.append(act)
+    for _, (slot_id, exam, facility, _, _, start, duration) in schedule.assignments:
         exams.append(exam)
         by_position.append((start, slot_id, start + duration, facility))
-    if not by_position:
-        return ScheduleCounts(0, 0, 0, 0, 0, 0, 0)
-    picks = sorted(by_position, key=_START_ID)
-    checks = rule_checks(rules, acts, exams)
+    picks = sorted(by_position)
+    checks = rule_checks(rules, exams)
     overlaps, breaches, trips, transfers, idle = walk_picks(picks, checks, by_position)
     first_start = picks[0][0]
     return ScheduleCounts(
@@ -178,7 +161,7 @@ def optimal_act_order(
     """Order act indices so that rule-implied predecessors come first.
 
     ``acts`` holds each act's exam.  The edges are the non-symmetric checks
-    ``(i, j)`` of ``rule_checks(rules, range(n), acts)``, the checks the GA
+    ``(i, j)`` of ``rule_checks(rules, acts)``, the checks the GA
     scores, each putting act ``i`` before act ``j``; BOTH constrains the
     gap, not the order.  Kahn's topological sort then places the
     lowest-index ready act first.  If the rules contradict each other the
@@ -186,7 +169,7 @@ def optimal_act_order(
     permutation of all act indices in every case.
     """
     n = len(acts)
-    edges = {(i, j) for i, j, _, symmetric in rule_checks(rules, range(n), acts) if not symmetric}
+    edges = {(i, j) for i, j, _, symmetric in rule_checks(rules, acts) if not symmetric}
     indegree = [0] * n
     successors: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:

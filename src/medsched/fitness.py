@@ -1,11 +1,10 @@
 """Penalty ledger and scalar fitness for candidate schedules.
 
-Penalty weights: 1000 once for a schedule that leaves any act unbooked,
-however many acts are missing, 1000 per hard violation (overlap or
-incompatibility breach), 100 per trip, 600 per under-3h inter-facility
-transfer, idle minutes divided by 10, and one point per day of lead time
-before the first appointment.  Fitness is 1 / (1 + total), a strictly
-decreasing map from total penalties onto (0, 1] with 1 meaning penalty-free.
+Penalty weights: 1000 per hard violation (overlap or incompatibility
+breach), 100 per trip, 600 per under-3h inter-facility transfer, idle
+minutes divided by 10, and one point per day of lead time before the first
+appointment.  Fitness is 1 / (1 + total), a strictly decreasing map from
+total penalties onto (0, 1] with 1 meaning penalty-free.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Iterable
 from .constraints import schedule_counts
 from .model import MINUTES_PER_DAY, IncompatibilityRule, Schedule, ScheduleRequest
 
-MISSING_SLOT_PENALTY = 1000
 HARD_VIOLATION_PENALTY = 1000
 PER_TRIP_PENALTY = 100
 TRAVEL_GAP_PENALTY = 600
@@ -27,7 +25,6 @@ WAIT_MINUTES_PER_POINT = 10
 class PenaltyBreakdown:
     """Itemized penalty terms; ``total`` is what the fitness score divides by."""
 
-    missing_slot: int
     hard_violations: int
     trips: int
     travel_gap: int
@@ -35,14 +32,7 @@ class PenaltyBreakdown:
     lead: int
 
     def total(self) -> float:
-        return (
-            self.missing_slot
-            + self.hard_violations
-            + self.trips
-            + self.travel_gap
-            + self.wait
-            + self.lead
-        )
+        return self.hard_violations + self.trips + self.travel_gap + self.wait + self.lead
 
 
 def compute_penalties(
@@ -50,11 +40,14 @@ def compute_penalties(
     request: ScheduleRequest,
     rules: Iterable[IncompatibilityRule],
 ) -> PenaltyBreakdown:
-    """Score one schedule against its request and the world's rules."""
-    missing = MISSING_SLOT_PENALTY if len(schedule) != len(request.acts) else 0
+    """Score one schedule, which books every act of ``request``, against the world's rules.
+
+    A schedule whose act count is not the request's raises ``ValueError``.
+    """
+    if len(schedule) != len(request.acts):
+        raise ValueError(f"schedule has {len(schedule)} acts for {len(request.acts)} requested")
     counts = schedule_counts(schedule, rules)
     return PenaltyBreakdown(
-        missing,
         HARD_VIOLATION_PENALTY * (counts.overlaps + counts.breaches),
         PER_TRIP_PENALTY * counts.trips,
         TRAVEL_GAP_PENALTY * counts.transfers,

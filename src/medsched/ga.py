@@ -360,14 +360,12 @@ def make_evaluator(
     The request is compiled once.  Each act's candidates become a tuple of
     picks ``(start, id, end, facility)`` indexed by gene, the pick
     ``constraints.schedule_counts`` builds, and ``constraints.rule_checks``
-    compiles the rules over act positions.  A genome is then scored by one
-    plain sort of its picks and one ``constraints.walk_picks`` call.  The
-    plain sort keeps ``schedule_counts``' (start, id) order unless two
-    different slots share a start and an id, which no loaded or generated
-    world has.  Genomes are not checked: ``evolve`` breeds only in-range
-    ones, and ``decode`` checks the rest.  A space whose act count is not
-    the request's, or with a block that mixes exams (only a hand-built
-    space has either), raises ``ValueError``.
+    compiles the rules over act positions.  A genome is then scored, as
+    ``schedule_counts`` scores a schedule, by one plain sort of its picks
+    and one ``constraints.walk_picks`` call.  Genomes are not checked:
+    ``evolve`` breeds only in-range ones, and ``decode`` checks the rest.
+    A space whose act count is not the request's, or with a block that
+    mixes exams (only a hand-built space has either), raises ``ValueError``.
     """
     blocks = space.per_act_slots
     if len(blocks) != len(request.acts):
@@ -379,8 +377,7 @@ def make_evaluator(
         tuple([(slot.start, slot.id, slot.end, slot.facility) for slot in block])
         for block in blocks
     ]
-    # An act's position is its index.
-    checks = rule_checks(rules, range(len(blocks)), [block[0].exam for block in blocks])
+    checks = rule_checks(rules, [block[0].exam for block in blocks])
     start_day = request.start_day
 
     def evaluate(genes: Genes) -> float:
@@ -393,7 +390,7 @@ def make_evaluator(
         overlaps, breaches, trips, transfers, wait = walk_picks(picks, checks, by_act)
         lead = picks[0][0] // MINUTES_PER_DAY - start_day
 
-        # PenaltyBreakdown.total()'s order, less its missing-slot term (0): the float matches.
+        # PenaltyBreakdown.total(), term for term: the float matches.
         total = (
             HARD_VIOLATION_PENALTY * (overlaps + breaches)
             + PER_TRIP_PENALTY * trips

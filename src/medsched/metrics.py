@@ -23,7 +23,7 @@ class SolutionMetrics:
     appointments over the journey span, None for fewer than two
     assignments.  Overlapping slots count as zero idle, so the ratio stays
     computable for baseline outputs.  ``trips`` counts facility changes and
-    breaks over two hours, plus the first trip; an empty schedule has none.
+    breaks over two hours, plus the first trip.
     """
 
     itr: float | None

@@ -219,13 +219,20 @@ class ScheduleRequest:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Slot assignments for a request: one (act index, slot) pair per booked act.
+    """Slot assignments for a request: one (act index, slot) pair per act.
 
-    Acts that could not be booked simply have no entry; penalty and metric
-    code treats the count mismatch as a missing-slot condition.
+    Every act is booked, so act ``i`` is at position ``i``: anything other
+    than act indices ``0..n-1`` in order, with ``n >= 1``, raises ``ValueError``.
     """
 
     assignments: tuple[tuple[int, TimeSlot], ...]
+
+    def __post_init__(self) -> None:
+        if not self.assignments:
+            raise ValueError("a schedule books at least one act")
+        for position, (act, _) in enumerate(self.assignments):
+            if act != position:
+                raise ValueError(f"act {act} at position {position}: act i must be at position i")
 
     def sorted_by_start(self) -> list[tuple[int, TimeSlot]]:
         """Assignments in chronological order of slot start."""

@@ -10,7 +10,6 @@ import pytest
 from medsched.datagen import WorldConfig, generate_world
 from medsched.fitness import (
     HARD_VIOLATION_PENALTY,
-    MISSING_SLOT_PENALTY,
     PER_TRIP_PENALTY,
     TRAVEL_GAP_PENALTY,
     WAIT_MINUTES_PER_POINT,
@@ -100,9 +99,6 @@ def default_world():
 
 def reference_penalties(schedule, request, rules):
     """``compute_penalties`` composed from the checkers."""
-    missing = MISSING_SLOT_PENALTY if len(schedule) != len(request.acts) else 0
-    if not schedule.assignments:
-        return PenaltyBreakdown(missing, 0, 0, 0, 0.0, 0)
     hard = HARD_VIOLATION_PENALTY * (
         len(find_overlaps(schedule)) + len(check_incompatibilities(schedule, rules))
     )
@@ -112,7 +108,7 @@ def reference_penalties(schedule, request, rules):
     wait = idle_minutes(ordered) / WAIT_MINUTES_PER_POINT
     first_day = ordered[0][1].start // MINUTES_PER_DAY
     lead = max(0, first_day - request.start_day)
-    return PenaltyBreakdown(missing, hard, trips, travel, wait, lead)
+    return PenaltyBreakdown(hard, trips, travel, wait, lead)
 
 
 def reference_metrics(schedule, rules, act_count):
@@ -123,7 +119,7 @@ def reference_metrics(schedule, rules, act_count):
         itr = idle_minutes(ordered) / (ordered[-1][1].end - ordered[0][1].start)
     return SolutionMetrics(
         itr=itr,
-        trips=len(segment_trips(schedule)) if schedule.assignments else 0,
+        trips=len(segment_trips(schedule)),
         overlap_ok=not find_overlaps(schedule),
         compatibility_ok=not check_incompatibilities(schedule, rules),
         travel_ok=not check_travel_gaps(schedule),

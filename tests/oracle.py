@@ -65,8 +65,6 @@ def check_incompatibilities(
             continue
         for act_1, slot_1 in firsts:
             for act_2, slot_2 in seconds:
-                if act_1 == act_2:
-                    continue
                 if rule.logic is RuleLogic.BEFORE:
                     ok = slot_2.start - slot_1.end >= rule.gap_minutes
                 elif rule.logic is RuleLogic.AFTER:

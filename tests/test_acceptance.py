@@ -358,8 +358,8 @@ def property_trip_and_travel_boundaries(gap, same_facility):
     delta=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
 )
 def property_fitness_monotone(lo, delta):
-    f_lo = fitness(PenaltyBreakdown(0, 0, 0, 0, lo, 0))
-    f_hi = fitness(PenaltyBreakdown(0, 0, 0, 0, lo + delta, 0))
+    f_lo = fitness(PenaltyBreakdown(0, 0, 0, lo, 0))
+    f_hi = fitness(PenaltyBreakdown(0, 0, 0, lo + delta, 0))
     assert 0 < f_hi < f_lo <= 1
 
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from medsched.baselines import fcfs_schedule, random_schedule
 from medsched.ga import Individual, SearchSpace, decode, uniform_genes
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
@@ -60,6 +62,14 @@ class TestFcfs:
         space = SearchSpace(per_act_slots=(shared, shared))
         schedule = fcfs_schedule(space)
         assert [act for act, _ in schedule.assignments] == [0]
+
+    def test_exhausted_block_before_a_booked_act_raises(self):
+        # Act 1 goes unbooked and act 2 would sit at position 1, which a
+        # schedule rejects: a hand-built space fails loudly, not silently.
+        shared = block("E01", [("A", 0, 540)])
+        space = SearchSpace(per_act_slots=(shared, shared, block("E02", [("B", 0, 600)])))
+        with pytest.raises(ValueError, match="act 2 at position 1"):
+            fcfs_schedule(space)
 
     def test_deterministic(self, default_world):
         from medsched.ga import filter_search_space

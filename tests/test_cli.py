@@ -80,12 +80,12 @@ def read_solution(out):
 SOLVE_DIGESTS = {
     "ga-ordered": {
         "request.json": "762e7bc01bd9c53004111fc4562f767f6b33e53ca14c90a38754cf785c26671e",
-        "solution.json": "443b3a664716e81bae4fcd0c0f120cfccdf8de793952035fa7cd39b989e87611",
+        "solution.json": "35ceda7b56a3f3653f5b060b32e4aa9e3576d611c3512b275cf24e2240c737c4",
         "convergence.csv": "268134634d30c19a8d126bc12d1142bdfd87b8debe2d7e74bda0cdea71a30bdd",
     },
     "ga-unordered": {
         "request.json": "762e7bc01bd9c53004111fc4562f767f6b33e53ca14c90a38754cf785c26671e",
-        "solution.json": "35956887b6980b4489d4d973f1608416223ef1acb3aa95984085d4b4c2061e50",
+        "solution.json": "7b062bee709b56eada6a696147b329a43cc5542b9623aaea923f434f696d6997",
         "convergence.csv": "f3c33b741371f607521dea42b3f4a1435469e0de8d40f0374a7e7da2fd9cf3bc",
     },
 }

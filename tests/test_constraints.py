@@ -53,15 +53,13 @@ class TestFindOverlaps:
             frozenset({1, 2}),
         }
 
-    def test_reports_act_indices_not_positions(self):
-        schedule = Schedule(
-            assignments=(
-                (7, make_slot(id="A", start=540, duration=60)),
-                (3, make_slot(id="B", start=570, duration=60)),
-            )
+    def test_reports_act_indices_in_start_order(self):
+        # Act 1 starts first, so the pair is (1, 0).
+        schedule = make_schedule(
+            make_slot(id="A", start=570, duration=60),
+            make_slot(id="B", start=540, duration=60),
         )
-        (violation,) = find_overlaps(schedule)
-        assert set(violation) == {7, 3}
+        assert find_overlaps(schedule) == [(1, 0)]
 
 
 class TestCheckIncompatibilities:
@@ -346,6 +344,27 @@ request_rules = st.lists(
 )
 
 
+class TestRuleChecks:
+    @pytest.mark.parametrize(
+        "logic, check",
+        [
+            (RuleLogic.BEFORE, (0, 1, 30, False)),
+            (RuleLogic.AFTER, (1, 0, 30, False)),
+            (RuleLogic.BOTH, (0, 1, 30, True)),
+        ],
+    )
+    def test_one_check_per_logic(self, logic, check):
+        # AFTER is BEFORE with the acts swapped; BOTH is the symmetric check.
+        assert rule_checks([rule("E01", "E02", logic, 30)], ["E01", "E02", "E03"]) == [check]
+
+    @settings(max_examples=500, deadline=None)
+    @given(acts=request_acts, rules=request_rules)
+    def test_one_check_per_pair_of_distinct_acts(self, acts, rules):
+        checks = rule_checks(rules, acts)
+        assert all(i != j for i, j, _, _ in checks)
+        assert len(checks) == sum(acts.count(r.first) * acts.count(r.second) for r in rules)
+
+
 class TestActOrderReadsRuleChecks:
     """``optimal_act_order`` takes its edges from ``rule_checks``, the one
     reader of a rule's logic, and orders acts as the reference's own edge
@@ -382,7 +401,7 @@ class TestActOrderReadsRuleChecks:
     def test_acyclic_order_puts_each_check_first_position_first(self, acts, rules):
         assume(not has_cycle(acts, rules))
         position = {act: k for k, act in enumerate(optimal_act_order(acts, rules))}
-        for i, j, _, symmetric in rule_checks(rules, range(len(acts)), acts):
+        for i, j, _, symmetric in rule_checks(rules, acts):
             if not symmetric:
                 assert position[i] < position[j]
 

@@ -39,6 +39,10 @@ REMOVED = {
     "_SLOT_JSON",
     # The hand-written fitness memo, replaced by ``functools.lru_cache``.
     "_memoised",
+    # The partial-schedule model and the second pick order, gone now that a
+    # schedule books every act and both scorers sort picks as plain tuples.
+    "MISSING_SLOT_PENALTY",
+    "_START_ID",
 }
 
 # Names that moved to the tests' oracle (``tests/oracle.py``) or beside the

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from medsched.baselines import fcfs_schedule
 from medsched.fitness import PenaltyBreakdown, compute_penalties, fitness
 from medsched.ga import SearchSpace
-from medsched.metrics import solution_metrics
 from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
     RuleLogic,
-    Schedule,
     ScheduleRequest,
 )
 
@@ -32,7 +30,6 @@ class TestComputePenalties:
         )
         request = ScheduleRequest(acts=("E00", "E00"), start_day=0)
         breakdown = compute_penalties(schedule, request, [])
-        assert breakdown.missing_slot == 0
         assert breakdown.hard_violations == 0
         assert breakdown.trips == 100
         assert breakdown.travel_gap == 0
@@ -40,32 +37,23 @@ class TestComputePenalties:
         assert breakdown.lead == 0
         assert breakdown.total() == pytest.approx(103.0)
 
-    def test_empty_schedule_only_missing_penalty(self):
-        request = ScheduleRequest(acts=("E00",))
-        breakdown = compute_penalties(Schedule(assignments=()), request, [])
-        assert breakdown.missing_slot == 1000
-        assert breakdown.total() == 1000
-
-    def test_partial_schedule_still_scores_other_terms(self):
-        request = ScheduleRequest(acts=("E00", "E01"))
-        breakdown = compute_penalties(
-            make_schedule(make_slot(id="A", start=540, duration=30)), request, []
+    @pytest.mark.parametrize("acts", [("E00",), ("E00", "E00", "E00")])
+    def test_schedule_for_another_act_count_rejected(self, acts):
+        schedule = make_schedule(
+            make_slot(id="A", start=540, duration=30),
+            make_slot(id="B", start=600, duration=30),
         )
-        assert breakdown.missing_slot == 1000
-        assert breakdown.trips == 100
+        with pytest.raises(ValueError, match=f"schedule has 2 acts for {len(acts)} requested"):
+            compute_penalties(schedule, ScheduleRequest(acts=acts), [])
 
-    def test_two_missing_acts_cost_one_missing_slot_penalty(self):
-        # 1000 once for an incomplete schedule, not 1000 per missing act.
-        # Three acts of one exam share a single slot, so FCFS books one.
+    def test_short_fcfs_schedule_raises_instead_of_scoring(self):
+        # Three acts of one exam share a single slot, so FCFS books only act
+        # 0; scoring that schedule against the three-act request fails.
         booked = make_slot(id="A", exam="E01", start=540, duration=30)
-        request = ScheduleRequest(acts=("E01", "E01", "E01"))
         schedule = fcfs_schedule(SearchSpace(per_act_slots=((booked,),) * 3))
         assert schedule == make_schedule(booked)
-        breakdown = compute_penalties(schedule, request, [])
-        assert breakdown.missing_slot == 1000
-        assert breakdown.total() == 1100  # the missing slot and one trip
-        assert fitness(breakdown) == 1 / 1101
-        assert not solution_metrics(schedule, [], len(request.acts)).fully_scheduled
+        with pytest.raises(ValueError, match="schedule has 1 acts for 3 requested"):
+            compute_penalties(schedule, ScheduleRequest(acts=("E01",) * 3), [])
 
     def test_overlap_costs_thousand_and_one_trip(self):
         schedule = make_schedule(
@@ -121,13 +109,13 @@ class TestComputePenalties:
 
 class TestFitness:
     def test_zero_penalties_is_one(self):
-        assert fitness(PenaltyBreakdown(0, 0, 0, 0, 0.0, 0)) == 1.0
+        assert fitness(PenaltyBreakdown(0, 0, 0, 0.0, 0)) == 1.0
 
     def test_worked_example_value(self):
-        assert fitness(PenaltyBreakdown(0, 0, 100, 0, 3.0, 0)) == pytest.approx(1 / 104)
+        assert fitness(PenaltyBreakdown(0, 100, 0, 3.0, 0)) == pytest.approx(1 / 104)
 
     def test_thousand_penalty_value(self):
-        assert fitness(PenaltyBreakdown(1000, 0, 0, 0, 0.0, 0)) == pytest.approx(1 / 1001)
+        assert fitness(PenaltyBreakdown(1000, 0, 0, 0.0, 0)) == pytest.approx(1 / 1001)
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -135,8 +123,8 @@ class TestFitness:
         delta=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
     )
     def test_strictly_decreasing_into_unit_interval(self, lo, delta):
-        f_lo = fitness(PenaltyBreakdown(0, 0, 0, 0, lo, 0))
-        f_hi = fitness(PenaltyBreakdown(0, 0, 0, 0, lo + delta, 0))
+        f_lo = fitness(PenaltyBreakdown(0, 0, 0, lo, 0))
+        f_hi = fitness(PenaltyBreakdown(0, 0, 0, lo + delta, 0))
         assert 0 < f_hi < f_lo <= 1
 
     def test_hard_violation_dominates_soft_penalties(self):
@@ -154,7 +142,7 @@ class TestFitness:
         bad = compute_penalties(overlapping, request, [])
         costly = compute_penalties(straggling, request, [])
         assert bad.hard_violations >= 1000
-        assert costly.hard_violations == 0 and costly.missing_slot == 0
+        assert costly.hard_violations == 0
         assert fitness(bad) < fitness(costly)
 
 

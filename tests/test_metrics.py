@@ -10,7 +10,6 @@ from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
     RuleLogic,
-    Schedule,
 )
 
 from conftest import make_schedule, make_slot
@@ -40,10 +39,8 @@ class TestIdleTimeRatio:
         )
         assert itr_of(schedule) == pytest.approx(60 / 180)
 
-    @pytest.mark.parametrize("count", [0, 1])
-    def test_undefined_below_two_assignments(self, count):
-        slots = [make_slot(id="A", start=540)][:count]
-        assert itr_of(make_schedule(*slots)) is None
+    def test_undefined_below_two_assignments(self):
+        assert itr_of(make_schedule(make_slot(id="A", start=540))) is None
 
     def test_overlap_gaps_clamp_to_zero(self):
         schedule = make_schedule(
@@ -95,9 +92,6 @@ class TestTripCount:
         )
         assert trips_of(schedule) == 2
 
-    def test_empty_schedule_has_no_trips(self):
-        assert trips_of(Schedule(assignments=())) == 0
-
 
 def flags(schedule, rules, act_count):
     """The four constraint flags ``solution_metrics`` reports."""
@@ -111,9 +105,6 @@ def flags(schedule, rules, act_count):
 
 
 class TestConstraintFulfillment:
-    def test_empty_schedule_zero_acts_all_true(self):
-        assert flags(Schedule(assignments=()), [], 0) == (True, True, True, True)
-
     def test_overlap_only_flips_one_flag(self):
         schedule = make_schedule(
             make_slot(id="A", start=540, duration=60),
@@ -156,12 +147,6 @@ class TestSolutionMetrics:
         assert metrics.trips == 1
         assert metrics.overlap_ok and metrics.compatibility_ok and metrics.travel_ok
         assert metrics.fully_scheduled
-
-    def test_empty_schedule_reports_zero_trips(self):
-        metrics = solution_metrics(Schedule(assignments=()), [], 1)
-        assert metrics.itr is None
-        assert metrics.trips == 0
-        assert not metrics.fully_scheduled
 
 
 class TestMannWhitneyU:

@@ -330,4 +330,15 @@ class TestSchedule:
 
     def test_len_counts_assignments(self):
         assert len(make_schedule(make_slot(), make_slot(id="S2", start=700))) == 2
-        assert len(Schedule(assignments=())) == 0
+
+    def test_accepts_act_indices_in_order(self):
+        slots = [make_slot(id=f"S{k}", start=540 + 60 * k) for k in range(3)]
+        assignments = ((0, slots[0]), (1, slots[1]), (2, slots[2]))
+        assert Schedule(assignments=assignments).assignments == assignments
+
+    @pytest.mark.parametrize("acts", [(), (1, 0), (0, 0), (0, 2)])
+    def test_rejects_acts_other_than_positions(self, acts):
+        # Empty, out of order, repeated and gapped act indices.
+        slots = [make_slot(id=f"S{k}", start=540 + 60 * k) for k in range(len(acts))]
+        with pytest.raises(ValueError):
+            Schedule(assignments=tuple(zip(acts, slots)))

@@ -797,7 +797,7 @@ class TestSolutionDocument:
         assert document["penalties"]["total"] == pytest.approx(
             sum(
                 document["penalties"][key]
-                for key in ("missing_slot", "hard_violations", "trips", "travel_gap", "wait", "lead")
+                for key in ("hard_violations", "trips", "travel_gap", "wait", "lead")
             )
         )
         assert document["fitness"] == pytest.approx(
