@@ -13,7 +13,6 @@ from .constraints import optimal_act_order
 from .datagen import World, WorldConfig, generate_request, generate_world
 from .fitness import PenaltyBreakdown, compute_penalties, fitness
 from .ga import (
-    EvolveResult,
     GAConfig,
     GenerationStats,
     Individual,
@@ -41,7 +40,6 @@ __all__ = [
     "ALL_ALGORITHMS",
     "BenchConfig",
     "BenchResult",
-    "EvolveResult",
     "ExamType",
     "Facility",
     "GAConfig",

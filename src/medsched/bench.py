@@ -50,7 +50,6 @@ CONSTRAINT_FLAGS = (
     ("incompatibility", "compatibility_ok"),
     ("travel_gap", "travel_ok"),
 )
-CONSTRAINT_NAMES = tuple(name for name, _ in CONSTRAINT_FLAGS)
 STATS_HEADER = ("metric", "algo_a", "algo_b", "u", "p")
 
 
@@ -134,8 +133,7 @@ def run_algorithm(
     """
     space = filter_search_space(world.slots, request)
     if algorithm in GA_ALGORITHMS:
-        result = evolve(space, request, world.rules, ga, algorithm, ga_seed)
-        return result.best, result.history
+        return evolve(space, request, world.rules, ga, algorithm, ga_seed)
     if algorithm == FCFS:
         return fcfs_schedule(space), None
     if algorithm == RANDOM:

@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_world = sub.add_parser("gen-world", help="generate a synthetic world file")
     p_world.add_argument("--seed", type=int, default=None)
     p_world.add_argument("--out", default=".", help="output directory")
-    p_world.add_argument("--rule-count", type=int, default=None)
-    p_world.add_argument("--horizon-days", type=int, default=None)
+    p_world.add_argument("--rule-count", type=int, default=WorldConfig.rule_count)
+    p_world.add_argument("--horizon-days", type=int, default=WorldConfig.horizon_days)
     p_world.set_defaults(func=cmd_gen_world)
 
     p_solve = sub.add_parser("solve", help="run one algorithm on one request")
@@ -142,13 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_world(args: argparse.Namespace) -> int:
-    seed = _seed(args)
-    overrides: dict[str, Any] = {"seed": seed}
-    if args.rule_count is not None:
-        overrides["rule_count"] = args.rule_count
-    if args.horizon_days is not None:
-        overrides["horizon_days"] = args.horizon_days
-    config = WorldConfig(**overrides)
+    config = WorldConfig(
+        seed=_seed(args), rule_count=args.rule_count, horizon_days=args.horizon_days
+    )
     world = generate_world(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -202,12 +198,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_csv(
             out_dir / "convergence.csv",
             ("generation", "best_fitness", "mean_fitness"),
-            [(s.generation, s.best_fitness, s.mean_fitness) for s in record.history],
+            [(g, s.best_fitness, s.mean_fitness) for g, s in enumerate(record.history)],
         )
         written.append("convergence.csv")
     print(
-        f"{args.algo}: fitness {record.fitness:.6f}, {len(record.schedule)}/{len(request.acts)} "
-        f"acts scheduled, penalties {record.penalties.total():.1f} -> "
+        f"{args.algo}: fitness {record.fitness:.6f}, {len(record.schedule)} acts scheduled, "
+        f"penalties {record.penalties.total():.1f} -> "
         + ", ".join(str(out_dir / name) for name in written)
     )
     return 0
@@ -299,10 +295,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnschedulableError as exc:
         print(f"error: unschedulable: {exc}", file=sys.stderr)
         return 2
-    except (WorldFormatError, RequestError, ValueCsvError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError) as exc:
+    # Before ``ValueError``: the three file errors subclass it.
+    except (WorldFormatError, RequestError, ValueCsvError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -129,8 +129,11 @@ def generate_rules(
 ) -> list[IncompatibilityRule]:
     """``rule_count`` incompatibility rules over distinct ordered exam pairs.
 
-    Logic and gap are drawn uniformly; an identical ordered pair is never
-    drawn twice, but (A, B) and (B, A) may both occur.
+    Pairs come from one rejection sampler at every density, up to all
+    n(n-1) ordered pairs: each try draws two uniform exam indices and keeps
+    the pair unless it repeats an exam or an earlier pair.  Then each rule's
+    logic and gap are drawn uniformly, in pair order.  (A, B) and (B, A) may
+    both occur.
     """
     if not catalog and config.rule_count > 0:
         raise ValueError("cannot generate rules from an empty catalog")
@@ -141,31 +144,21 @@ def generate_rules(
             f"rule_count {config.rule_count} exceeds the {max_pairs} distinct ordered pairs"
         )
     rng = _stream(config, "rules")
-    rules: list[IncompatibilityRule] = []
-    seen: set[tuple[int, int]] = set()
-    if config.rule_count > max_pairs // 2:
-        # Dense regime: rejection sampling stalls, so sample the pair set directly.
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        chosen = rng.sample(pairs, config.rule_count)
-    else:
-        chosen = []
-        while len(chosen) < config.rule_count:
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            if i == j or (i, j) in seen:
-                continue
-            seen.add((i, j))
-            chosen.append((i, j))
-    for i, j in chosen:
-        rules.append(
-            IncompatibilityRule(
-                first=catalog[i].id,
-                second=catalog[j].id,
-                logic=rng.choice(_LOGICS),
-                gap_minutes=rng.choice(config.gap_choices),
-            )
+    chosen: dict[tuple[int, int], None] = {}  # distinct pairs, in first-draw order
+    while len(chosen) < config.rule_count:
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i != j:
+            chosen[i, j] = None
+    return [
+        IncompatibilityRule(
+            first=catalog[i].id,
+            second=catalog[j].id,
+            logic=rng.choice(_LOGICS),
+            gap_minutes=rng.choice(config.gap_choices),
         )
-    return rules
+        for i, j in chosen
+    ]
 
 
 def generate_slots(catalog: list[ExamType], config: WorldConfig) -> list[TimeSlot]:

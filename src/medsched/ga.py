@@ -108,15 +108,10 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    generation: int
+    """One generation's best and mean fitness; its number is its index in the history."""
+
     best_fitness: float
     mean_fitness: float
-
-
-@dataclass(frozen=True)
-class EvolveResult:
-    best: Schedule
-    history: tuple[GenerationStats, ...]
 
 
 def filter_search_space(
@@ -454,13 +449,13 @@ def evolve(
     config: GAConfig,
     algorithm: str,
     seed: int,
-) -> EvolveResult:
+) -> tuple[Schedule, tuple[GenerationStats, ...]]:
     """Run ``algorithm`` (``GA_ORDERED`` or ``GA_UNORDERED``) with ``seed``;
-    return the best schedule plus telemetry.
+    return ``(best, history)``: the best schedule and one row per generation.
 
-    Each iteration scores the population and records its stats, so
-    ``history[0]`` describes the initial population.  Then, unless this is
-    the last generation:
+    Each iteration scores the population and appends its stats, so
+    ``history[g]`` describes generation ``g`` and ``history[0]`` the initial
+    population.  Then, unless this is the last generation:
 
     - after the history row is recorded, the generation's best genome is
       polished by a first-improvement one-gene hill climb (``_polish``)
@@ -496,13 +491,7 @@ def evolve(
     fitnesses = list(map(cached, population))
     best_idx = fitnesses.index(max(fitnesses))
     for generation in range(config.generations):
-        history.append(
-            GenerationStats(
-                generation=generation,
-                best_fitness=fitnesses[best_idx],
-                mean_fitness=fmean(fitnesses),
-            )
-        )
+        history.append(GenerationStats(fitnesses[best_idx], fmean(fitnesses)))
         if generation + 1 == config.generations:
             break
         best = population[best_idx]
@@ -515,6 +504,4 @@ def evolve(
         fitnesses = list(map(cached, population))
         best_idx = fitnesses.index(max(fitnesses))
 
-    return EvolveResult(
-        best=decode(population[best_idx], space), history=tuple(history)
-    )
+    return decode(population[best_idx], space), tuple(history)

@@ -83,8 +83,6 @@ def segment_trips(schedule: Schedule) -> tuple[tuple[tuple[int, TimeSlot], ...],
     trip starts on a facility change or on an idle gap strictly greater than
     two hours.
     """
-    if not schedule.assignments:
-        raise ValueError("cannot segment an empty schedule")
     ordered = schedule.sorted_by_start()
     segments = []
     run = [ordered[0]]

@@ -216,8 +216,10 @@ def test_criterion_6_ordered_init_head_start(bench):
         space = filter_search_space(world.slots, request)
         initial_means = {}
         for algorithm in GA_ALGORITHMS:
-            run = evolve(space, request, world.rules, GAConfig(generations=1), algorithm, seed)
-            initial_means[algorithm] = run.history[0].mean_fitness
+            _, history = evolve(
+                space, request, world.rules, GAConfig(generations=1), algorithm, seed
+            )
+            initial_means[algorithm] = history[0].mean_fitness
         if initial_means[GA_ORDERED] >= initial_means[GA_UNORDERED]:
             wins += 1
     verdict(
@@ -256,10 +258,8 @@ def test_criterion_7_small_instance_optimality(bench):
         optimum = enumerate_optimum(space, request, world.rules)
         best_scores = {}
         for algorithm in GA_ALGORITHMS:
-            run = evolve(space, request, world.rules, GAConfig(), algorithm, ga_seed)
-            best_scores[algorithm] = fitness(
-                compute_penalties(run.best, request, world.rules)
-            )
+            best, _ = evolve(space, request, world.rules, GAConfig(), algorithm, ga_seed)
+            best_scores[algorithm] = fitness(compute_penalties(best, request, world.rules))
         if any(abs(score - optimum) <= 1e-12 for score in best_scores.values()):
             hits += 1
         else:

@@ -15,6 +15,7 @@ import medsched.bench as bench
 import medsched.cli as cli
 from medsched.bench import ALL_ALGORITHMS, BenchConfig
 from medsched.cli import _ga_config, build_parser, main
+from medsched.datagen import WorldConfig
 from medsched.ga import GAConfig
 from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 from medsched.worldio import save_request
@@ -180,9 +181,9 @@ class TestSolve:
         capsys.readouterr()
         assert main(fast_solve_args(world_dir, out, "--algo", "fcfs")) == 0
         assert not (out / "convergence.csv").exists()
-        assert capsys.readouterr().out.rstrip().endswith(
-            f"-> {out / 'request.json'}, {out / 'solution.json'}"
-        )
+        printed = capsys.readouterr().out
+        assert ", 3 acts scheduled, " in printed
+        assert printed.rstrip().endswith(f"-> {out / 'request.json'}, {out / 'solution.json'}")
 
     def test_failed_solve_leaves_no_earlier_outputs(self, world_dir, tmp_path):
         out = tmp_path / "out"
@@ -639,6 +640,13 @@ class TestFlagDefaults:
 
     def test_bench_trials_default(self):
         assert build_parser().parse_args(["bench"]).trials == BenchConfig().trials
+
+    def test_gen_world_defaults(self):
+        args = build_parser().parse_args(["gen-world"])
+        assert (args.rule_count, args.horizon_days) == (
+            WorldConfig().rule_count,
+            WorldConfig().horizon_days,
+        )
 
 
 class TestExitCodes:

@@ -12,7 +12,7 @@ from medsched.constraints import (
     optimal_act_order,
     rule_checks,
 )
-from medsched.model import MINUTES_PER_DAY, IncompatibilityRule, RuleLogic, Schedule
+from medsched.model import MINUTES_PER_DAY, IncompatibilityRule, RuleLogic
 
 from conftest import make_schedule, make_slot
 from oracle import (
@@ -174,9 +174,9 @@ class TestSegmentTrips:
         segments = segment_trips(schedule)
         assert [t[0][1].facility for t in segments] == ["F1", "F2", "F1"]
 
-    def test_empty_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            segment_trips(Schedule(assignments=()))
+    def test_one_act_is_one_trip(self):
+        slot = make_slot(id="A", facility="F1", start=540, duration=30)
+        assert segment_trips(make_schedule(slot)) == (((0, slot),),)
 
     def test_segments_partition_chronological_order(self):
         schedule = make_schedule(

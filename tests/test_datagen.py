@@ -86,11 +86,28 @@ class TestRules:
         config = WorldConfig(rule_count=0)
         assert generate_rules(generate_catalog(config), config) == []
 
-    def test_dense_regime_still_distinct(self):
+    def test_most_pairs_still_distinct(self):
         config = WorldConfig(specialties=1, exams_per_specialty=3, rule_count=4)
         rules = generate_rules(generate_catalog(config), config)
         assert len(rules) == 4
         assert len({(r.first, r.second) for r in rules}) == 4
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WorldConfig(specialties=1, exams_per_specialty=3, rule_count=6),
+            WorldConfig(rule_count=50 * 49),
+        ],
+        ids=["3-exams", "default-catalog"],
+    )
+    def test_full_density_draws_every_ordered_pair_once(self, config):
+        catalog = generate_catalog(config)
+        rules = generate_rules(catalog, config)
+        ids = [exam.id for exam in catalog]
+        assert len(rules) == len(ids) * (len(ids) - 1) == config.rule_count
+        assert sorted((r.first, r.second) for r in rules) == sorted(
+            (a, b) for a in ids for b in ids if a != b
+        )
 
     def test_rejects_more_rules_than_pairs(self):
         config = WorldConfig(specialties=1, exams_per_specialty=3, rule_count=7)

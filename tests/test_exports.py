@@ -43,6 +43,10 @@ REMOVED = {
     # schedule books every act and both scorers sort picks as plain tuples.
     "MISSING_SLOT_PENALTY",
     "_START_ID",
+    # Second ways: ``evolve`` returns ``(best, history)``, and fulfillment's
+    # constraint names are the first column of ``bench.CONSTRAINT_FLAGS``.
+    "EvolveResult",
+    "CONSTRAINT_NAMES",
 }
 
 # Names that moved to the tests' oracle (``tests/oracle.py``) or beside the

@@ -26,8 +26,8 @@ from medsched.fitness import compute_penalties, fitness
 from medsched.ga import (
     GA_ORDERED,
     GA_UNORDERED,
-    EvolveResult,
     GAConfig,
+    GenerationStats,
     Individual,
     SearchSpace,
     UnschedulableError,
@@ -43,6 +43,7 @@ from medsched.model import (
     MINUTES_PER_DAY,
     IncompatibilityRule,
     RuleLogic,
+    Schedule,
     ScheduleRequest,
     SlotTable,
 )
@@ -652,8 +653,8 @@ class TestEvolve:
     def test_zero_generations_returns_best_of_init(self):
         space = toy_space()
         config = GAConfig(population=40, generations=0)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 13)
-        assert result.history == ()
+        best_schedule, history = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 13)
+        assert history == ()
         # Reconstruct the initial population with the same stream.
         rng = random.Random(13)
         order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES)
@@ -661,21 +662,21 @@ class TestEvolve:
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
         best = population[max(range(len(population)), key=fitnesses.__getitem__)]
-        assert result.best == decode(best, space)
+        assert best_schedule == decode(best, space)
 
     def test_history_shape_and_initial_row(self):
         space = toy_space()
         config = GAConfig(population=25, generations=12)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 4)
-        assert len(result.history) == 12
-        assert [stats.generation for stats in result.history] == list(range(12))
+        _, history = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 4)
+        assert len(history) == 12
+        assert all(isinstance(stats, GenerationStats) for stats in history)
         rng = random.Random(4)
         order = optimal_act_order(TOY_REQUEST.acts, TOY_RULES)
         population = initial_population(space, GA_ORDERED, order, config.population, rng)
         evaluate = make_evaluator(space, TOY_REQUEST, TOY_RULES)
         fitnesses = [evaluate(individual) for individual in population]
-        assert result.history[0].best_fitness == pytest.approx(max(fitnesses))
-        assert result.history[0].mean_fitness == pytest.approx(
+        assert history[0].best_fitness == pytest.approx(max(fitnesses))
+        assert history[0].mean_fitness == pytest.approx(
             sum(fitnesses) / len(fitnesses)
         )
 
@@ -683,25 +684,23 @@ class TestEvolve:
     def test_best_fitness_nondecreasing(self, algorithm):
         space = toy_space()
         config = GAConfig(population=30, generations=25)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 21)
-        series = [stats.best_fitness for stats in result.history]
+        _, history = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 21)
+        series = [stats.best_fitness for stats in history]
         assert all(b >= a for a, b in zip(series, series[1:]))
 
     def test_best_at_least_mean_each_generation(self):
         space = toy_space()
         config = GAConfig(population=30, generations=25)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 22)
-        for stats in result.history:
+        _, history = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 22)
+        for stats in history:
             assert stats.best_fitness >= stats.mean_fitness
 
     def test_returned_best_matches_history_peak(self):
         space = toy_space()
         config = GAConfig(population=30, generations=25)
-        result = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 23)
-        best_score = fitness(compute_penalties(result.best, TOY_REQUEST, TOY_RULES))
-        assert best_score == pytest.approx(
-            max(stats.best_fitness for stats in result.history)
-        )
+        best, history = evolve(space, TOY_REQUEST, TOY_RULES, config, GA_ORDERED, 23)
+        best_score = fitness(compute_penalties(best, TOY_REQUEST, TOY_RULES))
+        assert best_score == pytest.approx(max(stats.best_fitness for stats in history))
 
     @pytest.mark.parametrize("algorithm", GA_ALGORITHMS)
     def test_deterministic_given_config(self, algorithm):
@@ -710,7 +709,8 @@ class TestEvolve:
         first = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 31)
         second = evolve(space, TOY_REQUEST, TOY_RULES, config, algorithm, 31)
         assert first == second
-        assert isinstance(first, EvolveResult)
+        best, history = first
+        assert isinstance(best, Schedule) and isinstance(history, tuple)
 
     def test_seed_changes_trajectory(self):
         space = toy_space()
@@ -748,8 +748,8 @@ class TestEvolve:
         ]
         assert max(scores[genes] for genes in neighbours) == scores[trap]
 
-        result = evolve(space, TOY_REQUEST, (), GAConfig(), algorithm, 0)
-        assert result.best == decode(Individual(optimum), space)
+        best, _ = evolve(space, TOY_REQUEST, (), GAConfig(), algorithm, 0)
+        assert best == decode(Individual(optimum), space)
 
     def test_polished_best_is_next_elite(self):
         # With one act every genome is one gene from every other, so polishing
@@ -760,10 +760,9 @@ class TestEvolve:
         )
         request = ScheduleRequest(acts=("E01",))
         config = GAConfig(population=2, generations=2, tournament_k=2)
-        result = evolve(space, request, (), config, GA_ORDERED, 0)
-        first, second = result.history
+        best, (first, second) = evolve(space, request, (), config, GA_ORDERED, 0)
         assert first.best_fitness < second.best_fitness
-        assert result.best == decode(Individual((0,)), space)
+        assert best == decode(Individual((0,)), space)
 
     def test_never_polishes_a_genome_twice(self, default_world, monkeypatch):
         # On the default world's seed-7 request two tied local optima take
@@ -1207,7 +1206,7 @@ def recording_evaluator(seed):
 def recorded_evolve(space, config, algorithm, seed, evaluate):
     """``evolve`` on ``space`` with ``evaluate`` as its evaluator.
 
-    Returns the result and, in order, each population ``evolve`` scored as
+    Returns its ``(best, history)`` and, in order, each population ``evolve`` scored as
     ``("score", genomes)`` and each polish as ``("polish", genes, value,
     returned)``.
     """
@@ -1236,8 +1235,8 @@ def recorded_evolve(space, config, algorithm, seed, evaluate):
         _replace_duplicates=redrawn,
         _polish=polished,
     ):
-        result = evolve(space, request, (), config, algorithm, seed)
-    return result, events
+        best, history = evolve(space, request, (), config, algorithm, seed)
+    return (best, history), events
 
 
 class TestPopulationScorerReplaysOracle:
@@ -1261,7 +1260,7 @@ class TestPopulationScorerReplaysOracle:
         evaluate, calls = recording_evaluator(seed)
         oracle_evaluate, oracle_calls = recording_evaluator(seed)
         with patch.object(ga, "MEMO_LIMIT", limit):
-            result, events = recorded_evolve(space, config, algorithm, seed, evaluate)
+            (_, history), events = recorded_evolve(space, config, algorithm, seed, evaluate)
         score = oracle_scorer(space, oracle_evaluate, limit)
         rows = []
         for event in events:
@@ -1272,7 +1271,7 @@ class TestPopulationScorerReplaysOracle:
                 _, genes, value, returned = event
                 assert oracle_polish(genes, value, space, score) == returned
                 assert type(returned[0]) is Individual  # it joins the population
-        assert [(row.best_fitness, row.mean_fitness) for row in result.history] == rows[
+        assert [(row.best_fitness, row.mean_fitness) for row in history] == rows[
             : config.generations
         ]
         assert calls == oracle_calls
@@ -1330,10 +1329,10 @@ def test_memo_scores_each_genome_as_itself():
         return values[individual.genes]
 
     config = GAConfig(population=4, generations=3, tournament_k=2, mutation_rate=0.5)
-    result, events = recorded_evolve(space, config, GA_UNORDERED, 0, evaluate)
+    (_, history), events = recorded_evolve(space, config, GA_UNORDERED, 0, evaluate)
     populations = [event[1] for event in events if event[0] == "score"]
     assert sorted(evaluated) == [(0,), (1,)]
-    assert [(row.best_fitness, row.mean_fitness) for row in result.history] == [
+    assert [(row.best_fitness, row.mean_fitness) for row in history] == [
         (max(map(values.get, p)), fmean(map(values.get, p))) for p in populations
     ]
     assert {genes for p in populations for genes in p} == {(0,), (1,)}
@@ -1391,14 +1390,14 @@ class TestIndividualIsItsGeneTuple:
         assert evaluated == [(1, 0), (0, 0)]
 
 
-def evolve_digest(result):
-    """sha256 of ``best`` and every history row, floats written exactly."""
+def evolve_digest(best, history):
+    """sha256 of ``best`` and every history row, numbered, floats written exactly."""
     document = repr(
         (
-            [(act, slot.id) for act, slot in result.best.assignments],
+            [(act, slot.id) for act, slot in best.assignments],
             [
-                (row.generation, row.best_fitness.hex(), row.mean_fitness.hex())
-                for row in result.history
+                (generation, row.best_fitness.hex(), row.mean_fitness.hex())
+                for generation, row in enumerate(history)
             ],
         )
     )
@@ -1423,5 +1422,5 @@ def test_evolve_matches_recorded_digest(default_world, algorithm, seed):
         list(default_world.exams), default_world.config, 5, seed=seed
     )
     space = filter_search_space(default_world.slots, request)
-    result = evolve(space, request, default_world.rules, GAConfig(), algorithm, seed)
-    assert evolve_digest(result) == EVOLVE_DIGESTS[algorithm, seed]
+    best, history = evolve(space, request, default_world.rules, GAConfig(), algorithm, seed)
+    assert evolve_digest(best, history) == EVOLVE_DIGESTS[algorithm, seed]

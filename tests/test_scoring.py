@@ -435,5 +435,4 @@ def test_evolve_unchanged_by_compiled_evaluator(default_world, monkeypatch, algo
     compiled = evolve(space, request, default_world.rules, GAConfig(), algorithm, 11)
     monkeypatch.setattr(ga, "make_evaluator", reference_evaluator)
     reference = evolve(space, request, default_world.rules, GAConfig(), algorithm, 11)
-    assert compiled.best == reference.best
-    assert compiled.history == reference.history
+    assert compiled == reference
