@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Any
 
 from .model import (
     MINUTES_PER_DAY,
@@ -76,10 +78,11 @@ class World:
 
     ``slots`` is always a ``SlotTable``, so every request filtered against
     one world shares that world's exam index, built in one pass on the
-    first request.  ``generate_world`` and ``worldio.world_from_dict`` build
-    the table directly, without the index; any other slot sequence, from a
-    hand-built world or ``dataclasses.replace``, is copied into a new table,
-    which starts with no index.
+    first request.  ``generate_world`` and ``worldio.world_from_dict`` both
+    build the table from columns, with ``SlotTable.from_columns``, and the
+    world keeps that table as it is, without the index; any other slot
+    sequence, from a hand-built world or ``dataclasses.replace``, is copied
+    into a new table, which starts with no index.
     """
 
     config: WorldConfig
@@ -161,7 +164,7 @@ def generate_rules(
     ]
 
 
-def generate_slots(catalog: list[ExamType], config: WorldConfig) -> list[TimeSlot]:
+def generate_slots(catalog: list[ExamType], config: WorldConfig) -> SlotTable:
     """The slot inventory: every room-day packed back-to-back from opening time.
 
     Durations, practitioners and exam types are uniform draws; a room-day
@@ -171,7 +174,10 @@ def generate_slots(catalog: list[ExamType], config: WorldConfig) -> list[TimeSlo
     Each draw is ``rng.choice`` or ``rng.randrange`` written out as the
     ``getrandbits`` loop CPython runs underneath (see the note in ``ga``),
     so the stream and the slots are those of the plain calls.  Everything a
-    slot takes from the config is looked up in tables built once.
+    slot takes from the config is looked up in tables built once.  The
+    slots are drawn into columns, one list per ``TimeSlot`` field, and
+    built by ``SlotTable.from_columns``, as ``worldio`` builds a loaded
+    world's, so ``TimeSlot``'s range checks run once per column.
     """
     if not catalog:
         raise ValueError("cannot generate slots from an empty catalog")
@@ -190,11 +196,12 @@ def generate_slots(catalog: list[ExamType], config: WorldConfig) -> list[TimeSlo
     # does not fit, as in a plain ``while True`` loop.
     per_day = (config.day_close - config.day_open) // min(durations) + 1
     seqs = [f"{seq:02d}" for seq in range(per_day)]
-    slots: list[TimeSlot] = []
-    append = slots.append
+    columns: list[list[Any]] = [[] for _ in TimeSlot._fields]
+    ids, exams, facility_ids, rooms, slot_practitioners, starts, slot_durations = columns
     for facility in generate_facilities(config):
         facility_id = facility.id
         for room in facility.rooms:
+            room_start = len(ids)
             for day in range(config.horizon_days):
                 prefix = f"{room}-d{day:02d}-"
                 cursor = day * MINUTES_PER_DAY + config.day_open
@@ -209,23 +216,19 @@ def generate_slots(catalog: list[ExamType], config: WorldConfig) -> list[TimeSlo
                     pick = getrandbits(practitioner_bits)
                     while pick >= n_practitioners:
                         pick = getrandbits(practitioner_bits)
-                    practitioner = practitioners[pick]
+                    slot_practitioners.append(practitioners[pick])
                     pick = getrandbits(exam_bits)
                     while pick >= n_exams:
                         pick = getrandbits(exam_bits)
-                    append(
-                        TimeSlot(
-                            prefix + seq,
-                            exam_ids[pick],
-                            facility_id,
-                            room,
-                            practitioner,
-                            cursor,
-                            duration,
-                        )
-                    )
+                    exams.append(exam_ids[pick])
+                    ids.append(prefix + seq)
+                    starts.append(cursor)
+                    slot_durations.append(duration)
                     cursor += duration
-    return slots
+            room_slots = len(ids) - room_start
+            facility_ids.extend(repeat(facility_id, room_slots))
+            rooms.extend(repeat(room, room_slots))
+    return SlotTable.from_columns(columns)
 
 
 def generate_request(
@@ -255,5 +258,5 @@ def generate_world(config: WorldConfig) -> World:
             exams=tuple(catalog),
             rules=tuple(generate_rules(catalog, config)),
             facilities=tuple(generate_facilities(config)),
-            slots=SlotTable(generate_slots(catalog, config)),
+            slots=generate_slots(catalog, config),
         )

@@ -234,10 +234,6 @@ class Schedule:
             if act != position:
                 raise ValueError(f"act {act} at position {position}: act i must be at position i")
 
-    def sorted_by_start(self) -> list[tuple[int, TimeSlot]]:
-        """Assignments in chronological order of slot start."""
-        return sorted(self.assignments, key=lambda pair: (pair[1].start, pair[1].id))
-
     def __len__(self) -> int:
         return len(self.assignments)
 

@@ -71,6 +71,8 @@ _SLOT_COLUMNS = (
     ("start", int),
     ("duration_minutes", int),
 )
+# The columns of a few distinct strings, repeated row after row.
+_MEMO_COLUMNS = frozenset({"exam", "facility", "room", "practitioner"})
 
 
 def _typed(value: Any, kind: type, name: str) -> Any:
@@ -103,8 +105,14 @@ def _slots_from_columns(
 ) -> SlotTable:
     """The slot table of the document's ``slots`` columns, each check made on whole columns.
 
-    Only a check that fails looks for the first row that fails it, so its
-    error names that row, ``slots[i]``, and the field.
+    The exam, facility, room and practitioner columns hold a few distinct
+    strings each, so each is read through its own memo of its values: the
+    column keeps one object per value (an entry equal to an earlier one is
+    read as that one), and the type and known-value checks read the memo's
+    keys, not every row.  Only a check that fails looks for the first row
+    that fails it, so its error names that row, ``slots[i]``, and the
+    field; an unhashable entry, which no memo can hold, is found the same
+    way.
     """
     _typed(slots, dict, "slots")
     columns = [_typed(slots[name], list, name) for name, _ in _SLOT_COLUMNS]
@@ -116,17 +124,24 @@ def _slots_from_columns(
         short = _SLOT_COLUMNS[lengths.index(count)][0]
         reason = f"missing {short}: its column has {count} entries, not {max(lengths)}"
         raise _format_error(f"slots[{count}]", ValueError(reason))
-    for column, (name, kind) in zip(columns, _SLOT_COLUMNS):
-        if not set(map(type, column)) <= {kind}:
+    memos: dict[str, dict[str, str]] = {}
+    for index, (name, kind) in enumerate(_SLOT_COLUMNS):
+        column = values = columns[index]
+        if name in _MEMO_COLUMNS:
+            memo = memos[name] = {}
+            try:
+                columns[index] = list(map(memo.setdefault, column, column))
+                values = memo.keys()
+            except TypeError:  # unhashable: the scan below names its row
+                pass
+        if not set(map(type, values)) <= {kind}:
             message = f"{name} must be {kind.__name__}, got {{!r}}".format
             _first_fault("slots", column, lambda value: type(value) is kind, message)
-    memo: dict[str, str] = {}  # one object per repeated string value
-    columns[1:5] = [list(map(memo.setdefault, c, c)) for c in columns[1:5]]
     ids, exams, facilities, room_names = columns[:4]
     _unique_ids("slots", ids, "slot")
-    if not set(exams) <= exam_ids:
+    if not memos["exam"].keys() <= exam_ids:
         _first_fault("slots", exams, exam_ids.__contains__, "unknown exam {!r}".format)
-    if not set(facilities) <= facility_ids:
+    if not memos["facility"].keys() <= facility_ids:
         _first_fault("slots", facilities, facility_ids.__contains__, "unknown facility {!r}".format)
     if not set(zip(facilities, room_names)) <= rooms:
         _first_fault(
@@ -382,12 +397,14 @@ def solution_to_dict(
     score: float,
     metrics: SolutionMetrics,
 ) -> dict[str, Any]:
+    """The solution document; its assignments are in order of slot start, ties by slot id."""
+    ordered = sorted(schedule.assignments, key=lambda pair: (pair[1].start, pair[1].id))
     return {
         "algorithm": algorithm,
         "request": request_to_dict(request),
         "assignments": [
             {"act": act, "slot": {**slot._asdict(), "start_label": instant_label(slot.start)}}
-            for act, slot in schedule.sorted_by_start()
+            for act, slot in ordered
         ],
         "penalties": {**asdict(penalties), "total": penalties.total()},
         "fitness": score,

@@ -19,6 +19,7 @@ from medsched.metrics import SolutionMetrics
 from medsched.model import MINUTES_PER_DAY, Schedule, TimeSlot
 
 from oracle import (
+    by_start,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -104,7 +105,7 @@ def reference_penalties(schedule, request, rules):
     )
     trips = PER_TRIP_PENALTY * len(segment_trips(schedule))
     travel = TRAVEL_GAP_PENALTY * len(check_travel_gaps(schedule))
-    ordered = schedule.sorted_by_start()
+    ordered = by_start(schedule)
     wait = idle_minutes(ordered) / WAIT_MINUTES_PER_POINT
     first_day = ordered[0][1].start // MINUTES_PER_DAY
     lead = max(0, first_day - request.start_day)
@@ -115,7 +116,7 @@ def reference_metrics(schedule, rules, act_count):
     """``solution_metrics`` composed from the checkers."""
     itr = None
     if len(schedule) >= 2:
-        ordered = schedule.sorted_by_start()
+        ordered = by_start(schedule)
         itr = idle_minutes(ordered) / (ordered[-1][1].end - ordered[0][1].start)
     return SolutionMetrics(
         itr=itr,

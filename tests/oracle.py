@@ -20,6 +20,11 @@ from medsched.constraints import TRAVEL_GAP_MINUTES, TRIP_GAP_MINUTES
 from medsched.model import IncompatibilityRule, RuleLogic, Schedule, TimeSlot
 
 
+def by_start(schedule: Schedule) -> list[tuple[int, TimeSlot]]:
+    """The (act, slot) pairs in order of slot start, ties by slot id."""
+    return sorted(schedule.assignments, key=lambda pair: (pair[1].start, pair[1].id))
+
+
 def slots_overlap(a: TimeSlot, b: TimeSlot) -> bool:
     """True iff the half-open intervals of the two slots intersect."""
     return a.start < b.end and b.start < a.end
@@ -27,7 +32,7 @@ def slots_overlap(a: TimeSlot, b: TimeSlot) -> bool:
 
 def find_overlaps(schedule: Schedule) -> list[tuple[int, int]]:
     """The act pair of each unordered pair of assignments whose slots overlap."""
-    pairs = schedule.sorted_by_start()
+    pairs = by_start(schedule)
     violations = []
     for i in range(len(pairs)):
         act_i, slot_i = pairs[i]
@@ -83,7 +88,7 @@ def segment_trips(schedule: Schedule) -> tuple[tuple[tuple[int, TimeSlot], ...],
     trip starts on a facility change or on an idle gap strictly greater than
     two hours.
     """
-    ordered = schedule.sorted_by_start()
+    ordered = by_start(schedule)
     segments = []
     run = [ordered[0]]
     for prev, cur in zip(ordered, ordered[1:]):
@@ -100,7 +105,7 @@ def segment_trips(schedule: Schedule) -> tuple[tuple[tuple[int, TimeSlot], ...],
 
 def check_travel_gaps(schedule: Schedule) -> list[tuple[int, int]]:
     """The act pair of each consecutive pair at different facilities under 3h apart."""
-    ordered = schedule.sorted_by_start()
+    ordered = by_start(schedule)
     violations = []
     for (act_a, slot_a), (act_b, slot_b) in zip(ordered, ordered[1:]):
         if slot_a.facility == slot_b.facility:

@@ -47,6 +47,7 @@ from medsched.model import (
 
 from conftest import make_schedule, make_slot
 from oracle import (
+    by_start,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -455,7 +456,7 @@ def checker_cases(draw):
 @given(case=checker_cases())
 def property_checkers_match_brute_force(case):
     schedule, rules = case
-    ordered = schedule.sorted_by_start()
+    ordered = by_start(schedule)
 
     expected_overlaps = sorted(
         (

@@ -16,6 +16,7 @@ from medsched.model import MINUTES_PER_DAY, IncompatibilityRule, RuleLogic
 
 from conftest import make_schedule, make_slot
 from oracle import (
+    by_start,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -186,7 +187,7 @@ class TestSegmentTrips:
         )
         segments = segment_trips(schedule)
         flattened = [pair for trip in segments for pair in trip]
-        assert flattened == schedule.sorted_by_start()
+        assert flattened == by_start(schedule)
 
 
 class TestCheckTravelGaps:
@@ -231,11 +232,11 @@ class TestIdleMinutes:
             make_slot(id="D", start=660, duration=20),
             make_slot(id="E", start=780, duration=30),
         )
-        assert idle_minutes(schedule.sorted_by_start()) == 130
+        assert idle_minutes(by_start(schedule)) == 130
 
     def test_fewer_than_two_assignments_is_zero(self):
         assert idle_minutes(()) == 0
-        assert idle_minutes(make_schedule(make_slot(id="A")).sorted_by_start()) == 0
+        assert idle_minutes(by_start(make_schedule(make_slot(id="A")))) == 0
 
 
 def precedence_edges(acts, rules):
@@ -410,7 +411,7 @@ class TestActOrderReadsRuleChecks:
 
 
 def naive_overlaps(schedule):
-    pairs = schedule.sorted_by_start()
+    pairs = by_start(schedule)
     found = []
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
@@ -441,7 +442,7 @@ def naive_incompatibilities(schedule, rules):
 
 
 def naive_travel_gaps(schedule):
-    ordered = schedule.sorted_by_start()
+    ordered = by_start(schedule)
     return [
         (a[0], b[0])
         for a, b in zip(ordered, ordered[1:])
@@ -506,7 +507,7 @@ class TestBruteForceEquivalence:
     @given(schedule=random_schedules())
     def test_single_trip_iff_one_facility_and_small_gaps(self, schedule):
         trips = segment_trips(schedule)
-        ordered = schedule.sorted_by_start()
+        ordered = by_start(schedule)
         one_facility = len({slot.facility for _, slot in ordered}) == 1
         small_gaps = all(
             b.start - a.end <= 120 for (_, a), (_, b) in zip(ordered, ordered[1:])

@@ -18,7 +18,7 @@ from medsched.datagen import (
     generate_slots,
     generate_world,
 )
-from medsched.model import MINUTES_PER_DAY, RuleLogic, Specialty, TimeSlot
+from medsched.model import MINUTES_PER_DAY, RuleLogic, SlotTable, Specialty, TimeSlot
 
 
 class TestWorldConfig:
@@ -223,7 +223,13 @@ class TestSlots:
     @given(config=slot_configs())
     def test_equals_choice_and_randrange_reference(self, config):
         catalog = generate_catalog(config)
-        assert generate_slots(catalog, config) == reference_generate_slots(catalog, config)
+        assert generate_slots(catalog, config) == tuple(reference_generate_slots(catalog, config))
+
+    def test_world_takes_the_generated_table(self):
+        config = WorldConfig(horizon_days=3)
+        slots = generate_world(config).slots
+        assert type(slots) is SlotTable
+        assert slots == tuple(reference_generate_slots(generate_catalog(config), config))
 
     def test_rejects_empty_catalog(self):
         with pytest.raises(ValueError, match="empty catalog"):

@@ -319,15 +319,6 @@ class TestRuleAndRequest:
 
 
 class TestSchedule:
-    def test_sorted_by_start_orders_by_start_then_id(self):
-        s1 = make_slot(id="B", start=600)
-        s2 = make_slot(id="A", start=600)
-        s3 = make_slot(id="C", start=540)
-        schedule = make_schedule(s1, s2, s3)
-        ordered = schedule.sorted_by_start()
-        assert [slot.id for _, slot in ordered] == ["C", "A", "B"]
-        assert [act for act, _ in ordered] == [2, 1, 0]
-
     def test_len_counts_assignments(self):
         assert len(make_schedule(make_slot(), make_slot(id="S2", start=700))) == 2
 

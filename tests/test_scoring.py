@@ -32,6 +32,7 @@ from medsched.model import (
 
 from conftest import make_slot, reference_metrics, reference_penalties
 from oracle import (
+    by_start,
     check_incompatibilities,
     check_travel_gaps,
     find_overlaps,
@@ -266,7 +267,7 @@ class TestOnePickLayout:
 
 def assert_pass_matches_oracle(schedule, request, rules):
     counts = schedule_counts(schedule, rules)
-    ordered = schedule.sorted_by_start()
+    ordered = by_start(schedule)
     assert counts.overlaps == len(find_overlaps(schedule))
     assert counts.breaches == len(check_incompatibilities(schedule, rules))
     assert counts.trips == len(segment_trips(schedule))

@@ -258,6 +258,8 @@ class TestWorldPersistence:
             ("slots", 9, "duration_minutes", True, "duration_minutes must be int"),
             ("slots", 9, "id", 5, "id must be str"),
             ("slots", 9, "room", None, "room must be str"),
+            ("slots", 9, "exam", ["E00"], "exam must be str"),
+            ("slots", 9, "practitioner", {"P": 1}, "practitioner must be str"),
             ("slots", 9, "exam", "ZZZ", "unknown exam 'ZZZ'"),
             ("slots", 9, "facility", "ZZZ", "unknown facility 'ZZZ'"),
             ("slots", 9, "room", "ZZZ", "room 'ZZZ' is not in facility"),
@@ -807,6 +809,19 @@ class TestSolutionDocument:
         path = tmp_path / "solution.json"
         save_solution(document, path)
         assert json.loads(path.read_text()) == document
+
+    def test_assignments_ordered_by_start_then_id(self):
+        schedule = make_schedule(
+            make_slot(id="B", start=600), make_slot(id="A", start=600), make_slot(id="C", start=540)
+        )
+        request = ScheduleRequest(acts=("E00",) * 3)
+        penalties = compute_penalties(schedule, request, [])
+        document = solution_to_dict(
+            "fcfs", request, schedule, penalties, fitness(penalties), solution_metrics(schedule, [], 3)
+        )
+        assignments = document["assignments"]
+        assert [entry["slot"]["id"] for entry in assignments] == ["C", "A", "B"]
+        assert [entry["act"] for entry in assignments] == [2, 1, 0]
 
 
 def test_savers_take_str_paths_as_loaders_do(default_world, tmp_path):
