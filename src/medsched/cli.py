@@ -212,6 +212,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     seed = _seed(args)
     world = _load_or_generate_world(args, seed)
+    if args.world is not None and args.seed is not None:
+        raise ValueError(
+            f"--seed has no effect with --world: bench draws every trial from "
+            f"the world's config.seed ({world.config.seed})"
+        )
     algorithms = tuple(args.algo) if args.algo else ALL_ALGORITHMS
     config = BenchConfig(
         trials=args.trials,

@@ -2,11 +2,11 @@
 
 ``schedule_counts`` is the one scoring pass: fitness and metrics read its
 counts.  ``rule_checks`` is the one place rules become breach checks, for
-scoring and for ``optimal_act_order``, and ``walk_picks``, the one walk
-over consecutive picks, is the one place they are applied.  The GA's
-evaluator calls both too, so it cannot count differently.  The tests hold
-these counts equal to an oracle with one checker per concern,
-``tests/oracle.py``.
+scoring and for ``optimal_act_order``.  ``walk_picks`` is the one walk over
+a schedule's picks: the one place they are put in order, the checks
+applied and the span measured.  The GA's evaluator calls both too, so it
+cannot count differently.  The tests hold these counts equal to an oracle
+with one checker per concern, ``tests/oracle.py``.
 
 Gap conventions, fixed once here and reused by fitness, metrics and the GA:
 a rule's separation is measured from the earlier slot's end to the later
@@ -75,24 +75,22 @@ def rule_checks(rules: Iterable[IncompatibilityRule], exams: Sequence[str]) -> l
 
 
 def walk_picks(
-    picks: Sequence[Pick],
-    checks: Iterable[Check],
-    by_position: Sequence[Pick],
-) -> tuple[int, int, int, int, int]:
-    """Overlaps, rule breaches, trips, transfers and idle minutes of a pick sequence.
+    by_position: Sequence[Pick], checks: Iterable[Check]
+) -> tuple[int, int, int, int, int, int, int]:
+    """A schedule's counts, as a plain tuple in ``ScheduleCounts``' field order.
 
-    This is the one walk over consecutive picks, and the one place rule
-    checks are applied, for ``schedule_counts`` and the GA's evaluator
-    alike: both pass the same picks in the same order.  ``picks`` is
-    non-empty and sorted, and of a pick only ``start``, ``end`` and
-    ``facility`` are read.  ``checks`` come from ``rule_checks`` and index
-    ``by_position``, the same picks in act order.  A pick
-    overlaps the previous one when it starts before that one ends; every
-    later pick that also starts before that end counts as one more overlap.
-    A trip starts at the first pick, on a facility change, and on a gap
-    over ``TRIP_GAP_MINUTES``; a facility change under
-    ``TRAVEL_GAP_MINUTES`` is a transfer.  Idle minutes sum the positive
-    gaps.
+    ``by_position`` holds one pick per act, in act order, for
+    ``schedule_counts`` and the GA's evaluator alike.  ``checks`` come from
+    ``rule_checks`` and index it.  The walk then runs over a sorted copy:
+    plain tuples, so by start with ties broken by slot id.  This sort is
+    the one place the picks are ordered.  Of a pick only ``start``, ``end``
+    and ``facility`` are read.  A pick overlaps the previous one when it
+    starts before that one ends; every later pick that also starts before
+    that end counts as one more overlap.  A trip starts at the first pick,
+    on a facility change, and on a gap over ``TRIP_GAP_MINUTES``; a
+    facility change under ``TRAVEL_GAP_MINUTES`` is a transfer.  Idle
+    minutes sum the positive gaps between consecutive picks.  The span runs
+    from the first start to the end of the last pick.
     """
     breaches = 0
     for i, j, gap, symmetric in checks:
@@ -100,10 +98,11 @@ def walk_picks(
         if second[0] - first[2] < gap and (not symmetric or first[0] - second[2] < gap):
             breaches += 1
 
+    picks = sorted(by_position)
     overlaps = transfers = idle = 0
     trips = 1
     count = len(picks)
-    _, _, prev_end, prev_facility = picks[0]
+    first_start, _, prev_end, prev_facility = picks[0]
     for i in range(1, count):
         start, _, end, facility = picks[i]
         gap = start - prev_end
@@ -124,35 +123,29 @@ def walk_picks(
         elif gap > TRIP_GAP_MINUTES:
             trips += 1
         prev_end, prev_facility = end, facility
-    return overlaps, breaches, trips, transfers, idle
+    return overlaps, breaches, trips, transfers, idle, prev_end - first_start, first_start
 
 
 def schedule_counts(
     schedule: Schedule, rules: Iterable[IncompatibilityRule]
 ) -> ScheduleCounts:
-    """Every count fitness and metrics read, from one sort and one walk.
+    """Every count fitness and metrics read, from one ``walk_picks`` call.
 
-    One pass over the assignments builds the picks and the rules' checks.
-    The counts equal the oracle's in ``tests/oracle.py``: ``overlaps``,
-    ``breaches``, ``trips`` and ``transfers`` are the lengths of
-    ``find_overlaps``, ``check_incompatibilities``, ``segment_trips`` and
+    One pass over the assignments builds the picks in act order and the
+    acts' exams, for ``rule_checks``.  The counts equal the oracle's in
+    ``tests/oracle.py``: ``overlaps``, ``breaches``, ``trips`` and
+    ``transfers`` are the lengths of ``find_overlaps``,
+    ``check_incompatibilities``, ``segment_trips`` and
     ``check_travel_gaps``, and ``idle`` is ``idle_minutes`` of the start
     order.  ``span`` runs from the first start to the end of the last pick
-    in start order, and ``first_start`` is the first start.  The picks are
-    sorted as plain tuples, as the GA's evaluator sorts them.
+    in start order, and ``first_start`` is the first start.
     """
     exams: list[str] = []
     by_position: list[Pick] = []
     for _, (slot_id, exam, facility, _, _, start, duration) in schedule.assignments:
         exams.append(exam)
         by_position.append((start, slot_id, start + duration, facility))
-    picks = sorted(by_position)
-    checks = rule_checks(rules, exams)
-    overlaps, breaches, trips, transfers, idle = walk_picks(picks, checks, by_position)
-    first_start = picks[0][0]
-    return ScheduleCounts(
-        overlaps, breaches, trips, transfers, idle, picks[-1][2] - first_start, first_start
-    )
+    return ScheduleCounts(*walk_picks(by_position, rule_checks(rules, exams)))
 
 
 def optimal_act_order(

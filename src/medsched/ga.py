@@ -356,8 +356,8 @@ def make_evaluator(
     picks ``(start, id, end, facility)`` indexed by gene, the pick
     ``constraints.schedule_counts`` builds, and ``constraints.rule_checks``
     compiles the rules over act positions.  A genome is then scored, as
-    ``schedule_counts`` scores a schedule, by one plain sort of its picks
-    and one ``constraints.walk_picks`` call.  Genomes are not checked:
+    ``schedule_counts`` scores a schedule, by one ``constraints.walk_picks``
+    call over its picks in act order.  Genomes are not checked:
     ``evolve`` breeds only in-range ones, and ``decode`` checks the rest.
     A space whose act count is not the request's, or with a block that
     mixes exams (only a hand-built space has either), raises ``ValueError``.
@@ -376,14 +376,10 @@ def make_evaluator(
     start_day = request.start_day
 
     def evaluate(genes: Genes) -> float:
-        if checks:
-            by_act = list(map(getitem, tables, genes))
-            picks = sorted(by_act)
-        else:  # ``walk_picks`` reads its ``by_position`` only through the checks
-            picks = by_act = sorted(map(getitem, tables, genes))
-
-        overlaps, breaches, trips, transfers, wait = walk_picks(picks, checks, by_act)
-        lead = picks[0][0] // MINUTES_PER_DAY - start_day
+        overlaps, breaches, trips, transfers, wait, _, first_start = walk_picks(
+            list(map(getitem, tables, genes)), checks
+        )
+        lead = first_start // MINUTES_PER_DAY - start_day
 
         # PenaltyBreakdown.total(), term for term: the float matches.
         total = (

@@ -34,7 +34,7 @@ from medsched.bench import (
 )
 from medsched.datagen import WorldConfig, generate_request, generate_world
 from medsched.ga import GAConfig, evolve, filter_search_space
-from medsched.model import ScheduleRequest
+from medsched.model import MINUTES_PER_DAY, ScheduleRequest
 
 SMALL_WORLD_CONFIG = WorldConfig(
     seed=5, horizon_days=6, facilities=2, rooms_per_facility=2, rule_count=8
@@ -149,6 +149,36 @@ class TestSolveCell:
             assert record == solve_cell(
                 algorithm, small_world, request, SMALL_GA, ga_seed, random_seed, trial
             )
+
+    def test_shifting_slots_and_start_day_by_whole_days_changes_nothing(self, default_world):
+        # Scores read days only relative to the request's start day, so
+        # moving every slot and every start day k days later moves no answer.
+        days = 3
+        shifted = replace(
+            default_world,
+            slots=[
+                slot._replace(start=slot.start + days * MINUTES_PER_DAY)
+                for slot in default_world.slots
+            ],
+        )
+        config = GAConfig(population=30, generations=20)
+        for trial in range(10):
+            request_seed, ga_seed, random_seed = trial_seeds(default_world.config.seed, trial)
+            request = generate_request(
+                list(default_world.exams), default_world.config, 5, seed=request_seed
+            )
+            later = replace(request, start_day=request.start_day + days)
+            for algorithm in ALL_ALGORITHMS:
+                record, moved = (
+                    solve_cell(algorithm, world, asked, config, ga_seed, random_seed, trial)
+                    for world, asked in ((default_world, request), (shifted, later))
+                )
+                assert [slot.id for _, slot in moved.schedule.assignments] == [
+                    slot.id for _, slot in record.schedule.assignments
+                ]
+                assert (moved.penalties, moved.fitness, moved.metrics, moved.history) == (
+                    record.penalties, record.fitness, record.metrics, record.history
+                )
 
     def test_failed_cell_has_no_result(self, small_world, monkeypatch):
         def fail(*args):

@@ -487,6 +487,24 @@ class TestBench:
         assert "more than once: ['fcfs']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_with_world_is_a_usage_error_before_the_grid_runs(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
+        # bench draws every trial from the world's own seed, so a --seed
+        # beside --world would be ignored; MEDSCHED_SEED stays a default.
+        def never(*args):
+            raise AssertionError("run_bench called")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        monkeypatch.setenv("MEDSCHED_SEED", "7")
+        out = tmp_path / "bench"
+        argv = ["bench", "--world", str(world_dir / "world.json"), "--out", str(out)]
+        assert main([*argv, "--seed", "5"]) == 1
+        assert "the world's config.seed (5)" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(AssertionError, match="run_bench called"):
+            main(argv)
+
     def test_out_naming_a_file_exits_2_before_the_grid_runs(
         self, world_dir, tmp_path, capsys, monkeypatch
     ):

@@ -51,6 +51,16 @@ class TestIdleTimeRatio:
         # Span 09:00-12:00 = 180; only the positive 60-minute gap counts.
         assert itr_of(schedule) == pytest.approx(60 / 180)
 
+    def test_nested_slot_measures_the_next_gap_from_its_own_end(self):
+        # The documented convention: B ends inside A, and C's gap runs from
+        # B's end (660), not from A's (720).
+        schedule = make_schedule(
+            make_slot(id="A", start=600, duration=120),
+            make_slot(id="B", start=630, duration=30),
+            make_slot(id="C", start=780, duration=30),
+        )
+        assert itr_of(schedule) == pytest.approx(120 / 210)
+
     @settings(max_examples=1000, deadline=None)
     @given(
         minutes=st.lists(

@@ -1,6 +1,7 @@
 """The compiled evaluator and the one scoring pass against the checker oracle, exactly."""
 
 import random
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -232,16 +233,11 @@ class TestMatchesReference:
 
 
 def recording_walk(original, calls):
-    """``original`` that also records each call's ``(picks, checks, by_position)``.
+    """``original`` that also records each call's ``(by_position, checks)``."""
 
-    ``walk_picks`` reads ``by_position`` only through the checks, so without
-    checks it is recorded, and handed on, as ``None``.
-    """
-
-    def walk(picks, checks, by_position):
-        by_position = list(by_position) if checks else None
-        calls.append((list(picks), list(checks), by_position))
-        return original(picks, checks, by_position)
+    def walk(by_position, checks):
+        calls.append((list(by_position), list(checks)))
+        return original(by_position, checks)
 
     return walk
 
@@ -263,6 +259,43 @@ class TestOnePickLayout:
             schedule_counts(decode(genes, space), rules)
         evaluated, counted = calls
         assert evaluated == counted
+
+
+@st.composite
+def permuted_scoring_cases(draw):
+    """A ``scoring_cases`` case and the same case with its acts permuted.
+
+    The request's acts, the space's blocks and the genes move together, so
+    the decoded schedule books the same slots at permuted positions.
+    """
+    space, request, rules, genes = case = draw(scoring_cases())
+    order = draw(st.permutations(range(len(genes))))
+    permuted = (
+        SearchSpace(per_act_slots=tuple(space.per_act_slots[i] for i in order)),
+        replace(request, acts=tuple(request.acts[i] for i in order)),
+        rules,
+        [genes[i] for i in order],
+    )
+    return case, permuted
+
+
+class TestActOrderInvariance:
+    # ``walk_picks`` puts the picks in order; no score may depend on the
+    # order the acts were requested in.
+    @settings(max_examples=300, deadline=None)
+    @given(permuted_scoring_cases())
+    def test_both_scorers_ignore_act_order(self, cases):
+        scores = []
+        for space, request, rules, genes in cases:
+            schedule = decode(genes, space)
+            scores.append(
+                (
+                    compute_penalties(schedule, request, rules),
+                    solution_metrics(schedule, rules, len(request.acts)),
+                    make_evaluator(space, request, rules)(Individual(tuple(genes))),
+                )
+            )
+        assert scores[0] == scores[1]
 
 
 def assert_pass_matches_oracle(schedule, request, rules):
