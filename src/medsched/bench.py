@@ -7,12 +7,13 @@ five benchmark tables: convergence, fulfillment, raw ITR, raw trips, and
 pairwise rank-sum comparisons.
 
 Every (algorithm, trial) cell carries its own seeds, so the cells are
-independent runs.  ``run_bench`` runs them on up to one forked worker per CPU
-in this process's affinity, never more than there are GA cells: a child
-inherits the world, the config and its cells, and pickles back only its
-records, which the parent puts back in cell order.  The records, and so
-every output file, are the same for any worker count; ``taskset -c 0`` makes
-the run serial.
+independent runs.  ``run_bench`` deals them to up to one worker per CPU in
+this process's affinity, never more than there are GA cells.  This process
+is worker 0 and runs the first share itself; each other worker is a forked
+child that inherits the world, the config and its cells, and pickles back
+only its records.  Records are put back in cell order, so they, and every
+output file, are the same for any worker count; with one worker, as under
+``taskset -c 0``, nothing forks.
 """
 
 from __future__ import annotations
@@ -238,20 +239,18 @@ def _worker_records(cells: Sequence[Cell], data: bytes, status: int) -> list[Tri
 def _run_in_workers(
     shares: Sequence[Sequence[Cell]], world: World, ga: GAConfig
 ) -> list[list[TrialRecord]]:
-    """``_run_cells`` on each share in its own forked child; the records per share.
+    """The records of each share: the first run here, each other in a forked child.
 
     Every child is reaped before this returns; on an exception, such as
-    ``KeyboardInterrupt``, the children not yet reaped are killed first.
+    ``KeyboardInterrupt`` in the first share, those not yet reaped are killed.
     """
-    import signal
-
     running: dict[int, BinaryIO] = {}
     try:
-        for share in shares:
+        for share in shares[1:]:
             pid, pipe = _fork_worker(share, world, ga)
             running[pid] = pipe
-        results = []
-        for share, (pid, pipe) in zip(shares, list(running.items())):
+        results = [_run_cells(shares[0], world, ga)]
+        for share, (pid, pipe) in zip(shares[1:], list(running.items())):
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -259,18 +258,20 @@ def _run_in_workers(
             results.append(_worker_records(share, data, status))
         return results
     finally:
-        for pid, pipe in running.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if running:
+            import signal
+
+            for pid, pipe in running.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def run_bench(config: BenchConfig, world: World) -> BenchResult:
     """Run the full trial grid on ``world``; per-cell failures are recorded, not raised.
 
-    The cells run in this process when one worker or none would have a GA
-    cell; else the GA cells, then the baseline cells, are dealt round-robin
-    to ``min(usable_cpus(), GA cells)`` forked workers.
+    The GA cells, then the baseline cells, are dealt round-robin to
+    ``max(1, min(usable_cpus(), GA cells))`` shares; one share forks nothing.
     """
     requests: list[ScheduleRequest] = []
     cells: list[Cell] = []
@@ -282,17 +283,14 @@ def run_bench(config: BenchConfig, world: World) -> BenchResult:
         requests.append(request)
         cells += [(algorithm, trial, request, ga_seed, random_seed) for algorithm in config.algorithms]
     ga_cells = [i for i, cell in enumerate(cells) if cell[0] in GA_ALGORITHMS]
-    workers = min(usable_cpus(), len(ga_cells))
-    if workers <= 1:
-        records = _run_cells(cells, world, config.ga)
-    else:
-        order = ga_cells + [i for i, cell in enumerate(cells) if cell[0] not in GA_ALGORITHMS]
-        dealt = [order[w::workers] for w in range(workers)]
-        shares = _run_in_workers([[cells[i] for i in share] for share in dealt], world, config.ga)
-        by_cell = {
-            i: record for share, results in zip(dealt, shares) for i, record in zip(share, results)
-        }
-        records = [by_cell[i] for i in range(len(cells))]
+    order = ga_cells + [i for i, cell in enumerate(cells) if cell[0] not in GA_ALGORITHMS]
+    workers = max(1, min(usable_cpus(), len(ga_cells)))
+    dealt = [order[w::workers] for w in range(workers)]
+    shares = _run_in_workers([[cells[i] for i in share] for share in dealt], world, config.ga)
+    by_cell = {
+        i: record for share, results in zip(dealt, shares) for i, record in zip(share, results)
+    }
+    records = [by_cell[i] for i in range(len(cells))]
     return BenchResult(
         config=config, world=world, requests=tuple(requests), records=tuple(records)
     )

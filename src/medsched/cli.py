@@ -57,10 +57,9 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags ``solve`` and ``bench`` share, defaulting to the configs' own."""
-    parser.add_argument(
-        "--acts", type=int, default=BenchConfig.acts_per_request, help="acts per request"
-    )
+    """The flags ``solve`` and ``bench`` share; an omitted one is the configs' own."""
+    acts = BenchConfig.acts_per_request
+    parser.add_argument("--acts", type=int, default=None, help=f"acts per request (default {acts})")
     parser.add_argument("--generations", type=int, default=GAConfig.generations)
     parser.add_argument("--population", type=int, default=GAConfig.population)
     parser.add_argument("--tournament-k", type=int, default=GAConfig.tournament_k)
@@ -158,6 +157,8 @@ def cmd_gen_world(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.request is not None and args.acts is not None:
+        raise ValueError("--acts has no effect with --request: the request file sets the acts")
     # An earlier run's outputs go first, so a failure leaves none; an input file stays.
     out_dir = Path(args.out)
     inputs = {Path(path).resolve() for path in (args.world, args.request) if path is not None}
@@ -175,7 +176,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"request names exams outside the world's catalogue: {', '.join(unknown)}"
             )
     else:
-        request = generate_request(list(world.exams), world.config, args.acts, seed=seed)
+        acts = BenchConfig.acts_per_request if args.acts is None else args.acts
+        request = generate_request(list(world.exams), world.config, acts, seed=seed)
     if args.start_day is not None:
         request = replace(request, start_day=args.start_day)
     if args.prefer_facility is not None:
@@ -220,7 +222,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algorithms = tuple(args.algo) if args.algo else ALL_ALGORITHMS
     config = BenchConfig(
         trials=args.trials,
-        acts_per_request=args.acts,
+        acts_per_request=BenchConfig.acts_per_request if args.acts is None else args.acts,
         algorithms=algorithms,
         ga=_ga_config(args),
     )

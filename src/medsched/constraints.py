@@ -25,9 +25,9 @@ from .model import IncompatibilityRule, RuleLogic, Schedule
 TRIP_GAP_MINUTES = 120
 TRAVEL_GAP_MINUTES = 180
 
-# A pick: a booked slot's (start, id, end, facility), the one layout that
-# ``schedule_counts`` and the GA's evaluator both build.
-Pick = tuple[int, str, int, str]
+# A pick: a booked slot's (start, end, facility), and no id, so no score reads
+# a slot's name; the one layout ``schedule_counts`` and the GA's evaluator build.
+Pick = tuple[int, int, str]
 # A breach check over act positions: (i, j, gap, symmetric); see rule_checks.
 Check = tuple[int, int, int, bool]
 
@@ -81,30 +81,32 @@ def walk_picks(
 
     ``by_position`` holds one pick per act, in act order, for
     ``schedule_counts`` and the GA's evaluator alike.  ``checks`` come from
-    ``rule_checks`` and index it.  The walk then runs over a sorted copy:
-    plain tuples, so by start with ties broken by slot id.  This sort is
-    the one place the picks are ordered.  Of a pick only ``start``, ``end``
-    and ``facility`` are read.  A pick overlaps the previous one when it
-    starts before that one ends; every later pick that also starts before
-    that end counts as one more overlap.  A trip starts at the first pick,
-    on a facility change, and on a gap over ``TRIP_GAP_MINUTES``; a
-    facility change under ``TRAVEL_GAP_MINUTES`` is a transfer.  Idle
-    minutes sum the positive gaps between consecutive picks.  The span runs
-    from the first start to the end of the last pick.
+    ``rule_checks`` and index it.  The walk then runs over a sorted copy, the
+    one place the picks are ordered: by start, the shorter of two
+    equal-start picks first.  Equal start and end at two facilities fall to
+    the facility id; those picks overlap, so the schedule already has a hard
+    violation.  Picks still tied are equal, so their order changes no count.
+    A pick overlaps the previous one when it starts before that one ends;
+    every later pick that also starts before that end counts as one more
+    overlap.  A trip starts at the first pick, on a facility change, and on a
+    gap over ``TRIP_GAP_MINUTES``; a facility change under
+    ``TRAVEL_GAP_MINUTES`` is a transfer.  Idle minutes sum the positive gaps
+    between consecutive picks.  The span runs from the first start to the end
+    of the last pick.
     """
     breaches = 0
     for i, j, gap, symmetric in checks:
         first, second = by_position[i], by_position[j]
-        if second[0] - first[2] < gap and (not symmetric or first[0] - second[2] < gap):
+        if second[0] - first[1] < gap and (not symmetric or first[0] - second[1] < gap):
             breaches += 1
 
     picks = sorted(by_position)
     overlaps = transfers = idle = 0
     trips = 1
     count = len(picks)
-    first_start, _, prev_end, prev_facility = picks[0]
+    first_start, prev_end, prev_facility = picks[0]
     for i in range(1, count):
-        start, _, end, facility = picks[i]
+        start, end, facility = picks[i]
         gap = start - prev_end
         if gap > 0:
             idle += gap
@@ -142,9 +144,9 @@ def schedule_counts(
     """
     exams: list[str] = []
     by_position: list[Pick] = []
-    for _, (slot_id, exam, facility, _, _, start, duration) in schedule.assignments:
+    for _, (_, exam, facility, _, _, start, duration) in schedule.assignments:
         exams.append(exam)
-        by_position.append((start, slot_id, start + duration, facility))
+        by_position.append((start, start + duration, facility))
     return ScheduleCounts(*walk_picks(by_position, rule_checks(rules, exams)))
 
 

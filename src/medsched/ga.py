@@ -353,7 +353,7 @@ def make_evaluator(
     ``fitness(compute_penalties(decode(genes, space), request, rules))``.
 
     The request is compiled once.  Each act's candidates become a tuple of
-    picks ``(start, id, end, facility)`` indexed by gene, the pick
+    picks ``(start, end, facility)`` indexed by gene, the pick
     ``constraints.schedule_counts`` builds, and ``constraints.rule_checks``
     compiles the rules over act positions.  A genome is then scored, as
     ``schedule_counts`` scores a schedule, by one ``constraints.walk_picks``
@@ -369,7 +369,7 @@ def make_evaluator(
         raise ValueError("every candidate of an act must be of one exam")
 
     tables = [
-        tuple([(slot.start, slot.id, slot.end, slot.facility) for slot in block])
+        tuple([(slot.start, slot.end, slot.facility) for slot in block])
         for block in blocks
     ]
     checks = rule_checks(rules, [block[0].exam for block in blocks])

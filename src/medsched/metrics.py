@@ -20,13 +20,13 @@ class SolutionMetrics:
     """Per-solution summary: journey density, mobility and constraint flags.
 
     ``itr`` is the idle time ratio, None for fewer than two assignments.
-    In start order (ties by slot id), idle minutes sum the positive gaps
-    between consecutive slots, each from the earlier slot's end, over the
-    span from the first start to the end of the last slot.  So a nested
-    slot moves the next gap's start back: at one facility, A 600-720,
-    B 630-660 and C 780-810 give 120 over 210, though the patient is
-    booked until 720.  ROADMAP.md item 10 (scores that depend on slot
-    names) decides this convention.  ``trips`` counts facility changes and
+    In start order (the shorter of two equal-start slots first), idle
+    minutes sum the positive gaps between consecutive slots, each from the
+    earlier slot's end, over the span from the first start to the end of
+    the last slot.  So a nested slot moves the next gap's start back: at
+    one facility, A 600-720, B 630-660 and C 780-810 give 120 over 210,
+    though the patient is booked until 720.  ROADMAP.md item 10 decides
+    this convention.  ``trips`` counts facility changes and
     breaks over two hours, plus the first trip.
     """
 

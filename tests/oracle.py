@@ -21,8 +21,10 @@ from medsched.model import IncompatibilityRule, RuleLogic, Schedule, TimeSlot
 
 
 def by_start(schedule: Schedule) -> list[tuple[int, TimeSlot]]:
-    """The (act, slot) pairs in order of slot start, ties by slot id."""
-    return sorted(schedule.assignments, key=lambda pair: (pair[1].start, pair[1].id))
+    """The (act, slot) pairs in order of slot start, then end, then facility."""
+    return sorted(
+        schedule.assignments, key=lambda pair: (pair[1].start, pair[1].end, pair[1].facility)
+    )
 
 
 def slots_overlap(a: TimeSlot, b: TimeSlot) -> bool:

@@ -288,11 +288,12 @@ class TestRunBench:
             )
 
 
-# Each grid and the forks two workers make for it: none without a GA cell.
+# Each grid and the forks two workers make for it: this process is the
+# first worker, so one child, and none without a GA cell.
 WORKER_GRIDS = {
-    "3 trials x 4 algorithms": (SMALL_BENCH, 2),
-    "ga-ordered alone": (replace(SMALL_BENCH, algorithms=(GA_ORDERED,)), 2),
-    "1 trial x 4 algorithms": (replace(SMALL_BENCH, trials=1), 2),
+    "3 trials x 4 algorithms": (SMALL_BENCH, 1),
+    "ga-ordered alone": (replace(SMALL_BENCH, algorithms=(GA_ORDERED,)), 1),
+    "1 trial x 4 algorithms": (replace(SMALL_BENCH, trials=1), 1),
     "baselines only": (replace(SMALL_BENCH, algorithms=(FCFS, RANDOM)), 0),
 }
 
@@ -336,6 +337,29 @@ class TestWorkers:
             assert path.read_bytes() == (tmp_path / "2" / path.name).read_bytes()
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_this_process_runs_the_first_share(self, small_world, monkeypatch, cpus):
+        # Each cell records the process it ran in as its error text.
+        def where(algorithm, world, request, ga, ga_seed, random_seed, trial):
+            return TrialRecord(algorithm, trial, error=str(os.getpid()))
+
+        forked = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forked.append(os.getpid()) or real_fork())
+        monkeypatch.setattr(bench, "solve_cell", where)
+        monkeypatch.setattr(bench, "usable_cpus", lambda: cpus)
+        result = run_bench(replace(SMALL_BENCH, trials=1), small_world)
+        ran_in = {r.algorithm: r.error for r in result.records}
+        here = str(os.getpid())
+        if cpus == 1:
+            assert forked == []
+            assert set(ran_in.values()) == {here}
+        else:
+            assert len(forked) == 1
+            assert ran_in[GA_ORDERED] == ran_in[FCFS] == here
+            assert ran_in[GA_UNORDERED] == ran_in[RANDOM] != here
+        assert_no_child_left()
+
     @pytest.mark.parametrize(
         ("die", "error"),
         [
@@ -356,8 +380,8 @@ class TestWorkers:
         monkeypatch.setattr(bench, "solve_cell", dies_on_unordered)
         monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
         result = run_bench(replace(SMALL_BENCH, trials=1), small_world)
-        # The GA cells are dealt first: the first worker runs ga-ordered and
-        # fcfs, the second ga-unordered and random.
+        # The GA cells are dealt first: this process, the first worker, runs
+        # ga-ordered and fcfs, and the forked second ga-unordered and random.
         assert [r.algorithm for r in result.records] == list(ALL_ALGORITHMS)
         assert {r.algorithm: r.error for r in result.records} == {
             GA_ORDERED: None, GA_UNORDERED: error, FCFS: None, RANDOM: error
@@ -371,8 +395,8 @@ class TestWorkers:
         assert_no_child_left()
 
     def test_interrupted_parent_kills_its_workers(self, small_world, monkeypatch):
-        # Each worker sleeps in its first cell; the parent, waiting on their
-        # pipes, is interrupted by an alarm.
+        # Each worker sleeps in its first cell; the parent, the first worker,
+        # is interrupted by an alarm inside its own share.
         monkeypatch.setattr(bench, "solve_cell", lambda *args: time.sleep(60))
         monkeypatch.setattr(bench, "usable_cpus", lambda: 2)
 
@@ -382,7 +406,7 @@ class TestWorkers:
         previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()
         try:
-            signal.setitimer(signal.ITIMER_REAL, 1.0)  # long after both forks
+            signal.setitimer(signal.ITIMER_REAL, 1.0)  # long after the fork
             with pytest.raises(KeyboardInterrupt):
                 run_bench(SMALL_BENCH, small_world)
         finally:

@@ -53,12 +53,14 @@ def seed_42_world(tmp_path_factory):
 
 
 def fast_solve_args(world_dir, out, *extra):
+    # A request file sets the acts, so ``--acts`` goes only with a sampled request.
+    acts = [] if "--request" in extra else ["--acts", "3"]
     return [
         "solve",
         "--world", str(world_dir / "world.json"),
         "--out", str(out),
         "--seed", "3",
-        "--acts", "3",
+        *acts,
         "--generations", "5",
         "--population", "10",
         "--tournament-k", "3",
@@ -77,17 +79,19 @@ def read_solution(out):
 
 # sha256 of what ``medsched solve --seed 42`` writes at default GA flags on
 # the default world (``WorldConfig``'s seed is 42).  A change meant to keep
-# every output byte-identical keeps these.
+# every output byte-identical keeps these.  The convergence.csv digests were
+# re-recorded when equal-start picks stopped being ordered by slot id: the
+# mean fitness of a population with such picks moved.
 SOLVE_DIGESTS = {
     "ga-ordered": {
         "request.json": "762e7bc01bd9c53004111fc4562f767f6b33e53ca14c90a38754cf785c26671e",
         "solution.json": "35ceda7b56a3f3653f5b060b32e4aa9e3576d611c3512b275cf24e2240c737c4",
-        "convergence.csv": "268134634d30c19a8d126bc12d1142bdfd87b8debe2d7e74bda0cdea71a30bdd",
+        "convergence.csv": "0a68686ab3a18d16cfe845dbe31f754b027fe57b1067e6f93047824852e6b122",
     },
     "ga-unordered": {
         "request.json": "762e7bc01bd9c53004111fc4562f767f6b33e53ca14c90a38754cf785c26671e",
         "solution.json": "7b062bee709b56eada6a696147b329a43cc5542b9623aaea923f434f696d6997",
-        "convergence.csv": "f3c33b741371f607521dea42b3f4a1435469e0de8d40f0374a7e7da2fd9cf3bc",
+        "convergence.csv": "afdca4134e83baf79ea6db2a91f65233e756b2e96614b9489908a5c69e844a3c",
     },
 }
 
@@ -198,6 +202,18 @@ class TestSolve:
         code = main(fast_solve_args(world_dir, out, "--request", str(out / "request.json")))
         assert code == 2
         assert json.loads((out / "request.json").read_text())["start_day"] == 99
+
+    def test_acts_beside_a_request_file_is_a_usage_error(self, world_dir, tmp_path, capsys):
+        # The file's three acts would be booked and --acts 5 silently dropped.
+        request_path = tmp_path / "request.json"
+        save_request(ScheduleRequest(acts=("E07", "E11", "E02")), request_path)
+        out = tmp_path / "out"
+        assert main(fast_solve_args(world_dir, out)) == 0
+        earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+        code = main(fast_solve_args(world_dir, out, "--request", str(request_path), "--acts", "5"))
+        assert code == 1
+        assert "usage error: --acts has no effect with --request" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
 
     def test_random_solver_runs(self, world_dir, tmp_path):
         out = tmp_path / "out"
@@ -654,7 +670,21 @@ class TestFlagDefaults:
     def test_no_flags_give_the_config_defaults(self, command):
         args = build_parser().parse_args([command])
         assert _ga_config(args) == GAConfig()
-        assert args.acts == BenchConfig().acts_per_request
+        # None, so ``solve`` can tell an omitted --acts from one beside --request.
+        assert args.acts is None
+
+    def test_omitted_acts_are_the_config_default(self, world_dir, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        world = str(world_dir / "world.json")
+        assert main(["solve", "--world", world, "--algo", "fcfs", "--out", str(out)]) == 0
+        assert len(read_solution(out)["request"]["acts"]) == BenchConfig().acts_per_request
+        configs = []
+        real = cli.run_bench
+        monkeypatch.setattr(
+            cli, "run_bench", lambda config, world: configs.append(config) or real(config, world)
+        )
+        assert main(["bench", "--world", world, "--algo", "fcfs", "--trials", "1", "--out", str(out)]) == 0
+        assert [config.acts_per_request for config in configs] == [BenchConfig().acts_per_request]
 
     def test_bench_trials_default(self):
         assert build_parser().parse_args(["bench"]).trials == BenchConfig().trials

@@ -12,7 +12,8 @@ from medsched import constraints, ga
 from medsched.constraints import schedule_counts
 from medsched.datagen import WorldConfig, generate_request
 from medsched.fitness import compute_penalties, fitness
-from medsched.bench import GA_ALGORITHMS
+from medsched.baselines import fcfs_schedule
+from medsched.bench import GA_ALGORITHMS, trial_seeds
 from medsched.ga import (
     GAConfig,
     Individual,
@@ -156,18 +157,19 @@ class TestMatchesReference:
         )
         assert_exact(space, ScheduleRequest(acts=("E01", "E02", "E02")), (), (0, 0, 0))
 
-    def test_equal_starts_ordered_by_id(self):
-        # Sorted by id, act 1 ("A", F2) comes before act 0 ("B", F1): one
-        # transfer then a same-facility wait, rather than two transfers.
+    def test_equal_starts_shorter_first(self):
+        # The shorter act 1 ("B", F2) comes before act 0 ("A", F1), whatever
+        # their ids: one transfer then a same-facility visit, not two transfers.
         space = SearchSpace(
             per_act_slots=(
-                (make_slot("B", exam="E01", facility="F1", start=540),),
-                (make_slot("A", exam="E02", facility="F2", start=540),),
+                (make_slot("A", exam="E01", facility="F1", start=540, duration=60),),
+                (make_slot("B", exam="E02", facility="F2", start=540),),
                 (make_slot("C", exam="E03", facility="F1", start=600),),
             )
         )
         request = ScheduleRequest(acts=("E01", "E02", "E03"))
         assert_exact(space, request, (), (0, 0, 0))
+        assert schedule_counts(decode((0, 0, 0), space), ()).transfers == 1
 
     @pytest.mark.parametrize("logic", list(RuleLogic))
     @pytest.mark.parametrize(
@@ -279,23 +281,81 @@ def permuted_scoring_cases(draw):
     return case, permuted
 
 
+def scores(space, request, rules, genes):
+    """A case's penalties, metrics and evaluator value."""
+    schedule = decode(genes, space)
+    return (
+        compute_penalties(schedule, request, rules),
+        solution_metrics(schedule, rules, len(request.acts)),
+        make_evaluator(space, request, rules)(Individual(tuple(genes))),
+    )
+
+
 class TestActOrderInvariance:
     # ``walk_picks`` puts the picks in order; no score may depend on the
     # order the acts were requested in.
     @settings(max_examples=300, deadline=None)
     @given(permuted_scoring_cases())
     def test_both_scorers_ignore_act_order(self, cases):
-        scores = []
-        for space, request, rules, genes in cases:
-            schedule = decode(genes, space)
-            scores.append(
-                (
-                    compute_penalties(schedule, request, rules),
-                    solution_metrics(schedule, rules, len(request.acts)),
-                    make_evaluator(space, request, rules)(Individual(tuple(genes))),
-                )
-            )
-        assert scores[0] == scores[1]
+        assert scores(*cases[0]) == scores(*cases[1])
+
+
+def rename_slots(space, rename):
+    """``space`` with each slot's id mapped through ``rename``, blocks in place."""
+    return SearchSpace(
+        per_act_slots=tuple(
+            tuple(slot._replace(id=rename[slot.id]) for slot in block)
+            for block in space.per_act_slots
+        )
+    )
+
+
+@st.composite
+def renamed_scoring_cases(draw):
+    """A ``scoring_cases`` case and the same case with its slot ids permuted."""
+    space, request, rules, genes = case = draw(scoring_cases())
+    ids = sorted({slot.id for block in space.per_act_slots for slot in block})
+    rename = dict(zip(ids, draw(st.permutations(ids))))
+    return case, (rename_slots(space, rename), request, rules, genes)
+
+
+def equal_starts_case(first_id, second_id):
+    """Two picks at 540 on two facilities, named ``first_id`` and ``second_id``, then one at 600."""
+    space = SearchSpace(
+        per_act_slots=(
+            (make_slot(first_id, exam="E01", facility="F1", start=540, duration=30),),
+            (make_slot(second_id, exam="E02", facility="F2", start=540, duration=60),),
+            (make_slot("C", exam="E03", facility="F1", start=600),),
+        )
+    )
+    return space, ScheduleRequest(acts=EXAMS), (), [0, 0, 0]
+
+
+class TestSlotIdInvariance:
+    # A slot id is a name: no score may depend on it, not even through the
+    # order of two picks that start together.
+    @settings(max_examples=300, deadline=None)
+    @given(renamed_scoring_cases())
+    @example((equal_starts_case("A", "B"), equal_starts_case("B", "A")))
+    def test_both_scorers_ignore_slot_ids(self, cases):
+        assert scores(*cases[0]) == scores(*cases[1])
+
+    def test_reversed_ids_keep_fcfs_scores_on_default_world(self, default_world):
+        # Trial 3 of the default bench books two FCFS picks with one start;
+        # when the id broke that tie, reversing the id order changed the score.
+        request_seed = trial_seeds(default_world.config.seed, 3)[0]
+        request = generate_request(
+            list(default_world.exams), default_world.config, 5, seed=request_seed
+        )
+        space = filter_search_space(default_world.slots, request)
+        genes = [
+            block.index(slot)
+            for block, (_, slot) in zip(space.per_act_slots, fcfs_schedule(space).assignments)
+        ]
+        ids = sorted(slot.id for slot in default_world.slots)
+        reversed_space = rename_slots(space, dict(zip(ids, reversed(ids))))
+        rules = default_world.rules
+        assert scores(space, request, rules, genes) == scores(reversed_space, request, rules, genes)
 
 
 def assert_pass_matches_oracle(schedule, request, rules):
@@ -382,18 +442,20 @@ class TestPassMatchesOracle:
     def test_hand_built_property(self, case):
         assert_pass_matches_oracle(*case)
 
-    def test_equal_starts_ordered_by_id(self):
-        # Sorted by id, "A" at F2 comes first and "B" at F1 ends last, so the
-        # span ends at B's end although C, listed first, ends later.
+    def test_equal_starts_shorter_first(self):
+        # The shorter "C" at F2 comes before "A" at F1, though "A" sorts first
+        # by id: one transfer, not two.  "B" starts last, so the span ends at
+        # B's end although A ends later.
         schedule = Schedule(
             assignments=(
-                (0, make_slot("C", exam="E01", facility="F1", start=540, duration=90)),
-                (1, make_slot("A", exam="E02", facility="F2", start=540, duration=30)),
+                (0, make_slot("A", exam="E01", facility="F1", start=540, duration=90)),
+                (1, make_slot("C", exam="E02", facility="F2", start=540, duration=30)),
                 (2, make_slot("B", exam="E03", facility="F1", start=570, duration=30)),
             )
         )
         assert_pass_matches_oracle(schedule, ScheduleRequest(acts=("E01", "E02", "E03")), ())
-        assert schedule_counts(schedule, ()).span == 60
+        counts = schedule_counts(schedule, ())
+        assert (counts.transfers, counts.span) == (1, 60)
 
     def test_shared_slot_and_repeated_rules(self):
         shared = make_slot("A", exam="E01", start=540)
